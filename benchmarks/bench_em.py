@@ -1,6 +1,11 @@
-"""Time the compiled EM kernel against the pure-numpy twin.
+"""Time the block EM kernel per replicate-iteration at several block widths.
 
-Usage: python benchmarks/bench_em.py [--iters N] [--truncation N] [--grid-k K]
+Each column of a block is the heralded preset resampled with its own
+seed; patience equals the budget, so every column runs all iterations.
+Width 1 is timed twice: with the ε and log-likelihood histories a point
+solve keeps, and without them, as a bootstrap replicate runs.
+
+Usage: python benchmarks/bench_em.py [--iters N] [--widths 1 2 25 100]
 """
 
 import argparse
@@ -9,7 +14,6 @@ import time
 import numpy as np
 
 from clicktomo import (
-    StoppingConfig,
     build_matrix,
     forward_click_probabilities,
     frequencies,
@@ -17,8 +21,7 @@ from clicktomo import (
     sample_clicks,
     uniform_grid,
 )
-from clicktomo._backend import NUMBA_AVAILABLE
-from clicktomo._kernels import em_run_numba, em_run_numpy
+from clicktomo._kernels import back_projector, em_run
 
 
 def main():
@@ -26,51 +29,44 @@ def main():
     parser.add_argument("--iters", type=int, default=20_000)
     parser.add_argument("--truncation", type=int, default=3)
     parser.add_argument("--grid-k", type=int, default=34, dest="grid_k")
+    parser.add_argument("--widths", type=int, nargs="+", default=[1, 2, 25, 100])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
     grid = uniform_grid(args.grid_k, 0.015, 0.325)
-    state = heralded_split_state(0.4, args.truncation)
-    probs = forward_click_probabilities(state, grid)
-    record = sample_clicks(probs, 100_000, seed=0)
+    probs = forward_click_probabilities(
+        heralded_split_state(0.4, args.truncation), grid
+    )
     matrix = build_matrix(grid, 2, args.truncation)
-    h = frequencies(record)
-    inv_colsum = 1.0 / matrix.column_sums()
-    matrix_t = np.ascontiguousarray(matrix.rows.T)
-    n_cols = matrix.rows.shape[1]
-    q0 = np.full(n_cols, 1.0 / n_cols)
-    opts = StoppingConfig(max_iters=args.iters, patience=args.iters)
-    call_args = (
-        matrix.rows, matrix_t, inv_colsum, h, q0,
-        opts.max_iters, opts.patience, 0.0, 0.0,
-    )
-
-    kernels = [("numpy", em_run_numpy)]
-    if NUMBA_AVAILABLE:
-        em_run_numba(*call_args[:5], 10, 10, 0.0, 0.0)  # warm the JIT
-        kernels.append(("numba", em_run_numba))
-    else:
-        print("numba unavailable; timing the numpy kernel only")
-
+    back = back_projector(matrix.rows, matrix.column_sums())
+    n_rows, n_cols = matrix.rows.shape
     print(
-        f"EM kernel, {args.iters} iterations, K={args.grid_k}, "
-        f"{n_cols} distribution entries"
+        f"EM kernel, {args.iters} iterations, {n_rows} rows x {n_cols} "
+        f"columns, best of {args.repeats}"
     )
-    times = {}
-    for name, fn in kernels:
-        best = min(
-            _timed(fn, call_args) for _ in range(args.repeats)
+    cases = [(1, True)] + [(width, False) for width in args.widths]
+    for width, history in cases:
+        h = np.stack(
+            [frequencies(sample_clicks(probs, 100_000, seed=s))
+             for s in range(width)],
+            axis=1,
         )
-        times[name] = best
-        rate = args.iters / best
-        print(f"  {name:6s}: {best:8.3f} s  ({rate:,.0f} iterations/s)")
-    if len(times) == 2:
-        print(f"  speedup: {times['numpy'] / times['numba']:.2f}x")
+        q0 = np.full((n_cols, width), 1.0 / n_cols)
+        best = min(
+            _timed(matrix.rows, back, h, q0, args.iters, history)
+            for _ in range(args.repeats)
+        )
+        per_iter = 1e6 * best / args.iters
+        label = "with histories" if history else ""
+        print(
+            f"  B={width:<4d} {per_iter:8.2f} us/iteration  "
+            f"{per_iter / width:7.2f} us/replicate-iteration  {label}"
+        )
 
 
-def _timed(fn, call_args):
+def _timed(matrix, back, h, q0, iters, history):
     start = time.perf_counter()
-    fn(*call_args)
+    em_run(matrix, back, h, q0, iters, iters, 0.0, 0.0, history=history)
     return time.perf_counter() - start
 
 

@@ -6,7 +6,6 @@ joint photon-number distribution with a maximum-likelihood EM
 iteration.
 """
 
-from ._backend import BACKEND
 from .detection import (
     ClickProbabilities,
     DetectionMatrix,
@@ -45,7 +44,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ClickProbabilities",
     "ClickRecord",
     "DetectionMatrix",

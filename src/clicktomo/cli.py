@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._backend import BACKEND
 from .detection import forward_click_probabilities, uniform_grid
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .metrics import bootstrap_uncertainty, fidelity, marginal
@@ -142,7 +141,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest = {
         "command": "simulate",
         "version": __version__,
-        "backend": BACKEND,
         "rng": RNG_ALGORITHM,
         "preset": cfg["preset"],
         "state": state_doc,
@@ -226,6 +224,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         store_every=args.store_every,
     )
     trace = reconstruct(record, truncation, options=options)
+    seed = args.seed or 0
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +255,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.bootstrap_reps:
         boot = bootstrap_uncertainty(
             record, truncation, reps=args.bootstrap_reps,
-            seed=args.seed or 0, options=options,
+            seed=seed, options=options,
         )
         boot.to_csv(out_dir / "uncertainty.csv", point=trace.final)
         summary["bootstrap_reps"] = boot.reps
@@ -275,16 +274,18 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     run_manifest = {
         "command": "reconstruct",
         "version": __version__,
-        "backend": BACKEND,
         "truncation": truncation,
         "options": {
             "max_iters": options.max_iters,
             "patience": options.patience,
             "eps_threshold": options.eps_threshold,
             "store_every": options.store_every,
+            "min_decrease": (
+                "auto" if options.min_decrease is None else options.min_decrease
+            ),
         },
         "bootstrap_reps": args.bootstrap_reps,
-        "seed": args.seed,
+        "seed": seed,
         "reference": args.reference,
         "input_manifest": manifest,
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .detection import DetectionMatrix, build_matrix
-from .errors import DegenerateSupportError, NumericalError
+from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .sampler import ClickRecord, frequencies
 from .states import JointDistribution
 
@@ -29,6 +29,7 @@ __all__ = [
     "log_likelihood",
     "reconstruct",
     "reconstruct_exact",
+    "reconstruct_many",
 ]
 
 _STOP_REASONS = {
@@ -136,23 +137,19 @@ def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
     """One multiplicative update of the flattened distribution."""
     q, h = _validate_qh(q, matrix, h)
     g = matrix.rows @ q
-    zero_model = g <= 0.0
-    if np.any(zero_model & (h > 0.0)):
+    if _kernels.degenerate_columns(h, g):
         raise DegenerateSupportError(
             "model probability vanished on an observed pattern; "
             "restart from a strictly positive (e.g. uniform) start"
         )
-    ratio = np.where(zero_model, 0.0, h / np.where(zero_model, 1.0, g))
-    colsum = matrix.column_sums()
-    inv_colsum = np.where(colsum > 0.0, 1.0 / np.where(colsum > 0.0, colsum, 1.0), 0.0)
-    return q * (matrix.rows.T @ ratio) * inv_colsum
+    back = _kernels.back_projector(matrix.rows, matrix.column_sums())
+    return q * (back @ _kernels.data_ratio(h, g, positive=False))
 
 
 def total_error(q, matrix: DetectionMatrix, h) -> float:
     """Mean absolute deviation between measured and modeled frequencies."""
     q, h = _validate_qh(q, matrix, h)
-    g = matrix.rows @ q
-    return float(np.abs(h - g).sum() / h.size)
+    return float(_kernels.mean_abs_deviation(h, matrix.rows @ q))
 
 
 def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
@@ -167,19 +164,10 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
     observed pattern has zero model probability.
     """
     matrix.check_grid(record.grid)
-    g = matrix.rows @ np.asarray(q, dtype=np.float64)
-    h = frequencies(record)
-    return _divergence_loglik(h, g)
-
-
-def _divergence_loglik(h: np.ndarray, g: np.ndarray) -> float:
-    observed = h > 0.0
-    if np.any(g[observed] <= 0.0):
-        return float("-inf")
-    return float(
-        np.sum(h[observed] * np.log(g[observed] / h[observed]))
-        + h[observed].sum() - g.sum()
-    )
+    g = (matrix.rows @ np.asarray(q, dtype=np.float64))[:, None]
+    h = frequencies(record)[:, None]
+    offset = _kernels.loglik_offset(h)
+    return float(_kernels.log_likelihood(h, g, offset, positive=False)[0])
 
 
 NOISE_FLOOR_FACTOR = 0.5
@@ -248,6 +236,71 @@ def reconstruct_exact(
     return _reconstruct_core(matrix, h, options, q0, min_decrease)
 
 
+def reconstruct_many(
+    records: list[ClickRecord],
+    truncation: int,
+    options: StoppingConfig | None = None,
+) -> list[JointDistribution | ClicktomoError]:
+    """Reconstruct several records on one efficiency grid in one block
+    EM run, each from the uniform start and with its own stopping state.
+
+    Returns one entry per record: its final distribution (the iterate
+    with the smallest total error, renormalized), or the
+    :class:`ClicktomoError` its solve ended with. No per-iteration
+    history is kept.
+    """
+    if options is None:
+        options = StoppingConfig()
+    grid, modes = records[0].grid, records[0].modes
+    matrix = build_matrix(grid, modes, truncation)
+    for record in records:
+        matrix.check_grid(record.grid)
+        if record.modes != modes:
+            raise ValueError("records must share the number of modes")
+    h = np.stack([frequencies(record) for record in records], axis=1)
+    min_decrease = options.min_decrease
+    if min_decrease is None:
+        min_decrease = np.array([_frequency_noise_floor(r) for r in records])
+    n_cols = matrix.rows.shape[1]
+    q0 = np.full((n_cols, len(records)), 1.0 / n_cols)
+    result = _em_block(matrix, h, q0, options, min_decrease, history=False)
+    finals: list[JointDistribution | ClicktomoError] = []
+    for col, status in enumerate(result.status):
+        try:
+            finals.append(_final_distribution(result.best_q[:, col], status, modes)[0])
+        except ClicktomoError as err:
+            finals.append(err)
+    return finals
+
+
+def _em_block(matrix: DetectionMatrix, h, q0, options: StoppingConfig,
+              min_decrease, history: bool) -> _kernels.BlockResult:
+    """One kernel run; ``history`` keeps the per-iteration ε and
+    log-likelihood and the snapshots ``options.store_every`` asks for."""
+    back = _kernels.back_projector(matrix.rows, matrix.column_sums())
+    return _kernels.em_run(
+        matrix.rows, back, h, q0, options.max_iters, options.patience,
+        options.eps_threshold, min_decrease,
+        history=history, store_every=options.store_every if history else 0,
+    )
+
+
+def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float]:
+    """The renormalized best iterate and its mass before renormalizing;
+    raises when the solve ended degenerate, non-finite or massless."""
+    if status == _kernels.STATUS_DEGENERATE:
+        raise DegenerateSupportError(
+            "model probability vanished on an observed pattern during "
+            "iteration; restart from a strictly positive start"
+        )
+    if not np.all(np.isfinite(best_q)):
+        raise NumericalError("non-finite values in the EM iterate")
+    total = float(best_q.sum())
+    if total <= 0:
+        raise NumericalError("EM iterate lost all probability mass")
+    return JointDistribution.from_flat(best_q / total, modes), total
+
+
 def _reconstruct_core(
     matrix: DetectionMatrix, h, options: StoppingConfig, q0, min_decrease,
 ) -> ReconstructionTrace:
@@ -260,90 +313,29 @@ def _reconstruct_core(
             raise ValueError(f"q0 must have length {n_cols}")
         if np.any(q0 < 0):
             raise ValueError("q0 entries must be nonnegative")
-    colsum = matrix.column_sums()
-    inv_colsum = np.where(colsum > 0.0, 1.0 / np.where(colsum > 0.0, colsum, 1.0), 0.0)
-    matrix_t = np.ascontiguousarray(matrix.rows.T)
-
-    if options.store_every > 0:
-        result = _run_storing(
-            matrix.rows, matrix_t, inv_colsum, h, q0, options, min_decrease,
+    result = _em_block(
+        matrix, h[:, None], q0[:, None], options, min_decrease, history=True,
+    )
+    n_done = int(result.n_iterations[0])
+    epsilon = result.epsilon[:n_done, 0].copy()
+    loglik = result.loglik[:n_done, 0].copy()
+    try:
+        final, total = _final_distribution(
+            result.best_q[:, 0], result.status[0], matrix.modes
         )
-    else:
-        out = _kernels.em_run(
-            matrix.rows, matrix_t, inv_colsum, h, q0,
-            options.max_iters, options.patience,
-            options.eps_threshold, min_decrease,
-        )
-        result = out + (None, None)
-
-    (best_q, final_q, best_iter, n_done, eps_hist, ll_hist, status,
-     iterates, stored_iters) = result
-
-    if status == _kernels.STATUS_DEGENERATE:
-        raise DegenerateSupportError(
-            "model probability vanished on an observed pattern during "
-            "iteration; restart from a strictly positive start"
-        )
-    if not np.all(np.isfinite(best_q)):
-        err = NumericalError("non-finite values in the EM iterate")
-        err.epsilon = eps_hist[:n_done]
-        err.loglik = ll_hist[:n_done]
-        raise err
-    total = best_q.sum()
-    if total <= 0:
-        raise NumericalError("EM iterate lost all probability mass")
-    final = JointDistribution.from_flat(best_q / total, matrix.modes)
+    except NumericalError as err:
+        err.epsilon = epsilon
+        err.loglik = loglik
+        raise
+    iterates = None if result.iterates is None else result.iterates[:, :, 0]
     return ReconstructionTrace(
-        epsilon=eps_hist[:n_done].copy(),
-        loglik=ll_hist[:n_done].copy(),
-        stop_reason=_STOP_REASONS[status],
-        best_iteration=int(best_iter),
-        n_iterations=int(n_done),
+        epsilon=epsilon,
+        loglik=loglik,
+        stop_reason=_STOP_REASONS[int(result.status[0])],
+        best_iteration=int(result.best_iteration[0]),
+        n_iterations=n_done,
         final=final,
         renorm_correction=float(1.0 - total),
         iterates=iterates,
-        stored_iterations=stored_iters,
-    )
-
-
-def _run_storing(matrix, matrix_t, inv_colsum, h, q0, options, min_decrease):
-    """Slow-path twin of the kernel loop that also keeps iterate snapshots."""
-    n_rows = matrix.shape[0]
-    q = q0.copy()
-    eps_hist = np.empty(options.max_iters)
-    ll_hist = np.empty(options.max_iters)
-    best_q = q.copy()
-    best_eps = np.inf
-    best_iter = 0
-    status = _kernels.STATUS_MAX_ITERS
-    n_done = 0
-    snapshots: list[np.ndarray] = []
-    snapshot_iters: list[int] = []
-    for it in range(options.max_iters):
-        g = matrix @ q
-        eps_hist[it] = np.abs(h - g).sum() / n_rows
-        ll_hist[it] = _divergence_loglik(h, g)
-        n_done = it + 1
-        if it % options.store_every == 0:
-            snapshots.append(q.copy())
-            snapshot_iters.append(it)
-        if eps_hist[it] < best_eps - min_decrease:
-            best_eps = eps_hist[it]
-            best_iter = it
-            best_q[:] = q
-        if options.eps_threshold > 0.0 and eps_hist[it] <= options.eps_threshold:
-            status = _kernels.STATUS_THRESHOLD
-            break
-        if it - best_iter >= options.patience:
-            status = _kernels.STATUS_MIN_EPSILON
-            break
-        positive = g > 0.0
-        if np.any(~positive & (h > 0.0)):
-            status = _kernels.STATUS_DEGENERATE
-            break
-        ratio = np.where(positive, h / np.where(positive, g, 1.0), 0.0)
-        q = q * (matrix_t @ ratio) * inv_colsum
-    return (
-        best_q, q, best_iter, n_done, eps_hist, ll_hist, status,
-        np.array(snapshots), np.array(snapshot_iters),
+        stored_iterations=result.stored_iterations,
     )

@@ -192,6 +192,31 @@ class TestReconstruct:
                      "summary.json", "uncertainty.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_rerun_from_manifest_options(self, tmp_path):
+        # no --seed: the manifest records the seed the bootstrap used
+        sim = simulate_small(tmp_path)
+        first = tmp_path / "r1"
+        assert run([
+            "reconstruct", str(sim), "--max-iters", "2000",
+            "--min-decrease", "auto", "--bootstrap-reps", "2",
+            "--out-dir", str(first),
+        ]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["options"]["min_decrease"] == "auto"
+        assert manifest["seed"] == 0
+        argv = [
+            "reconstruct", str(sim),
+            "--truncation", str(manifest["truncation"]),
+            "--bootstrap-reps", str(manifest["bootstrap_reps"]),
+            "--seed", str(manifest["seed"]),
+        ]
+        for key, value in manifest["options"].items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        second = tmp_path / "r2"
+        assert run(argv + ["--out-dir", str(second)]) == EXIT_OK
+        assert ((second / "summary.json").read_bytes()
+                == (first / "summary.json").read_bytes())
+
 
 class TestReproduce:
     def test_fig2_small(self, tmp_path):

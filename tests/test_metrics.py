@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from clicktomo import (
+    ClickRecord,
+    EfficiencyGrid,
     JointDistribution,
     StoppingConfig,
     bootstrap_uncertainty,
@@ -12,9 +14,11 @@ from clicktomo import (
     forward_click_probabilities,
     heralded_split_state,
     marginal,
+    reconstruct,
     sample_clicks,
     uniform_grid,
 )
+from clicktomo.errors import NumericalError
 
 
 class TestMarginal:
@@ -123,7 +127,6 @@ class TestBootstrap:
         opts = StoppingConfig(max_iters=3000, min_decrease=None)
         rec = sample_clicks(probs, runs, seed=29)
         res = bootstrap_uncertainty(rec, 2, reps=30, seed=2, options=opts)
-        from clicktomo import reconstruct
 
         finals = []
         for seed in range(30):
@@ -153,6 +156,31 @@ class TestBootstrap:
         a = bootstrap_uncertainty(rec, 2, reps=5, seed=9, options=opts)
         b = bootstrap_uncertainty(rec, 2, reps=5, seed=9, options=opts)
         np.testing.assert_array_equal(a.sigma, b.sigma)
+
+    def test_failed_replicate_reported_rest_match_serial_solves(self):
+        # one efficiency, three runs: a replicate that puts all three runs
+        # into the all-click pattern has h = 0, and its solve loses all mass
+        rec = ClickRecord(
+            grid=EfficiencyGrid(np.array([0.3])), modes=2,
+            counts=np.array([[1, 1, 0, 1]]), runs=np.array([3]),
+        )
+        opts = StoppingConfig(max_iters=500)
+        res = bootstrap_uncertainty(rec, 1, reps=10, seed=2, options=opts)
+        assert res.failed == [8]
+        finals = []
+        for rep in range(10):
+            rng = np.random.default_rng([2, rep])
+            counts = rng.multinomial(3, rec.frequency_table()[0])[None, :]
+            resampled = ClickRecord(grid=rec.grid, modes=2, counts=counts,
+                                    runs=rec.runs)
+            if rep == 8:
+                with pytest.raises(NumericalError):
+                    reconstruct(resampled, 1, opts)
+                continue
+            finals.append(reconstruct(resampled, 1, opts).final.values)
+        serial = np.std(np.stack(finals), axis=0, ddof=1)
+        assert serial.max() > 0.1
+        np.testing.assert_allclose(res.sigma, serial, rtol=0, atol=1e-13)
 
     def test_csv_output(self, tmp_path):
         grid = uniform_grid(4, 0.1, 0.4)

@@ -16,7 +16,13 @@ from clicktomo import (
     sample_clicks,
     total_error,
 )
-from clicktomo._kernels import _em_run_loops, em_run_numba, em_run_numpy
+from clicktomo._kernels import (
+    STATUS_DEGENERATE,
+    STATUS_MIN_EPSILON,
+    _em_run_loops,
+    back_projector,
+    em_run,
+)
 from clicktomo.errors import DegenerateSupportError, GridMismatchError
 from clicktomo.solver import _frequency_noise_floor
 
@@ -250,18 +256,58 @@ def _assert_kernel_outputs_match(out_loop, out_np):
     assert out_loop[6] == out_np[6]  # status
 
 
+def _em_run_block_of_one(matrix, matrix_t, inv_colsum, h, q0, *stop_args):
+    """``em_run`` on a block of width 1, in the reference kernel's
+    calling convention and output tuple (without the unused final iterate)."""
+    back = matrix_t * inv_colsum[:, None]
+    r = em_run(matrix, back, h[:, None], q0[:, None], *stop_args, history=True)
+    return (r.best_q[:, 0], None, r.best_iteration[0],
+            r.n_iterations[0], r.epsilon[:, 0], r.loglik[:, 0], r.status[0])
+
+
 class TestBackendsAgree:
     def test_numba_and_numpy_kernels_identical(self, small_grid):
-        # The loop kernel is the Python source that numba compiles
-        # (``em_run_numba.py_func``), so this check needs no numba.
+        # the block kernel at width 1 against the scalar loop reference
         args = _kernel_args(small_grid)
-        _assert_kernel_outputs_match(_em_run_loops(*args), em_run_numpy(*args))
+        _assert_kernel_outputs_match(
+            _em_run_loops(*args), _em_run_block_of_one(*args)
+        )
 
-    def test_numba_compiled_kernel_matches_numpy(self, small_grid):
-        pytest.importorskip("numba")
-        assert hasattr(em_run_numba, "py_func")  # compiled, not the fallback
-        args = _kernel_args(small_grid)
-        _assert_kernel_outputs_match(em_run_numba(*args), em_run_numpy(*args))
+    def test_block_columns_match_serial_runs(self, small_grid):
+        # three different data sets whose patience stops fall at different
+        # iterations, one min_decrease per column, and a degenerate column
+        m = build_matrix(small_grid, 2, 3)
+        mt = np.ascontiguousarray(m.rows.T)
+        inv = 1.0 / m.column_sums()
+        hs = [
+            frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+            for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.3, 20_000, 3))
+        ]
+        mind = np.array([1e-4, 3e-4, 1e-3])
+        uniform = np.full(16, 1.0 / 16)
+        vacuum = np.zeros(16)
+        vacuum[0] = 1.0  # q0 = e_0: the model never clicks, the data do
+        h = np.stack(hs + [hs[0]], axis=1)
+        q0 = np.stack([uniform] * 3 + [vacuum], axis=1)
+        max_iters, patience = 3000, 100
+        block = em_run(m.rows, back_projector(m.rows, m.column_sums()), h, q0,
+                       max_iters, patience, 0.0, np.append(mind, 0.0))
+        stops = set()
+        for col in range(3):
+            ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
+                                patience, 0.0, mind[col])
+            np.testing.assert_allclose(
+                block.best_q[:, col], ref[0], rtol=0, atol=1e-13
+            )
+            assert block.best_iteration[col] == ref[2]
+            assert block.n_iterations[col] == ref[3]
+            assert block.status[col] == ref[6] == STATUS_MIN_EPSILON
+            stops.add(ref[3])
+        assert len(stops) == 3  # the columns left the block at different times
+        assert block.status[3] == STATUS_DEGENERATE
+        assert block.n_iterations[3] == 1
+        np.testing.assert_array_equal(block.best_q[:, 3], vacuum)
+        assert block.epsilon is None and block.loglik is None
 
 
 class TestNoiseFloor:
