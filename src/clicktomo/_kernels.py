@@ -8,13 +8,38 @@ its replicates. ``_em_run_loops`` is the same iteration written loop by
 loop for one distribution: the reference the tests compare
 ``em_run`` against.
 
+``em_run`` works in chunks of iterations, in two phases:
+
+1. The hot loop does only the EM update. It writes each iterate q and
+   its model frequencies g = A q into preallocated chunk buffers and
+   keeps one scalar guard, ``g.min() > 0``. An iterate that fails the
+   guard takes the masked ratio; one where an observed row has no model
+   probability (a degenerate column) ends the chunk.
+2. Once per chunk, vectorised passes over the buffers give the ε and
+   log-likelihood of every iterate, and a scan over each column's ε
+   list moves its best iterate (the ``min_decrease`` rule). Vectorised
+   checks settle the columns whose ε falls at every step or never
+   undercuts the best; the others are scanned in plain Python. The
+   best iterate and the ``store_every`` snapshots come from the
+   buffers.
+
+Every stop falls on a chunk's last iterate: a chunk ends no later than
+the earliest iteration at which the patience rule could fire, and is
+cut at the first iterate that reaches ``eps_threshold``. The threshold,
+patience and degenerate rules are then checked there, in that order,
+exactly as ``_em_run_loops`` checks them each iteration. Columns that
+stop leave the block before the next update, so the other columns see
+the same block widths, hence the same BLAS results, whatever the chunk
+length. The chunk length is the number of iterates that fit, with their
+model frequencies and the next iterate, in ``CHUNK_BYTES``.
+
 The per-iteration log-likelihood is the scaled negative information
 divergence between the measured and modeled frequencies,
 ``sum_mu h log(g/h) + h - g``: zero at a perfect fit, nondecreasing
 under the multiplicative update, ``-inf`` when an observed row has
-zero model probability. :func:`log_likelihood` evaluates it as
-``sum_mu (h log g - g)`` minus the data constant
-``sum_mu (h log h - h)`` of :func:`loglik_offset`.
+zero model probability. :func:`log_likelihood` evaluates it in that
+form, as ``sum_{h>0} h log(g/h)`` plus ``sum_mu (h - g)``, so that no
+large terms cancel.
 
 Status codes: 0 = max iterations, 1 = error threshold reached,
 2 = patience window expired (error minimum detected), -1 = degenerate
@@ -31,7 +56,10 @@ STATUS_MAX_ITERS = 0
 STATUS_THRESHOLD = 1
 STATUS_MIN_EPSILON = 2
 STATUS_DEGENERATE = -1
-_RUNNING = -9
+
+# Bytes of chunk buffers per block: the iterates and model frequencies
+# of one chunk stay in cache while the per-chunk passes read them.
+CHUNK_BYTES = 256 * 1024
 
 
 def _em_run_loops(
@@ -93,6 +121,9 @@ def _em_run_loops(
 
 
 # --- pieces shared by the kernel and the public one-step functions ---------
+#
+# Rows run along axis -2: ``h`` is R×B, and ``g`` is R×B or stacks
+# several iterates along a leading axis.
 
 
 def back_projector(matrix, colsum):
@@ -106,35 +137,31 @@ def back_projector(matrix, colsum):
     return back
 
 
-def mean_abs_deviation(h, g, work=None):
+def mean_abs_deviation(h, g, work=None, out=None):
     """Total error ε per column: the mean over rows of ``|h - g|``."""
     work = np.subtract(h, g, out=work)
     np.abs(work, out=work)
-    eps = np.add.reduce(work, axis=0)
-    eps /= h.shape[0]
+    eps = np.add.reduce(work, axis=-2, out=out)
+    eps /= h.shape[-2]
     return eps
 
 
-def loglik_offset(h):
-    """The data constant ``sum_mu (h log h - h)`` per column, over the
-    observed rows (``h > 0``)."""
-    logs = np.log(np.where(h > 0.0, h, 1.0))
-    return np.add.reduce(h * logs, axis=0) - np.add.reduce(h, axis=0)
-
-
-def log_likelihood(h, g, offset, positive, work=None):
-    """``sum_mu (h log g - g) - offset`` per column of the R×B blocks
-    ``h`` and ``g``; ``-inf`` in a column where an observed row has
-    ``g <= 0``. ``positive`` says that every entry of ``g`` is
-    positive, which skips the masking."""
-    if positive:
-        work = np.log(g, out=work)
-    else:
-        work = np.log(np.where(g > 0.0, g, 1.0), out=work)
-    work *= h
-    ll = np.add.reduce(work, axis=0) - np.add.reduce(g, axis=0) - offset
+def log_likelihood(h, g, positive, work=None, out=None):
+    """``sum_{h>0} h log(g/h) + sum (h - g)`` over the rows, per column;
+    ``-inf`` in a column where an observed row has ``g <= 0``.
+    ``positive`` says that every entry of ``g`` is positive, which skips
+    the masking."""
+    work = np.subtract(h, g, out=work)
+    ll = np.add.reduce(work, axis=-2, out=out)
+    observed = h > 0.0
+    np.divide(g, np.where(observed, h, 1.0), out=work)
     if not positive:
-        ll[np.any((h > 0.0) & (g <= 0.0), axis=0)] = -np.inf
+        work[~(g > 0.0)] = 1.0
+    np.log(work, out=work)
+    work *= h
+    ll += np.add.reduce(work, axis=-2)
+    if not positive:
+        ll[np.any(observed & (g <= 0.0), axis=-2)] = -np.inf
     return ll
 
 
@@ -166,17 +193,75 @@ class BlockResult:
     best_iteration: np.ndarray  # B
     n_iterations: np.ndarray  # B
     status: np.ndarray  # B
-    epsilon: np.ndarray | None  # max_iters×B; rows past a column's end unset
+    epsilon: np.ndarray | None  # max_iters×B; rows past a column's end unspecified
     loglik: np.ndarray | None
     iterates: np.ndarray | None  # S×P×B; a stopped column reads NaN
     stored_iterations: np.ndarray | None
 
 
-def _mark(status, mask, code):
-    if status is None:
-        status = np.full(mask.shape, _RUNNING)
-    status[(status == _RUNNING) & mask] = code
-    return status
+def chunk_length(n_rows, n_cols, width):
+    """Iterations per chunk for a block of ``width`` columns: the chunk's
+    iterates and model frequencies, and the iterate after it, fit in
+    ``CHUNK_BYTES``. At least 1."""
+    return max(1, (CHUNK_BYTES // (8 * width) - n_cols) // (n_rows + n_cols))
+
+
+def _iterate(matrix, back, h, gs, qs, ratio, n):
+    """Phase 1: up to ``n`` EM updates from the iterate ``qs[0]``,
+    writing the model frequencies of iterate t to ``gs[t]`` and the
+    next iterate to ``qs[t + 1]``.
+
+    Returns the number of iterates done, whether any model frequency
+    was not positive, and the degenerate columns of the iterate that
+    ended the chunk early (None when the chunk ran to ``n``); that
+    iterate gets no update.
+    """
+    careful = False
+    for t, (g, q, nxt) in enumerate(zip(gs[:n], qs[:n], qs[1:n + 1])):
+        np.matmul(matrix, q, out=g)
+        if g.min() > 0.0:
+            np.divide(h, g, out=ratio)
+        else:
+            careful = True
+            degenerate = degenerate_columns(h, g)
+            if degenerate.any():
+                return t + 1, careful, degenerate
+            data_ratio(h, g, False, ratio)
+        np.matmul(back, ratio, out=nxt)
+        nxt *= q
+    return n, careful, None
+
+
+def _scan_best(eps, t0, bar, best, mind):
+    """Phase 2: the ``min_decrease`` rule along each column of the n×B
+    chunk ``eps``, whose first row is iteration ``t0``. An iterate
+    becomes a column's best when its ε is below ``bar``, the best ε so
+    far minus ``mind``. Updates ``bar`` and ``best`` in place.
+
+    A column whose ε falls by more than ``mind`` from each iterate to
+    the next ends the chunk with its last iterate as the best, and one
+    whose ε never goes below ``bar`` keeps its best; neither needs the
+    scan. The others are scanned in plain Python, as ``_em_run_loops``
+    writes the rule. Returns the mask of the falling columns (True when
+    all fall) and the list of the scanned ones.
+    """
+    below = eps < bar
+    falls = below[0]
+    if eps.shape[0] > 1:
+        falls = falls & (eps[1:] < eps[:-1] - mind).all(axis=0)
+    np.copyto(bar, eps[-1] - mind, where=falls)
+    np.copyto(best, t0 + eps.shape[0] - 1, where=falls)
+    if falls.all():
+        return True, []
+    scanned = np.flatnonzero(below.any(axis=0) & ~falls).tolist()
+    for j in scanned:
+        b, k, m = float(bar[j]), int(best[j]), float(mind[j])
+        for it, e in enumerate(eps[:, j].tolist(), t0):
+            if e < b:
+                b = e - m
+                k = it
+        bar[j], best[j] = b, k
+    return falls, scanned
 
 
 def em_run(
@@ -188,12 +273,8 @@ def em_run(
     ``back`` is :func:`back_projector` of ``matrix``. ``min_decrease``
     is a scalar or one value per column. ``history`` keeps the ε and
     log-likelihood of every iteration (memory O(max_iters·B));
-    ``store_every > 0`` keeps every that-many-th iterate.
-
-    Per-column state is kept compacted to the columns still running, so
-    the hot loop touches contiguous blocks only; the rare branches
-    (non-positive model rows, the patience rule) sit behind scalar
-    guards.
+    ``store_every > 0`` keeps every that-many-th iterate. The module
+    docstring describes the two phases of each chunk.
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape
@@ -206,84 +287,96 @@ def em_run(
     snapshots: list[np.ndarray] = []
     snapshot_iters: list[int] = []
 
-    # active columns: ``cols`` maps each to its index in the outputs;
-    # ``out_cols`` does too, but stays a basic slice until a column stops
+    # per active column: its index in the outputs, its best ε so far
+    # minus its min_decrease, and its best iteration
     cols = np.arange(width)
-    out_cols = slice(None)
-    q = np.array(q0, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    offset = loglik_offset(h) if history else None
-    mind = np.zeros(width) + min_decrease
-    bar = np.inf - mind  # best ε so far minus min_decrease
-    best_q = q.copy()
-    best_iter = np.zeros(width, dtype=np.int64)
-    oldest_best = 0
-    g = np.empty((n_rows, width))
-    work = np.empty_like(g)
-    ratio = np.empty_like(g)
-    update = np.empty_like(q)
-    for it in range(max_iters):
-        np.matmul(matrix, q, out=g)
-        eps = mean_abs_deviation(h, g, work)
-        positive = g.min() > 0.0
-        if history:
-            eps_hist[it, out_cols] = eps
-            ll_hist[it, out_cols] = log_likelihood(h, g, offset, positive, work)
-        if store_every > 0 and it % store_every == 0:
-            snap = np.full((n_cols, width), np.nan)
-            snap[:, out_cols] = q
-            snapshots.append(snap)
-            snapshot_iters.append(it)
+    bars = np.full(width, np.inf)
+    bests = np.zeros(width, dtype=np.int64)
+    minds = np.zeros(width) + min_decrease
+    h = np.ascontiguousarray(h, dtype=np.float64)
+    # q is the iterate the next chunk starts from; best_q is not changed
+    # before the first chunk has copied q0 into its buffer
+    q = best_q = np.array(q0, dtype=np.float64, order="C")
+    qs = None  # chunk buffers, allocated once per block width
+    t0 = 0  # the iteration of qs[0]
+    while t0 < max_iters:
+        if qs is None:
+            span = min(chunk_length(n_rows, n_cols, cols.size), max_iters)
+            gbuf = np.empty((span, n_rows, cols.size))
+            work = np.empty_like(gbuf)
+            eps_buf = np.empty((span, cols.size))
+            ll_buf = np.empty_like(eps_buf)
+            ratio = np.empty((n_rows, cols.size))
+            gs = list(gbuf)
+            qs = list(np.empty((span + 1, n_cols, cols.size)))
+            qs[0][...] = q
+        # no column can meet the patience rule before its best + patience
+        n = min(span, max_iters - t0, int(bests.min()) + patience - t0 + 1)
+        n, careful, degenerate = _iterate(matrix, back, h, gs, qs, ratio, n)
 
-        improved = eps < bar
-        n_improved = np.count_nonzero(improved)
-        if n_improved == improved.size:
-            np.subtract(eps, mind, out=bar)
-            best_iter.fill(it)
-            np.copyto(best_q, q)
-            oldest_best = it
-        elif n_improved:
-            bar[improved] = eps[improved] - mind[improved]
-            best_iter[improved] = it
-            best_q[:, improved] = q[:, improved]
-            oldest_best = int(best_iter.min())
-
-        stop = None
+        eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
         if eps_threshold > 0.0:
-            reached = eps <= eps_threshold
-            if reached.any():
-                stop = _mark(stop, reached, STATUS_THRESHOLD)
-        if it - oldest_best >= patience:
-            stop = _mark(stop, it - best_iter >= patience, STATUS_MIN_EPSILON)
-        if not positive:
-            stop = _mark(stop, degenerate_columns(h, g), STATUS_DEGENERATE)
-        if stop is not None:
-            done = stop != _RUNNING
-            if done.any():
-                idx = cols[done]
-                best_out[:, idx] = best_q[:, done]
-                best_iter_out[idx] = best_iter[done]
-                n_done_out[idx] = it + 1
-                status_out[idx] = stop[done]
-                keep = ~done
-                if not keep.any():
-                    break
-                cols = out_cols = cols[keep]
-                q, h, g = q[:, keep], h[:, keep], g[:, keep]
-                best_q, best_iter = best_q[:, keep], best_iter[keep]
-                mind, bar = mind[keep], bar[keep]
-                if history:
-                    offset = offset[keep]
-                work = np.empty_like(g)
-                ratio = np.empty_like(g)
-                update = np.empty_like(q)
-                oldest_best = int(best_iter.min())
+            reached = np.flatnonzero((eps <= eps_threshold).any(axis=1))
+            if reached.size and reached[0] < n - 1:
+                n = int(reached[0]) + 1
+                eps = eps[:n]
+                degenerate = None
+        if history:
+            eps_hist[t0:t0 + n, cols] = eps
+            ll_hist[t0:t0 + n, cols] = log_likelihood(
+                h, gbuf[:n], not careful, work[:n], ll_buf[:n])
+        if store_every > 0:
+            first = -(-t0 // store_every) * store_every
+            for it in range(first, t0 + n, store_every):
+                snap = np.full((n_cols, width), np.nan)
+                snap[:, cols] = qs[it - t0]
+                snapshots.append(snap)
+                snapshot_iters.append(it)
 
-        np.matmul(back, data_ratio(h, g, positive, ratio), out=update)
-        q *= update
+        # phase 2: the min_decrease rule along each column's ε, then the
+        # stop rules at the chunk's last iterate
+        last = t0 + n - 1
+        falls, scanned = _scan_best(eps, t0, bars, bests, minds)
+        np.copyto(best_q, qs[n - 1], where=falls)
+        for j in scanned:
+            if bests[j] >= t0:
+                best_q[:, j] = qs[bests[j] - t0][:, j]
+        stop = None
+        if (last - bests.min() >= patience or eps_threshold > 0.0
+                or degenerate is not None):
+            stop = last - bests >= patience
+            codes = np.where(stop, STATUS_MIN_EPSILON, STATUS_DEGENERATE)
+            if eps_threshold > 0.0:
+                reached = eps[-1] <= eps_threshold
+                stop |= reached
+                codes[reached] = STATUS_THRESHOLD
+            if degenerate is not None:
+                stop |= degenerate
+        t0 = last + 1
+        if stop is None or not stop.any():
+            qs = qs[n:] + qs[:n]  # the next iterate, qs[n], comes first
+            continue
+
+        idx = cols[stop]
+        best_out[:, idx] = best_q[:, stop]
+        best_iter_out[idx] = bests[stop]
+        n_done_out[idx] = t0
+        status_out[idx] = codes[stop]
+        keep = np.flatnonzero(~stop)
+        if not keep.size:
+            break
+        # the update at the last iterate, on the columns that go on;
+        # ``take``, unlike ``[:, keep]``, returns C-ordered blocks, the
+        # layout every other update gives BLAS
+        cols, bars, bests, minds = cols[keep], bars[keep], bests[keep], minds[keep]
+        h, best_q = h.take(keep, axis=1), best_q.take(keep, axis=1)
+        g = gbuf[n - 1].take(keep, axis=1)
+        q = qs[n - 1].take(keep, axis=1)
+        q *= back @ data_ratio(h, g, g.min() > 0.0)
+        qs = None
     else:
-        best_out[:, out_cols] = best_q
-        best_iter_out[out_cols] = best_iter
+        best_out[:, cols] = best_q
+        best_iter_out[cols] = bests
 
     return BlockResult(
         best_q=best_out,

@@ -7,7 +7,6 @@ model mapping joint photon statistics to click-pattern probabilities.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -115,19 +114,6 @@ class DetectionMatrix:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def explicit_patterns(self) -> list[str]:
-        return click_patterns(self.modes)[:-1]
-
-    @property
-    def pattern_index(self) -> list[tuple[str, float]]:
-        """(pattern, eta) label for each row."""
-        return [
-            (pattern, float(eta))
-            for pattern in self.explicit_patterns
-            for eta in self.grid.etas
-        ]
-
     def column_sums(self) -> np.ndarray:
         return self.rows.sum(axis=0)
 
@@ -136,20 +122,6 @@ class DetectionMatrix:
             raise GridMismatchError(
                 "efficiency grid does not match the detection matrix grid"
             )
-
-    def to_csv(self, path) -> None:
-        side = self.truncation + 1
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            config_labels = [
-                "n" + "_".join(str(i) for i in idx)
-                for idx in np.ndindex((side,) * self.modes)
-            ]
-            writer.writerow(["pattern", "eta"] + config_labels)
-            for (pattern, eta), row in zip(self.pattern_index, self.rows):
-                writer.writerow(
-                    [pattern, repr(float(eta))] + [repr(float(v)) for v in row]
-                )
 
 
 def build_matrix(
@@ -226,13 +198,6 @@ class ClickProbabilities:
             raise ValueError("pattern probabilities must sum to 1 per efficiency")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-
-    @property
-    def patterns(self) -> list[str]:
-        return click_patterns(self.modes)
-
-    def at(self, nu: int) -> dict[str, float]:
-        return dict(zip(self.patterns, self.table[nu]))
 
     def explicit_vector(self) -> np.ndarray:
         """Pattern-block layout over efficiencies, all-click omitted."""

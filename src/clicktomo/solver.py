@@ -149,7 +149,8 @@ def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
 def total_error(q, matrix: DetectionMatrix, h) -> float:
     """Mean absolute deviation between measured and modeled frequencies."""
     q, h = _validate_qh(q, matrix, h)
-    return float(_kernels.mean_abs_deviation(h, matrix.rows @ q))
+    g = matrix.rows @ q
+    return float(_kernels.mean_abs_deviation(h[:, None], g[:, None])[0])
 
 
 def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
@@ -166,8 +167,7 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
     matrix.check_grid(record.grid)
     g = (matrix.rows @ np.asarray(q, dtype=np.float64))[:, None]
     h = frequencies(record)[:, None]
-    offset = _kernels.loglik_offset(h)
-    return float(_kernels.log_likelihood(h, g, offset, positive=False)[0])
+    return float(_kernels.log_likelihood(h, g, positive=False)[0])
 
 
 NOISE_FLOOR_FACTOR = 0.5
@@ -317,8 +317,8 @@ def _reconstruct_core(
         matrix, h[:, None], q0[:, None], options, min_decrease, history=True,
     )
     n_done = int(result.n_iterations[0])
-    epsilon = result.epsilon[:n_done, 0].copy()
-    loglik = result.loglik[:n_done, 0].copy()
+    epsilon = result.epsilon[:n_done, 0]
+    loglik = result.loglik[:n_done, 0]
     try:
         final, total = _final_distribution(
             result.best_q[:, 0], result.status[0], matrix.modes

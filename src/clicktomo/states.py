@@ -23,9 +23,7 @@ __all__ = [
     "multithermal_marginal",
     "split_on_beamsplitter",
     "multithermal_click_reference",
-    "custom_state",
     "state_from_json",
-    "state_to_json",
 ]
 
 
@@ -203,11 +201,6 @@ def multithermal_click_reference(
     return p00, p01, p10, p11
 
 
-def custom_state(flat, modes: int, leakage: float = 0.0) -> JointDistribution:
-    """Build a distribution from explicitly supplied flattened entries."""
-    return JointDistribution.from_flat(flat, modes, leakage=leakage)
-
-
 def state_from_json(doc: dict) -> JointDistribution:
     """Construct a state from its JSON description.
 
@@ -223,15 +216,8 @@ def state_from_json(doc: dict) -> JointDistribution:
         marg = multithermal_marginal(spec, doc["truncation"])
         return split_on_beamsplitter(marg, doc["tau"], doc["truncation"])
     if kind == "custom":
-        return custom_state(
+        return JointDistribution.from_flat(
             doc["values"], doc["modes"], leakage=doc.get("leakage", 0.0)
         )
     raise ValueError(f"unknown state kind {kind!r}")
 
-
-def state_to_json(doc_kind: str, **params) -> dict:
-    """Normalize a state description into its JSON document form."""
-    doc = {"kind": doc_kind}
-    doc.update(params)
-    state_from_json(doc)  # validate eagerly
-    return doc

@@ -144,14 +144,6 @@ class TestBuildMatrix:
         # mode 2 sees eta=0.25: p00 row on (0,1) is 0.75
         np.testing.assert_allclose(m.rows[0], [1.0, 0.75, 0.5, 0.375])
 
-    def test_csv_export(self, small_grid, tmp_path):
-        m = build_matrix(small_grid, 2, 1)
-        path = tmp_path / "matrix.csv"
-        m.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:2] == ["pattern", "eta"]
-        assert len(lines) == 1 + 3 * len(small_grid)
-
 
 class TestForwardClickProbabilities:
     def test_vacuum_never_clicks(self, small_grid):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,17 @@ from clicktomo import (
     reconstruct_exact,
     sample_clicks,
     total_error,
+    uniform_grid,
 )
+from clicktomo import _kernels
 from clicktomo._kernels import (
     STATUS_DEGENERATE,
+    STATUS_MAX_ITERS,
     STATUS_MIN_EPSILON,
+    STATUS_THRESHOLD,
     _em_run_loops,
     back_projector,
+    chunk_length,
     em_run,
 )
 from clicktomo.errors import DegenerateSupportError, GridMismatchError
@@ -145,6 +152,26 @@ class TestLogLikelihood:
         q = rng.random(16)
         q /= q.sum()
         assert log_likelihood(q, m, rec) < 0.0
+
+    def test_matches_exact_sum_late_in_the_iteration(self):
+        # heralded-unbalanced preset, seed 2, after 20,000 iterations: the
+        # log-likelihood is about -3.5e-4 while sum h log h and sum h are
+        # of order 1 to 10, so it must not be formed as their difference
+        grid = uniform_grid(34, 0.015, 0.325)
+        probs = forward_click_probabilities(heralded_split_state(0.4, 3), grid)
+        rec = sample_clicks(probs, 100_000, seed=2)
+        m = build_matrix(grid, 2, 3)
+        trace = reconstruct(rec, 3, StoppingConfig(
+            max_iters=20_000, patience=20_000, store_every=19_999))
+        q = trace.iterates[-1]
+        h = frequencies(rec).tolist()
+        g = (m.rows @ q).tolist()
+        exact = math.fsum(
+            [hm * math.log(gm / hm) for hm, gm in zip(h, g) if hm > 0.0]
+            + [hm - gm for hm, gm in zip(h, g)]
+        )
+        assert trace.loglik[19_999] == pytest.approx(exact, rel=1e-13, abs=0)
+        assert log_likelihood(q, m, rec) == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_minus_inf_on_unsupported_pattern(self, small_grid):
         rec = heralded_record(small_grid)
@@ -308,6 +335,149 @@ class TestBackendsAgree:
         assert block.n_iterations[3] == 1
         np.testing.assert_array_equal(block.best_q[:, 3], vacuum)
         assert block.epsilon is None and block.loglik is None
+
+
+def _force_chunk(monkeypatch, length, matrix, width):
+    """Make ``em_run`` cut a block of ``width`` columns of ``matrix``
+    into chunks of ``length`` iterations (None: the default)."""
+    if length is None:
+        return
+    n_rows, n_cols = matrix.shape
+    monkeypatch.setattr(
+        _kernels, "CHUNK_BYTES", 8 * width * (length * (n_rows + n_cols) + n_cols)
+    )
+    assert chunk_length(n_rows, n_cols, width) == length
+
+
+def _assert_same_block(a, b):
+    for field in ("best_q", "best_iteration", "n_iterations", "status",
+                  "stored_iterations"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    if a.iterates is not None:
+        np.testing.assert_array_equal(a.iterates, b.iterates)
+    if a.epsilon is not None:
+        for col, n_done in enumerate(a.n_iterations):
+            np.testing.assert_array_equal(a.epsilon[:n_done, col],
+                                          b.epsilon[:n_done, col])
+            np.testing.assert_array_equal(a.loglik[:n_done, col],
+                                          b.loglik[:n_done, col])
+
+
+CHUNKS = (1, 7, None)
+
+
+class TestChunkBoundaries:
+    """``em_run`` at chunk lengths 1, 7 and the default, against the loop
+    reference and against each other. ``max_iters`` is never a multiple
+    of 7."""
+
+    @pytest.fixture
+    def setup(self, small_grid):
+        m = build_matrix(small_grid, 2, 3)
+        mt = np.ascontiguousarray(m.rows.T)
+        inv = 1.0 / m.column_sums()
+        return m.rows, mt, inv, back_projector(m.rows, m.column_sums())
+
+    def _runs(self, monkeypatch, matrix, back, h, q0, *stop_args, **kwargs):
+        runs = []
+        for length in CHUNKS:
+            with monkeypatch.context() as patch:
+                _force_chunk(patch, length, matrix, q0.shape[1])
+                runs.append(em_run(matrix, back, h, q0, *stop_args, **kwargs))
+        for other in runs[1:]:
+            _assert_same_block(runs[0], other)
+        return runs[0]
+
+    @pytest.mark.parametrize("patience, position", [(96, 0), (99, 3), (95, 6)])
+    def test_patience_stop_anywhere_in_a_chunk(self, setup, small_grid,
+                                               monkeypatch, patience, position):
+        # the stop falls on the first, a middle and the last iterate of a
+        # chunk of 7 counted from iteration 0
+        matrix, mt, inv, back = setup
+        h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
+        q0 = np.full(16, 1.0 / 16)
+        args = (3000, patience, 0.0, 1e-4)
+        ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+        assert ref[6] == STATUS_MIN_EPSILON and (ref[3] - 1) % 7 == position
+        block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
+                           *args, history=True)
+        _assert_kernel_outputs_match(ref, (
+            block.best_q[:, 0], None, block.best_iteration[0],
+            block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
+            block.status[0],
+        ))
+
+    def test_max_iters_and_threshold_stops(self, setup, small_grid, monkeypatch):
+        # staggered threshold stops, one column that never reaches the
+        # threshold, and per-column min_decrease
+        matrix, mt, inv, back = setup
+        hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+              for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 2000, 3))]
+        mind = np.array([0.0, 1e-5, 3e-4])
+        q0 = np.full(16, 1.0 / 16)
+        max_iters, threshold = 2001, 3e-3
+        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                           np.stack([q0] * 3, axis=1), max_iters, max_iters,
+                           threshold, mind)
+        stops = []
+        for col in range(3):
+            ref = _em_run_loops(matrix, mt, inv, hs[col], q0, max_iters,
+                                max_iters, threshold, mind[col])
+            np.testing.assert_allclose(block.best_q[:, col], ref[0], rtol=0,
+                                       atol=1e-13)
+            assert block.best_iteration[col] == ref[2]
+            assert block.n_iterations[col] == ref[3]
+            assert block.status[col] == ref[6]
+            stops.append((ref[6], ref[3]))
+        assert stops[2] == (STATUS_MAX_ITERS, max_iters)
+        assert {s for s, _ in stops[:2]} == {STATUS_THRESHOLD}
+        assert stops[0][1] != stops[1][1]
+
+    def test_snapshots_end_at_each_stop(self, setup, small_grid, monkeypatch):
+        # columns leave the block at different iterations, one of them
+        # (q0 = e_0 against clicking data) at the first
+        matrix, _, _, back = setup
+        hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+              for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2))]
+        vacuum = np.zeros(16)
+        vacuum[0] = 1.0
+        q0 = np.stack([np.full(16, 1.0 / 16)] * 2 + [vacuum], axis=1)
+        block = self._runs(monkeypatch, matrix, back,
+                           np.stack(hs + [hs[0]], axis=1), q0, 3000, 100, 0.0,
+                           np.array([1e-4, 3e-4, 0.0]), history=True,
+                           store_every=9)
+        assert block.status.tolist() == [STATUS_MIN_EPSILON] * 2 + [STATUS_DEGENERATE]
+        stored = block.stored_iterations
+        np.testing.assert_array_equal(stored, np.arange(0, stored[-1] + 1, 9))
+        assert stored[-1] <= block.n_iterations.max() - 1 < stored[-1] + 9
+        for col, n_done in enumerate(block.n_iterations):
+            alive = ~np.isnan(block.iterates[:, 0, col])
+            np.testing.assert_array_equal(alive, stored < n_done)
+        np.testing.assert_array_equal(block.iterates[0], q0)
+
+    @pytest.mark.parametrize("start", ["vacuum", "uniform"])
+    def test_exact_vacuum_data(self, setup, small_grid, monkeypatch, start):
+        # g = 0 on the rows where h = 0 at every iterate from q0 = e_0:
+        # every iterate takes the masked ratio, none is degenerate
+        matrix, mt, inv, back = setup
+        vac = np.zeros((4, 4))
+        vac[0, 0] = 1.0
+        h = forward_click_probabilities(
+            JointDistribution(vac), small_grid).explicit_vector()
+        q0 = vac.reshape(-1) if start == "vacuum" else np.full(16, 1.0 / 16)
+        args = (1500, 100, 0.0, 0.0)
+        ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+        block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
+                           *args, history=True)
+        _assert_kernel_outputs_match(ref, (
+            block.best_q[:, 0], None, block.best_iteration[0],
+            block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
+            block.status[0],
+        ))
+        np.testing.assert_allclose(block.loglik[:block.n_iterations[0], 0],
+                                   ref[5][:ref[3]], rtol=0, atol=1e-14)
+        if start == "vacuum":
+            assert ref[6] == STATUS_MIN_EPSILON and ref[2] == 0
 
 
 class TestNoiseFloor:
