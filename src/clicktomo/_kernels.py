@@ -308,7 +308,10 @@ def em_run(
             ll_buf = np.empty_like(eps_buf)
             ratio = np.empty((n_rows, cols.size))
             gs = list(gbuf)
-            qs = list(np.empty((span + 1, n_cols, cols.size)))
+            # one array per iterate: numpy aligns each to 16 bytes, while
+            # slices of one buffer are only 8-byte aligned when P is odd,
+            # which slowed the P = 14,641 update by about 3%
+            qs = [np.empty((n_cols, cols.size)) for _ in range(span + 1)]
             qs[0][...] = q
         # no column can meet the patience rule before its best + patience
         n = min(span, max_iters - t0, int(bests.min()) + patience - t0 + 1)
