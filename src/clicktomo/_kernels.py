@@ -246,9 +246,7 @@ def _scan_best(eps, t0, bar, best, mind):
     all fall) and the list of the scanned ones.
     """
     below = eps < bar
-    falls = below[0]
-    if eps.shape[0] > 1:
-        falls = falls & (eps[1:] < eps[:-1] - mind).all(axis=0)
+    falls = below[0] & (eps[1:] < eps[:-1] - mind).all(axis=0)
     np.copyto(bar, eps[-1] - mind, where=falls)
     np.copyto(best, t0 + eps.shape[0] - 1, where=falls)
     if falls.all():
