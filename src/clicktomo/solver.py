@@ -88,12 +88,17 @@ class ReconstructionTrace:
     stored_iterations: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
+        # The rows csv.writer would emit (floats never need quoting), built
+        # in one pass.
+        n = self.n_iterations
+        rows = [
+            f"{i},{e!r},{l!r}\r\n"
+            for i, (e, l) in enumerate(
+                zip(self.epsilon[:n].tolist(), self.loglik[:n].tolist())
+            )
+        ]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "epsilon", "loglik"])
-            for i in range(self.n_iterations):
-                writer.writerow([i, repr(float(self.epsilon[i])),
-                                 repr(float(self.loglik[i]))])
+            fh.write("iteration,epsilon,loglik\r\n" + "".join(rows))
 
     def final_to_json(self, path) -> None:
         doc = {

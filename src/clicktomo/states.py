@@ -9,10 +9,10 @@ construction of arbitrary diagonal states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError
 
@@ -129,22 +129,24 @@ def heralded_split_state(tau: float, truncation: int) -> JointDistribution:
 def multithermal_marginal(spec: ThermalSpec, truncation: int) -> np.ndarray:
     """Photon-number distribution of a multithermal beam up to ``truncation``.
 
-    Negative-binomial form: rho_n = C(n+mu-1, n) (Nbar/mu)^n / (1+Nbar/mu)^(n+mu).
+    Negative-binomial form: rho_n = C(n+mu-1, n) (Nbar/mu)^n / (1+Nbar/mu)^(n+mu),
+    computed by the recurrence rho_0 = (1 + Nbar/mu)^(-mu) and
+    rho_n = rho_{n-1} (n+mu-1)/n Nbar/(mu+Nbar).
     The truncation leakage is ``1 - result.sum()``.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     mu = spec.num_modes
     nbar = spec.mean_photons
-    n = np.arange(truncation + 1)
-    log_rho = (
-        gammaln(n + mu)
-        - gammaln(mu)
-        - gammaln(n + 1)
-        + n * (np.log(nbar) - np.log(mu))
-        - (n + mu) * np.log1p(nbar / mu)
-    )
-    return np.exp(log_rho)
+    rho0 = _mth_survival(mu, nbar)
+    if rho0 < sys.float_info.min:
+        raise ValueError(
+            f"vacuum probability {rho0!r} of a beam with {nbar} photons in "
+            f"{mu} modes is below the double-precision range"
+        )
+    n = np.arange(1, truncation + 1, dtype=np.float64)
+    ratios = (n + mu - 1.0) * nbar / ((mu + nbar) * n)
+    return np.cumprod(np.concatenate(([rho0], ratios)))
 
 
 def split_on_beamsplitter(

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clicktomo
 from clicktomo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 
@@ -259,3 +263,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # start-up cost: a CLI process should load numpy and the standard
+    # library only
+    package_root = str(Path(clicktomo.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); "
+        "import clicktomo.cli; assert 'scipy' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -122,6 +123,26 @@ class TestMultithermalMarginal:
             lhs = np.sum((1 - eta) ** np.arange(61) * rho)
             rhs = (1 + eta * 0.7 / 3.0) ** -3.0
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_matches_high_precision_reference(self):
+        # the multithermal-split preset beam, far into the tail; a
+        # log-gamma difference loses about 1e-12 relative here
+        nbar, mu, top = Decimal("0.15"), Decimal("1000"), 120
+        with localcontext() as ctx:
+            ctx.prec = 50
+            term = (1 + nbar / mu) ** -mu
+            reference = [term]
+            for n in range(1, top + 1):
+                term = term * (n + mu - 1) / n * nbar / (mu + nbar)
+                reference.append(term)
+        rho = multithermal_marginal(ThermalSpec(0.15, 1000.0), top)
+        np.testing.assert_allclose(
+            rho, [float(r) for r in reference], rtol=1e-13, atol=0
+        )
+
+    def test_vacuum_below_double_range_is_rejected(self):
+        with pytest.raises(ValueError, match="vacuum probability"):
+            multithermal_marginal(ThermalSpec(2000.0, 1000.0), 4)
 
 
 class TestSplitOnBeamsplitter:
