@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from clicktomo._kernels import (
     em_run,
 )
 from clicktomo.errors import DegenerateSupportError, GridMismatchError
-from clicktomo.solver import _frequency_noise_floor
+from clicktomo.solver import _CSV_BLOCK_ROWS, _frequency_noise_floor
 
 
 def heralded_record(grid, tau=0.5, truncation=3, runs=100_000, seed=5):
@@ -200,6 +201,20 @@ class TestReconstruct:
         trace = reconstruct(rec, 3, StoppingConfig(max_iters=300))
         assert trace.final.values.sum() == pytest.approx(1.0, abs=1e-12)
         assert abs(trace.renorm_correction) < 1e-2
+
+    def test_trace_csv_is_what_csv_writer_writes(self, small_grid, tmp_path):
+        # the rows are written in blocks; the run spans more than one
+        rec = heralded_record(small_grid)
+        trace = reconstruct(rec, 3, StoppingConfig(max_iters=5000, patience=5000))
+        assert trace.n_iterations > _CSV_BLOCK_ROWS
+        trace.to_csv(tmp_path / "trace.csv")
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "epsilon", "loglik"])
+            for i in range(trace.n_iterations):
+                writer.writerow([i, repr(float(trace.epsilon[i])),
+                                 repr(float(trace.loglik[i]))])
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_best_iteration_is_epsilon_argmin(self, small_grid):
         # with the strict rule (min_decrease=0) every decrease counts, so
