@@ -8,9 +8,10 @@ log-likelihood histories a point solve keeps, and without them, as a
 bootstrap replicate runs. Each row prints the chunk length the kernel
 uses at that width.
 
-Before timing a size, the width-1 kernel is checked against the loop
-reference ``_em_run_loops`` on a short run, so that no number comes from
-a kernel that computes something else.
+Before timing a size, the kernel is checked against the loop reference
+``_em_run_loops`` on a short run, on a block of 1 column and on a block
+of 3, each column against its own reference run, so that no number
+comes from a kernel or a block path that computes something else.
 
 Usage: python benchmarks/bench_em.py [--iters N] [--widths 1 2 25 100]
            [--sizes heralded multithermal]
@@ -59,7 +60,9 @@ def main():
         matrix = build_matrix(grid, state.modes, state.truncation)
         back = back_projector(matrix.rows, matrix.column_sums())
         n_rows, n_cols = matrix.rows.shape
-        _check_against_loops(matrix, back, frequencies(sample_clicks(probs, runs, seed=0)))
+        _check_against_loops(matrix, back, np.stack(
+            [frequencies(sample_clicks(probs, runs, seed=s)) for s in range(3)],
+            axis=1))
         print(
             f"EM kernel, {name}: {args.iters} iterations, {n_rows} rows x "
             f"{n_cols} columns, best of {args.repeats}"
@@ -86,23 +89,32 @@ def main():
 
 
 def _check_against_loops(matrix, back, h, iters=500):
+    """Check ``em_run`` on a block of the first column of ``h`` and on a
+    block of all its columns, each column against its own loop reference
+    run."""
     rows = matrix.rows
     n_cols = rows.shape[1]
     q0 = np.full(n_cols, 1.0 / n_cols)
-    ref = _em_run_loops(rows, np.ascontiguousarray(rows.T),
-                        1.0 / matrix.column_sums(), h, q0, iters, iters, 0.0, 0.0)
-    got = em_run(rows, back, h[:, None], q0[:, None], iters, iters, 0.0, 0.0,
-                 history=True)
-    agree = (
-        np.allclose(got.best_q[:, 0], ref[0], rtol=0, atol=1e-13)
-        and got.best_iteration[0] == ref[2]
-        and got.n_iterations[0] == ref[3]
-        and got.status[0] == ref[6]
-        and np.allclose(got.epsilon[:, 0], ref[4], rtol=0, atol=1e-14)
-        and np.allclose(got.loglik[:, 0], ref[5], rtol=0, atol=1e-12)
-    )
-    if not agree:
-        raise SystemExit("em_run disagrees with _em_run_loops; nothing timed")
+    rows_t, inv_colsum = np.ascontiguousarray(rows.T), 1.0 / matrix.column_sums()
+    for block_h in (h[:, :1], h):
+        width = block_h.shape[1]
+        got = em_run(rows, back, block_h, np.tile(q0[:, None], (1, width)),
+                     iters, iters, 0.0, 0.0, history=True)
+        for col in range(width):
+            ref = _em_run_loops(rows, rows_t, inv_colsum, block_h[:, col], q0,
+                                iters, iters, 0.0, 0.0)
+            agree = (
+                np.allclose(got.best_q[:, col], ref[0], rtol=0, atol=1e-13)
+                and got.best_iteration[col] == ref[2]
+                and got.n_iterations[col] == ref[3]
+                and got.status[col] == ref[6]
+                and np.allclose(got.epsilon[:, col], ref[4], rtol=0, atol=1e-14)
+                and np.allclose(got.loglik[:, col], ref[5], rtol=0, atol=1e-12)
+            )
+            if not agree:
+                raise SystemExit(
+                    f"em_run disagrees with _em_run_loops in column {col} of a "
+                    f"block of {width}; nothing timed")
 
 
 def _timed(matrix, back, h, q0, iters, history):

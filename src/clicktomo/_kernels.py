@@ -10,11 +10,17 @@ loop for one distribution: the reference the tests compare
 
 ``em_run`` works in chunks of iterations, in two phases:
 
-1. The hot loop does only the EM update. It writes each iterate q and
-   its model frequencies g = A q into preallocated chunk buffers and
-   keeps one scalar guard, ``g.min() > 0``. An iterate that fails the
-   guard takes the masked ratio; one where an observed row has no model
-   probability (a degenerate column) ends the chunk.
+1. Optimistic chunk, one positivity check, exact careful replay. The
+   hot loop does only the EM update, with the plain ratio h/g and no
+   guard, and writes each iterate q and its model frequencies g = A q
+   into preallocated chunk buffers. One check that every g of the chunk
+   is positive then covers it. If the check fails, the chunk is redone
+   from the first iterate whose g is not positive on the careful path:
+   an iterate with a non-positive g takes the masked ratio, and one
+   where an observed row has no model probability (a degenerate column)
+   ends the chunk. The iterates before that one are the same on both
+   paths, so the replay is exact. A chunk that follows one with a
+   non-positive g runs on the careful path from its start.
 2. Once per chunk, vectorised passes over the buffers give the ε and
    log-likelihood of every iterate, and a scan over each column's ε
    list moves its best iterate (the ``min_decrease`` rule). Vectorised
@@ -31,7 +37,8 @@ exactly as ``_em_run_loops`` checks them each iteration. Columns that
 stop leave the block before the next update, so the other columns see
 the same block widths, hence the same BLAS results, whatever the chunk
 length. The chunk length is the number of iterates that fit, with their
-model frequencies and the next iterate, in ``CHUNK_BYTES``.
+model frequencies and the next iterate, in ``CHUNK_BYTES``, counted for
+a block of at most ``CHUNK_WIDTH`` columns.
 
 The per-iteration log-likelihood is the scaled negative information
 divergence between the measured and modeled frequencies,
@@ -60,6 +67,12 @@ STATUS_DEGENERATE = -1
 # Bytes of chunk buffers per block: the iterates and model frequencies
 # of one chunk stay in cache while the per-chunk passes read them.
 CHUNK_BYTES = 256 * 1024
+# A block wider than this gets the chunk length of a block this wide.
+# The per-chunk passes cost about as much whatever the width, so a chunk
+# that shrank with the width would stop amortising them: at 100 columns
+# the budget alone leaves 1-2 iterations per chunk, which made the block
+# about 10% slower than bookkeeping every iteration.
+CHUNK_WIDTH = 25
 
 
 def _em_run_loops(
@@ -202,14 +215,44 @@ class BlockResult:
 def chunk_length(n_rows, n_cols, width):
     """Iterations per chunk for a block of ``width`` columns: the chunk's
     iterates and model frequencies, and the iterate after it, fit in
-    ``CHUNK_BYTES``. At least 1."""
+    ``CHUNK_BYTES`` for a block of at most ``CHUNK_WIDTH`` columns, and
+    in proportionally more for a wider one. At least 1."""
+    width = min(width, CHUNK_WIDTH)
     return max(1, (CHUNK_BYTES // (8 * width) - n_cols) // (n_rows + n_cols))
 
 
-def _iterate(matrix, back, h, gs, qs, ratio, n):
+def _iterate(matrix, back, h, gbuf, gs, qs, ratio, n):
     """Phase 1: up to ``n`` EM updates from the iterate ``qs[0]``,
-    writing the model frequencies of iterate t to ``gs[t]`` and the
-    next iterate to ``qs[t + 1]``.
+    writing the model frequencies of iterate t to ``gs[t]``, a view of
+    ``gbuf[t]``, and the next iterate to ``qs[t + 1]``.
+
+    The chunk runs optimistically, with the plain ratio ``h/g``, and one
+    check that every model frequency was positive covers it (a NaN
+    fails it). If the check fails, the chunk is replayed by
+    :func:`_iterate_carefully` from the first iterate whose ``g`` is not
+    positive: the iterates before it were computed the same way on both
+    paths, so the replay is exact.
+
+    Returns what :func:`_iterate_carefully` returns.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for g, q, nxt in zip(gs[:n], qs[:n], qs[1:n + 1]):
+            np.dot(matrix, q, out=g)
+            np.divide(h, g, out=ratio)
+            np.dot(back, ratio, out=nxt)
+            np.multiply(nxt, q, out=nxt)
+    if gbuf[:n].min() > 0.0:
+        return n, False, None
+    positive = gbuf[:n].reshape(n, -1).min(axis=1) > 0.0
+    return _iterate_carefully(matrix, back, h, gs, qs, ratio, n,
+                              start=int(np.argmin(positive)))
+
+
+def _iterate_carefully(matrix, back, h, gs, qs, ratio, n, start=0):
+    """Phase 1 on the careful path, from the iterate ``qs[start]`` to
+    ``n``: an iterate whose model frequencies are not all positive takes
+    the masked ratio, and one where an observed row has no model
+    probability ends the chunk.
 
     Returns the number of iterates done, whether any model frequency
     was not positive, and the degenerate columns of the iterate that
@@ -217,8 +260,9 @@ def _iterate(matrix, back, h, gs, qs, ratio, n):
     iterate gets no update.
     """
     careful = False
-    for t, (g, q, nxt) in enumerate(zip(gs[:n], qs[:n], qs[1:n + 1])):
-        np.matmul(matrix, q, out=g)
+    for t in range(start, n):
+        g, q, nxt = gs[t], qs[t], qs[t + 1]
+        np.dot(matrix, q, out=g)
         if g.min() > 0.0:
             np.divide(h, g, out=ratio)
         else:
@@ -227,7 +271,7 @@ def _iterate(matrix, back, h, gs, qs, ratio, n):
             if degenerate.any():
                 return t + 1, careful, degenerate
             data_ratio(h, g, False, ratio)
-        np.matmul(back, ratio, out=nxt)
+        np.dot(back, ratio, out=nxt)
         nxt *= q
     return n, careful, None
 
@@ -297,6 +341,7 @@ def em_run(
     q = best_q = np.array(q0, dtype=np.float64, order="C")
     qs = None  # chunk buffers, allocated once per block width
     t0 = 0  # the iteration of qs[0]
+    careful = False  # whether the last chunk had a non-positive g
     while t0 < max_iters:
         if qs is None:
             span = min(chunk_length(n_rows, n_cols, cols.size), max_iters)
@@ -313,7 +358,15 @@ def em_run(
             qs[0][...] = q
         # no column can meet the patience rule before its best + patience
         n = min(span, max_iters - t0, int(bests.min()) + patience - t0 + 1)
-        n, careful, degenerate = _iterate(matrix, back, h, gs, qs, ratio, n)
+        # a chunk after one with a non-positive model frequency starts on
+        # the careful path: on data such as exact vacuum every chunk would
+        # otherwise run twice
+        if careful:
+            n, careful, degenerate = _iterate_carefully(
+                matrix, back, h, gs, qs, ratio, n)
+        else:
+            n, careful, degenerate = _iterate(
+                matrix, back, h, gbuf, gs, qs, ratio, n)
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
         if eps_threshold > 0.0:

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 DEFAULT_COLUMN_CAP = 10**6
+# Bytes a reconstruction may spend on the matrix and the back-projector,
+# its scaled transpose: rows x columns x 8 B each.
+MATRIX_BYTES_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,14 @@ def build_matrix(
         raise ResourceLimitError(
             f"(1+N)^M = {n_cols} columns exceeds the cap of {column_cap}"
         )
+    n_rows = (2**modes - 1) * len(grid)
+    matrix_bytes = 2 * 8 * n_rows * n_cols
+    if matrix_bytes > MATRIX_BYTES_CAP:
+        raise ResourceLimitError(
+            f"the {n_rows} x {n_cols} matrix and its back-projector need "
+            f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
+            f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
+        )
     if mode_efficiency_scale is None:
         scales = np.ones(modes)
     else:
@@ -159,7 +170,7 @@ def build_matrix(
     tables = [_no_click_table(grid.etas * scales[j], truncation) for j in range(modes)]
     k = len(grid)
     patterns = click_patterns(modes)[:-1]
-    rows = np.empty(((2**modes - 1) * k, n_cols))
+    rows = np.empty((n_rows, n_cols))
     for b, pattern in enumerate(patterns):
         for nu in range(k):
             factors = [

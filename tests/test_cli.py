@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,23 @@ class TestReconstruct:
             "reconstruct", str(tmp_path / "absent.json"),
             "--truncation", "2", "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_DATA
+
+    def test_matrix_over_byte_cap_is_data_error(self, tmp_path, capsys):
+        # 2 modes at 34 efficiencies and N = 999: 102 x 10^6 matrix, which
+        # with its back-projector needs 1.6 GB; refused before allocation
+        sim = simulate_small(tmp_path, **{"--grid-k": 34})
+        tracemalloc.start()
+        try:
+            code = run([
+                "reconstruct", str(sim), "--truncation", "999",
+                "--out-dir", str(tmp_path / "x"),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        assert "1632000000 bytes" in capsys.readouterr().err
+        assert peak < 16 * 2**20
 
     def test_missing_truncation_is_config_error(self, tmp_path):
         sim = simulate_small(tmp_path)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from clicktomo import (
     no_click_coefficient,
     uniform_grid,
 )
+from clicktomo import detection
 from clicktomo.detection import click_patterns
 from clicktomo.errors import GridMismatchError, ResourceLimitError
 
@@ -137,6 +139,27 @@ class TestBuildMatrix:
     def test_column_cap(self, small_grid):
         with pytest.raises(ResourceLimitError):
             build_matrix(small_grid, 2, 10, column_cap=100)
+
+    def test_byte_cap_before_allocating(self, paper_grid_heralded):
+        # M = 2, N = 999 passes the column cap, but the 102 x 10^6 matrix
+        # and its back-projector would need 1.6 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="1632000000 bytes"):
+                build_matrix(paper_grid_heralded, 2, 999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_byte_cap_counts_matrix_and_back_projector(self, small_grid,
+                                                       monkeypatch):
+        # 15 rows x 16 columns x 8 B, twice
+        monkeypatch.setattr(detection, "MATRIX_BYTES_CAP", 3840)
+        assert build_matrix(small_grid, 2, 3).rows.nbytes == 1920
+        monkeypatch.setattr(detection, "MATRIX_BYTES_CAP", 3839)
+        with pytest.raises(ResourceLimitError, match="3839 bytes"):
+            build_matrix(small_grid, 2, 3)
 
     def test_heterogeneous_mode_scale(self):
         g = EfficiencyGrid(np.array([0.5]))

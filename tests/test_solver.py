@@ -494,6 +494,55 @@ class TestChunkBoundaries:
         if start == "vacuum":
             assert ref[6] == STATUS_MIN_EPSILON and ref[2] == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_replay_from_a_non_positive_iterate_inside_a_chunk(
+            self, setup, small_grid, monkeypatch):
+        # exact vacuum data from the uniform start: the model frequencies
+        # of the click rows decay until they underflow to zero, after
+        # about 2000 iterations and inside a chunk of 7 or of the default
+        # length; the optimistic chunk then fails its check and is
+        # replayed from there. The heralded column stays positive.
+        matrix, mt, inv, back = setup
+        vac = np.zeros((4, 4))
+        vac[0, 0] = 1.0
+        hs = [forward_click_probabilities(
+                  JointDistribution(vac), small_grid).explicit_vector(),
+              frequencies(heralded_record(small_grid, runs=2000, seed=1))]
+        q0 = np.full(16, 1.0 / 16)
+        args = (2500, 2500, 0.0, 0.0)
+        careful = _kernels._iterate_carefully
+        runs = []
+        for length in CHUNKS:
+            starts = []
+
+            def spy(*a, start=0):
+                starts.append(start)
+                return careful(*a, start=start)
+
+            with monkeypatch.context() as patch:
+                _force_chunk(patch, length, matrix, 2)
+                patch.setattr(_kernels, "_iterate_carefully", spy)
+                runs.append(em_run(matrix, back, np.stack(hs, axis=1),
+                                   np.stack([q0, q0], axis=1), *args,
+                                   history=True))
+            assert starts, "no chunk took the careful path"
+            if length != 1:
+                assert max(starts) > 0, "no replay began inside a chunk"
+        for other in runs[1:]:
+            _assert_same_block(runs[0], other)
+        block = runs[0]
+        for col, h in enumerate(hs):
+            ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+            if col == 0:
+                np.testing.assert_allclose(block.loglik[:, 0], ref[5],
+                                           rtol=0, atol=1e-14)
+        assert block.status.tolist() == [STATUS_MAX_ITERS] * 2
+
 
 class TestNoiseFloor:
     def test_scales_with_runs(self, small_grid):
