@@ -10,17 +10,20 @@ loop for one distribution: the reference the tests compare
 
 ``em_run`` works in chunks of iterations, in two phases:
 
-1. Optimistic chunk, one positivity check, exact careful replay. The
-   hot loop does only the EM update, with the plain ratio h/g and no
-   guard, and writes each iterate q and its model frequencies g = A q
-   into preallocated chunk buffers. One check that every g of the chunk
-   is positive then covers it. If the check fails, the chunk is redone
-   from the first iterate whose g is not positive on the careful path:
-   an iterate with a non-positive g takes the masked ratio, and one
-   where an observed row has no model probability (a degenerate column)
-   ends the chunk. The iterates before that one are the same on both
-   paths, so the replay is exact. A chunk that follows one with a
-   non-positive g runs on the careful path from its start.
+1. One update loop, run unmasked and checked once. Each iteration
+   writes its iterate q and model frequencies g = A q into
+   preallocated chunk buffers and takes the ratio h/g. The update only
+   needs that ratio on the observed rows (h > 0), so a masked run
+   divides there and keeps zeros elsewhere. A chunk runs unmasked, and
+   one check that every g of the chunk is positive covers it. If the
+   check fails, the chunk is replayed masked from the first iterate
+   whose g is not positive. The iterates before it are the same either
+   way, as 0/g is 0 on an unobserved row when g > 0, so the replay is
+   exact. A chunk that follows one with a non-positive g runs masked
+   from its start. In either case one pass over the chunk's g then
+   finds the first iterate where an observed row has no model
+   probability (a degenerate column): the chunk ends there, and what
+   the loop wrote after it is never read.
 2. Once per chunk, vectorised passes over the buffers give the ε and
    log-likelihood of every iterate, and a scan over each column's ε
    list moves its best iterate (the ``min_decrease`` rule). Vectorised
@@ -159,40 +162,32 @@ def mean_abs_deviation(h, g, work=None, out=None):
     return eps
 
 
-def log_likelihood(h, g, positive, work=None, out=None):
+def log_likelihood(h, g, work=None, out=None):
     """``sum_{h>0} h log(g/h) + sum (h - g)`` over the rows, per column;
-    ``-inf`` in a column where an observed row has ``g <= 0``.
-    ``positive`` says that every entry of ``g`` is positive, which skips
-    the masking."""
+    ``-inf`` in a column where an observed row has ``g = 0``."""
     work = np.subtract(h, g, out=work)
     ll = np.add.reduce(work, axis=-2, out=out)
-    observed = h > 0.0
-    np.divide(g, np.where(observed, h, 1.0), out=work)
-    if not positive:
-        work[~(g > 0.0)] = 1.0
-    np.log(work, out=work)
+    # g/h on the observed rows, (g + 1)/1 elsewhere: a finite log there,
+    # which the factor h = 0 zeroes. Plain ufunc loops over the chunk are
+    # about twice as fast as a masked divide after a fill.
+    unobserved = ~(h > 0.0)
+    np.add(g, unobserved, out=work)
+    np.divide(work, np.where(unobserved, 1.0, h), out=work)
+    with np.errstate(divide="ignore"):
+        np.log(work, out=work)
     work *= h
     ll += np.add.reduce(work, axis=-2)
-    if not positive:
-        ll[np.any(observed & (g <= 0.0), axis=-2)] = -np.inf
     return ll
 
 
-def data_ratio(h, g, positive, out=None):
-    """``h / g``, and 0 where ``g`` is not positive. ``positive`` says
-    that every entry of ``g`` is positive."""
-    if positive:
-        return np.divide(h, g, out=out)
-    if out is None:
-        out = np.zeros_like(g)
-    else:
-        out.fill(0.0)
-    return np.divide(h, g, out=out, where=g > 0.0)
+def data_ratio(h, g):
+    """``h / g`` on the observed rows (``h > 0``), and 0 elsewhere."""
+    return np.divide(h, g, out=np.zeros_like(g), where=h > 0.0)
 
 
 def degenerate_columns(h, g):
     """Columns where an observed row has no positive model probability."""
-    return np.any((h > 0.0) & ~(g > 0.0), axis=0)
+    return np.any((h > 0.0) & ~(g > 0.0), axis=-2)
 
 
 # --- the block kernel ----------------------------------------------------
@@ -221,59 +216,20 @@ def chunk_length(n_rows, n_cols, width):
     return max(1, (CHUNK_BYTES // (8 * width) - n_cols) // (n_rows + n_cols))
 
 
-def _iterate(matrix, back, h, gbuf, gs, qs, ratio, n):
-    """Phase 1: up to ``n`` EM updates from the iterate ``qs[0]``,
-    writing the model frequencies of iterate t to ``gs[t]``, a view of
-    ``gbuf[t]``, and the next iterate to ``qs[t + 1]``.
-
-    The chunk runs optimistically, with the plain ratio ``h/g``, and one
-    check that every model frequency was positive covers it (a NaN
-    fails it). If the check fails, the chunk is replayed by
-    :func:`_iterate_carefully` from the first iterate whose ``g`` is not
-    positive: the iterates before it were computed the same way on both
-    paths, so the replay is exact.
-
-    Returns what :func:`_iterate_carefully` returns.
+def _iterate(matrix, back, h, gs, qs, ratio, start, n, where):
+    """Phase 1: EM updates from the iterate ``qs[start]`` to ``n``,
+    writing the model frequencies of iterate t to ``gs[t]`` and the next
+    iterate to ``qs[t + 1]``. ``where`` is True, or the mask of the
+    observed rows: a masked run writes ``h/g`` there and 0 elsewhere.
     """
+    if where is not True:
+        ratio.fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g, q, nxt in zip(gs[:n], qs[:n], qs[1:n + 1]):
+        for g, q, nxt in zip(gs[start:n], qs[start:n], qs[start + 1:n + 1]):
             np.dot(matrix, q, out=g)
-            np.divide(h, g, out=ratio)
+            np.divide(h, g, out=ratio, where=where)
             np.dot(back, ratio, out=nxt)
             np.multiply(nxt, q, out=nxt)
-    if gbuf[:n].min() > 0.0:
-        return n, False, None
-    positive = gbuf[:n].reshape(n, -1).min(axis=1) > 0.0
-    return _iterate_carefully(matrix, back, h, gs, qs, ratio, n,
-                              start=int(np.argmin(positive)))
-
-
-def _iterate_carefully(matrix, back, h, gs, qs, ratio, n, start=0):
-    """Phase 1 on the careful path, from the iterate ``qs[start]`` to
-    ``n``: an iterate whose model frequencies are not all positive takes
-    the masked ratio, and one where an observed row has no model
-    probability ends the chunk.
-
-    Returns the number of iterates done, whether any model frequency
-    was not positive, and the degenerate columns of the iterate that
-    ended the chunk early (None when the chunk ran to ``n``); that
-    iterate gets no update.
-    """
-    careful = False
-    for t in range(start, n):
-        g, q, nxt = gs[t], qs[t], qs[t + 1]
-        np.dot(matrix, q, out=g)
-        if g.min() > 0.0:
-            np.divide(h, g, out=ratio)
-        else:
-            careful = True
-            degenerate = degenerate_columns(h, g)
-            if degenerate.any():
-                return t + 1, careful, degenerate
-            data_ratio(h, g, False, ratio)
-        np.dot(back, ratio, out=nxt)
-        nxt *= q
-    return n, careful, None
 
 
 def _scan_best(eps, t0, bar, best, mind):
@@ -350,6 +306,7 @@ def em_run(
             eps_buf = np.empty((span, cols.size))
             ll_buf = np.empty_like(eps_buf)
             ratio = np.empty((n_rows, cols.size))
+            observed = h > 0.0
             gs = list(gbuf)
             # one array per iterate: numpy aligns each to 16 bytes, while
             # slices of one buffer are only 8-byte aligned when P is odd,
@@ -358,15 +315,27 @@ def em_run(
             qs[0][...] = q
         # no column can meet the patience rule before its best + patience
         n = min(span, max_iters - t0, int(bests.min()) + patience - t0 + 1)
-        # a chunk after one with a non-positive model frequency starts on
-        # the careful path: on data such as exact vacuum every chunk would
-        # otherwise run twice
+        # a chunk after one with a non-positive model frequency runs
+        # masked from its start: on data such as exact vacuum every chunk
+        # would otherwise run twice
+        masked = careful
+        _iterate(matrix, back, h, gs, qs, ratio, 0, n,
+                 observed if masked else True)
+        careful = not gbuf[:n].min() > 0.0
+        degenerate = None
         if careful:
-            n, careful, degenerate = _iterate_carefully(
-                matrix, back, h, gs, qs, ratio, n)
-        else:
-            n, careful, degenerate = _iterate(
-                matrix, back, h, gbuf, gs, qs, ratio, n)
+            if not masked:
+                # replay masked from the first iterate with a non-positive g
+                positive = gbuf[:n].reshape(n, -1).min(axis=1) > 0.0
+                _iterate(matrix, back, h, gs, qs, ratio,
+                         int(np.argmin(positive)), n, observed)
+            # an observed row with no model probability ends the chunk
+            # at that iterate, which gets no update
+            hits = degenerate_columns(h, gbuf[:n])
+            cut = np.flatnonzero(hits.any(axis=1))
+            if cut.size:
+                n = int(cut[0]) + 1
+                degenerate = hits[n - 1]
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
         if eps_threshold > 0.0:
@@ -378,7 +347,7 @@ def em_run(
         if history:
             eps_hist[t0:t0 + n, cols] = eps
             ll_hist[t0:t0 + n, cols] = log_likelihood(
-                h, gbuf[:n], not careful, work[:n], ll_buf[:n])
+                h, gbuf[:n], work[:n], ll_buf[:n])
         if store_every > 0:
             first = -(-t0 // store_every) * store_every
             for it in range(first, t0 + n, store_every):
@@ -426,7 +395,7 @@ def em_run(
         h, best_q = h.take(keep, axis=1), best_q.take(keep, axis=1)
         g = gbuf[n - 1].take(keep, axis=1)
         q = qs[n - 1].take(keep, axis=1)
-        q *= back @ data_ratio(h, g, g.min() > 0.0)
+        q *= back @ data_ratio(h, g)
         qs = None
     else:
         best_out[:, cols] = best_q

@@ -163,15 +163,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
+    manifest = None
     if path.is_dir():
-        manifest = None
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
             manifest = _load_json(manifest_path)
-        return ClickRecord.from_json(path / "record.json"), manifest
-    if path.suffix == ".csv":
-        return ClickRecord.from_csv(path), None
-    return ClickRecord.from_json(path), None
+        path = path / "record.json"
+    load = ClickRecord.from_csv if path.suffix == ".csv" else ClickRecord.from_json
+    try:
+        return load(path), manifest
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ClicktomoError(
+            f"{path}: malformed click record ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _reference_marginal(args, manifest, truncation) -> np.ndarray | None:
@@ -221,7 +225,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         patience=args.patience,
         eps_threshold=args.eps_threshold,
         min_decrease=_parse_min_decrease(args.min_decrease),
-        store_every=args.store_every,
     )
     trace = reconstruct(record, truncation, options=options)
     seed = args.seed or 0
@@ -279,7 +282,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "max_iters": options.max_iters,
             "patience": options.patience,
             "eps_threshold": options.eps_threshold,
-            "store_every": options.store_every,
             "min_decrease": (
                 "auto" if options.min_decrease is None else options.min_decrease
             ),
@@ -512,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--min-decrease", dest="min_decrease",
                      help="significance floor for new error minima: a "
                      "number, or 'auto' to estimate from sampling noise")
-    rec.add_argument("--store-every", type=int, default=0, dest="store_every")
     rec.add_argument("--reference",
                      help="'multithermal' or a state JSON file")
     rec.add_argument("--mean-photons", type=float, dest="mean_photons")

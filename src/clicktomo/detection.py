@@ -42,7 +42,8 @@ class EfficiencyGrid:
         etas = np.asarray(self.etas, dtype=np.float64)
         if etas.ndim != 1 or etas.size < 1:
             raise ValueError("grid needs at least one efficiency")
-        if np.any(etas <= 0) or np.any(etas > 1):
+        # written so that a NaN fails it
+        if not np.all((etas > 0) & (etas <= 1)):
             raise ValueError("efficiencies must lie in (0, 1]")
         if np.any(np.diff(etas) <= 0):
             raise ValueError("efficiencies must be strictly increasing")

@@ -147,13 +147,13 @@ def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
     """One multiplicative update of the flattened distribution."""
     q, h = _validate_qh(q, matrix, h)
     g = matrix.rows @ q
-    if _kernels.degenerate_columns(h, g):
+    if _kernels.degenerate_columns(h[:, None], g[:, None])[0]:
         raise DegenerateSupportError(
             "model probability vanished on an observed pattern; "
             "restart from a strictly positive (e.g. uniform) start"
         )
     back = _kernels.back_projector(matrix.rows, matrix.column_sums())
-    return q * (back @ _kernels.data_ratio(h, g, positive=False))
+    return q * (back @ _kernels.data_ratio(h, g))
 
 
 def total_error(q, matrix: DetectionMatrix, h) -> float:
@@ -177,7 +177,7 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
     matrix.check_grid(record.grid)
     g = (matrix.rows @ np.asarray(q, dtype=np.float64))[:, None]
     h = frequencies(record)[:, None]
-    return float(_kernels.log_likelihood(h, g, positive=False)[0])
+    return float(_kernels.log_likelihood(h, g)[0])
 
 
 NOISE_FLOOR_FACTOR = 0.5

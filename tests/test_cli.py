@@ -168,6 +168,24 @@ class TestReconstruct:
             "--truncation", "2", "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_DATA
 
+    @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta"])
+    def test_malformed_record_is_data_error(self, tmp_path, capsys, damage):
+        sim = simulate_small(tmp_path)
+        path = sim / "record.json"
+        doc = json.loads(path.read_text())
+        if damage == "no counts":
+            del doc["counts"]
+        elif damage == "NaN eta":
+            doc["etas"][2] = "nan"
+        text = json.dumps(doc)
+        path.write_text(text[:-10] if damage == "invalid JSON" else text)
+        assert run([
+            "reconstruct", str(sim), "--max-iters", "50",
+            "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_DATA
+        assert "malformed click record" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_matrix_over_byte_cap_is_data_error(self, tmp_path, capsys):
         # 2 modes at 34 efficiencies and N = 999: 102 x 10^6 matrix, which
         # with its back-projector needs 1.6 GB; refused before allocation

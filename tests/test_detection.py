@@ -49,6 +49,11 @@ class TestEfficiencyGrid:
         with pytest.raises(ValueError):
             EfficiencyGrid(np.array([0.5, 1.1]))
 
+    @pytest.mark.parametrize("etas", [[np.nan], [0.1, np.nan, 0.3], [0.1, np.nan]])
+    def test_rejects_nan(self, etas):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            EfficiencyGrid(np.array(etas))
+
     def test_uniform_grid_endpoints(self):
         g = uniform_grid(34, 0.015, 0.325)
         assert len(g) == 34

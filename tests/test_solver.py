@@ -510,22 +510,23 @@ class TestChunkBoundaries:
               frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
         args = (2500, 2500, 0.0, 0.0)
-        careful = _kernels._iterate_carefully
+        iterate = _kernels._iterate
         runs = []
         for length in CHUNKS:
             starts = []
 
-            def spy(*a, start=0):
-                starts.append(start)
-                return careful(*a, start=start)
+            def spy(matrix, back, h, gs, qs, ratio, start, n, where):
+                if where is not True:
+                    starts.append(start)
+                return iterate(matrix, back, h, gs, qs, ratio, start, n, where)
 
             with monkeypatch.context() as patch:
                 _force_chunk(patch, length, matrix, 2)
-                patch.setattr(_kernels, "_iterate_carefully", spy)
+                patch.setattr(_kernels, "_iterate", spy)
                 runs.append(em_run(matrix, back, np.stack(hs, axis=1),
                                    np.stack([q0, q0], axis=1), *args,
                                    history=True))
-            assert starts, "no chunk took the careful path"
+            assert starts, "no chunk took the masked path"
             if length != 1:
                 assert max(starts) > 0, "no replay began inside a chunk"
         for other in runs[1:]:
