@@ -15,13 +15,8 @@ from .detection import (
     no_click_coefficient,
     uniform_grid,
 )
-from .metrics import bootstrap_uncertainty, element_ratio, fidelity, marginal
-from .sampler import (
-    ClickRecord,
-    frequencies,
-    record_from_probabilities,
-    sample_clicks,
-)
+from .metrics import bootstrap_uncertainty, fidelity, marginal
+from .sampler import ClickRecord, frequencies, sample_clicks
 from .solver import (
     ReconstructionTrace,
     StoppingConfig,
@@ -54,7 +49,6 @@ __all__ = [
     "ThermalSpec",
     "bootstrap_uncertainty",
     "build_matrix",
-    "element_ratio",
     "em_step",
     "fidelity",
     "forward_click_probabilities",
@@ -67,7 +61,6 @@ __all__ = [
     "no_click_coefficient",
     "reconstruct",
     "reconstruct_exact",
-    "record_from_probabilities",
     "sample_clicks",
     "split_on_beamsplitter",
     "state_from_json",

@@ -70,8 +70,6 @@ def _load_json(path: Path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -7,7 +7,6 @@ model mapping joint photon statistics to click-pattern probabilities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,8 @@ __all__ = [
     "forward_click_probabilities",
 ]
 
-DEFAULT_COLUMN_CAP = 10**6
+# Columns (1+N)^M a detection matrix may have.
+COLUMN_CAP = 10**6
 # Bytes a reconstruction may spend on the matrix and the back-projector,
 # its scaled transpose: rows x columns x 8 B each.
 MATRIX_BYTES_CAP = 2**30
@@ -54,9 +54,9 @@ class EfficiencyGrid:
     def __len__(self) -> int:
         return self.etas.size
 
-    def matches(self, other: "EfficiencyGrid", tol: float = 1e-12) -> bool:
+    def matches(self, other: "EfficiencyGrid") -> bool:
         return len(self) == len(other) and bool(
-            np.all(np.abs(self.etas - other.etas) <= tol)
+            np.all(np.abs(self.etas - other.etas) <= 1e-12)
         )
 
 
@@ -64,28 +64,24 @@ def uniform_grid(k: int, eta_min: float, eta_max: float) -> EfficiencyGrid:
     return EfficiencyGrid(np.linspace(eta_min, eta_max, k))
 
 
-def no_click_coefficient(eta: float, n: int) -> float:
-    """Probability that n photons all go undetected at efficiency eta."""
-    if not 0.0 <= eta <= 1.0:
+def no_click_coefficient(eta, n) -> np.ndarray:
+    """Probability (1 - eta)^n that n photons all go undetected at
+    efficiency eta.
+
+    ``eta`` and ``n`` broadcast against each other; the result is a
+    float64 array, 0-d for scalar input.
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    n = np.asarray(n)
+    # written so that a NaN fails it
+    if not np.all((eta >= 0) & (eta <= 1)):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if n < 0:
+    if np.any(n < 0):
         raise ValueError("photon number must be >= 0")
-    if n == 0:
-        return 1.0
-    if eta == 1.0:
-        return 0.0
-    # log-space avoids underflow surprises at large n
-    return math.exp(n * math.log1p(-eta))
-
-
-def _no_click_table(etas: np.ndarray, truncation: int) -> np.ndarray:
-    """A[nu, n] = (1 - eta_nu)^n for n = 0..truncation."""
-    n = np.arange(truncation + 1)
+    # log-space avoids underflow surprises at large n; at eta = 1 the
+    # n = 0 entry is 0 * log(0), hence the explicit 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.outer(np.log1p(-etas), n)
-    table = np.exp(log_a)
-    table[:, 0] = 1.0  # 0 * log(0) at eta = 1
-    return table
+        return np.where(n == 0, 1.0, np.exp(np.log1p(-eta) * n))
 
 
 def click_patterns(modes: int) -> list[str]:
@@ -121,35 +117,25 @@ class DetectionMatrix:
     def column_sums(self) -> np.ndarray:
         return self.rows.sum(axis=0)
 
-    def check_grid(self, grid: EfficiencyGrid, tol: float = 1e-12) -> None:
-        if not self.grid.matches(grid, tol=tol):
+    def check_grid(self, grid: EfficiencyGrid) -> None:
+        if not self.grid.matches(grid):
             raise GridMismatchError(
                 "efficiency grid does not match the detection matrix grid"
             )
 
 
-def build_matrix(
-    grid: EfficiencyGrid,
-    modes: int,
-    truncation: int,
-    column_cap: int = DEFAULT_COLUMN_CAP,
-    mode_efficiency_scale=None,
-) -> DetectionMatrix:
-    """Assemble the click-pattern matrix for M modes on a truncated space.
-
-    ``mode_efficiency_scale``, when given, multiplies the shared grid
-    efficiency per mode (heterogeneous-detector extension); default is
-    the shared-filter configuration.
-    """
+def build_matrix(grid: EfficiencyGrid, modes: int, truncation: int) -> DetectionMatrix:
+    """Assemble the click-pattern matrix for M modes on a truncated space,
+    every mode seeing the grid efficiency."""
     if modes < 1:
         raise ValueError("modes must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     side = truncation + 1
     n_cols = side**modes
-    if n_cols > column_cap:
+    if n_cols > COLUMN_CAP:
         raise ResourceLimitError(
-            f"(1+N)^M = {n_cols} columns exceeds the cap of {column_cap}"
+            f"(1+N)^M = {n_cols} columns exceeds the cap of {COLUMN_CAP}"
         )
     n_rows = (2**modes - 1) * len(grid)
     matrix_bytes = 2 * 8 * n_rows * n_cols
@@ -159,29 +145,20 @@ def build_matrix(
             f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
             f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
         )
-    if mode_efficiency_scale is None:
-        scales = np.ones(modes)
-    else:
-        scales = np.asarray(mode_efficiency_scale, dtype=np.float64)
-        if scales.shape != (modes,):
-            raise ValueError("mode_efficiency_scale must have one entry per mode")
-        if np.any(scales < 0) or np.any(scales > 1):
-            raise ValueError("mode_efficiency_scale entries must lie in [0, 1]")
-
-    tables = [_no_click_table(grid.etas * scales[j], truncation) for j in range(modes)]
+    # per mode: no click with probability a = (1-eta)^n, a click with 1 - a
+    a = no_click_coefficient(grid.etas[:, None], np.arange(side))
+    factors = {"0": a, "1": 1.0 - a}
     k = len(grid)
-    patterns = click_patterns(modes)[:-1]
     rows = np.empty((n_rows, n_cols))
-    for b, pattern in enumerate(patterns):
-        for nu in range(k):
-            factors = [
-                tables[j][nu] if bit == "0" else 1.0 - tables[j][nu]
-                for j, bit in enumerate(pattern)
-            ]
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = np.multiply.outer(prod, f)
-            rows[b * k + nu] = prod.reshape(-1)
+    for b, pattern in enumerate(click_patterns(modes)[:-1]):
+        # outer product over the modes, one row per efficiency; the last
+        # factor is multiplied straight into the matrix, so no temporary
+        # of the matrix block's size is made
+        block = np.ones((k, 1))
+        for bit in pattern[:-1]:
+            block = (block[:, :, None] * factors[bit][:, None, :]).reshape(k, -1)
+        np.multiply(block[:, :, None], factors[pattern[-1]][:, None, :],
+                    out=rows[b * k:(b + 1) * k].reshape(k, -1, side))
     return DetectionMatrix(rows=rows, grid=grid, modes=modes, truncation=truncation)
 
 
@@ -217,17 +194,10 @@ class ClickProbabilities:
 
 
 def forward_click_probabilities(
-    state: JointDistribution,
-    grid: EfficiencyGrid,
-    matrix: DetectionMatrix | None = None,
+    state: JointDistribution, grid: EfficiencyGrid
 ) -> ClickProbabilities:
     """Exact click statistics of ``state`` measured over ``grid``."""
-    if matrix is None:
-        matrix = build_matrix(grid, state.modes, state.truncation)
-    else:
-        matrix.check_grid(grid)
-        if matrix.modes != state.modes or matrix.truncation != state.truncation:
-            raise ValueError("matrix dimensions do not match the state")
+    matrix = build_matrix(grid, state.modes, state.truncation)
     g = matrix.rows @ state.flat()
     k = len(grid)
     n_explicit = 2**state.modes - 1

@@ -10,7 +10,8 @@ class TruncationError(ClicktomoError, ValueError):
 
 
 class ResourceLimitError(ClicktomoError, ValueError):
-    """A requested tensor or matrix would exceed the configured size cap."""
+    """A requested matrix would exceed a size cap set by a module constant
+    (``detection.COLUMN_CAP`` or ``detection.MATRIX_BYTES_CAP``)."""
 
 
 class GridMismatchError(ClicktomoError, ValueError):

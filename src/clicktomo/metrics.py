@@ -17,7 +17,6 @@ from .states import JointDistribution
 __all__ = [
     "marginal",
     "fidelity",
-    "element_ratio",
     "BootstrapResult",
     "bootstrap_uncertainty",
 ]
@@ -43,14 +42,6 @@ def fidelity(p, q, normalize: bool = False) -> float:
         p = p / p.sum()
         q = q / q.sum()
     return float(np.sum(np.sqrt(p * q)))
-
-
-def element_ratio(dist: JointDistribution, num: tuple, den: tuple) -> float:
-    """Ratio of two tensor entries, e.g. rho_01 / rho_10."""
-    d = float(dist.values[den])
-    if d == 0.0:
-        raise ZeroDivisionError(f"denominator entry {den} is zero")
-    return float(dist.values[num]) / d
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detection import ClickProbabilities, EfficiencyGrid, click_patterns
 
-__all__ = ["ClickRecord", "sample_clicks", "frequencies", "record_from_probabilities"]
+__all__ = ["ClickRecord", "sample_clicks", "frequencies"]
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -36,6 +36,8 @@ class ClickRecord:
     runs: np.ndarray
 
     def __post_init__(self):
+        if self.modes < 1:
+            raise ValueError("modes must be >= 1")
         counts = np.asarray(self.counts, dtype=np.int64)
         runs = np.asarray(self.runs, dtype=np.int64)
         expected = (len(self.grid), 2**self.modes)
@@ -45,6 +47,8 @@ class ClickRecord:
             raise ValueError("runs must have one entry per efficiency")
         if np.any(counts < 0) or np.any(runs < 0):
             raise ValueError("counts and runs must be nonnegative")
+        if np.any(runs == 0):
+            raise ValueError("every efficiency needs at least one run")
         if np.any(counts.sum(axis=1) != runs):
             raise ValueError("per-efficiency counts must sum to the run total")
         counts.flags.writeable = False
@@ -58,8 +62,6 @@ class ClickRecord:
 
     def frequency_table(self) -> np.ndarray:
         """(K, 2^M) empirical pattern frequencies."""
-        if np.any(self.runs == 0):
-            raise ValueError("every efficiency needs at least one run")
         return self.counts / self.runs[:, None]
 
     # --- serialization ---------------------------------------------------
@@ -136,7 +138,6 @@ def sample_clicks(
     """One multinomial per efficiency, substream-seeded by (seed, index)."""
     if runs_per_eta < 1:
         raise ValueError("runs_per_eta must be >= 1")
-    _validate_probabilities(probs)
     k = len(probs.grid)
     counts = np.empty((k, probs.table.shape[1]), dtype=np.int64)
     for nu in range(k):
@@ -150,34 +151,9 @@ def sample_clicks(
     )
 
 
-def _validate_probabilities(probs: ClickProbabilities) -> None:
-    if np.any(probs.table < 0):
-        raise ValueError("negative pattern probability")
-    if np.any(np.abs(probs.table.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("pattern probabilities must sum to 1 per efficiency")
-
-
 def frequencies(record: ClickRecord) -> np.ndarray:
     """Measured frequency vector in pattern-block layout over efficiencies,
     the all-click pattern omitted (same row order as the detection matrix)."""
     table = record.frequency_table()
     return table[:, :-1].T.reshape(-1)
 
-
-def record_from_probabilities(
-    probs: ClickProbabilities, runs_per_eta: int
-) -> ClickRecord:
-    """Idealized record with counts = round(runs * p): the infinite-statistics
-    limit up to integer rounding, useful as a noise-free stand-in."""
-    k = len(probs.grid)
-    counts = np.rint(probs.table * runs_per_eta).astype(np.int64)
-    # absorb rounding drift into the largest pattern so rows still sum to runs
-    for nu in range(k):
-        drift = runs_per_eta - counts[nu].sum()
-        counts[nu, np.argmax(counts[nu])] += drift
-    return ClickRecord(
-        grid=probs.grid,
-        modes=probs.modes,
-        counts=counts,
-        runs=np.full(k, runs_per_eta, dtype=np.int64),
-    )

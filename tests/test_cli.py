@@ -168,7 +168,8 @@ class TestReconstruct:
             "--truncation", "2", "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_DATA
 
-    @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta"])
+    @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta",
+                                        "zero runs", "zero modes"])
     def test_malformed_record_is_data_error(self, tmp_path, capsys, damage):
         sim = simulate_small(tmp_path)
         path = sim / "record.json"
@@ -177,6 +178,14 @@ class TestReconstruct:
             del doc["counts"]
         elif damage == "NaN eta":
             doc["etas"][2] = "nan"
+        elif damage == "zero runs":
+            # consistent counts: only the missing runs are wrong
+            doc["runs"][1] = 0
+            doc["counts"][1] = [0] * len(doc["counts"][1])
+        elif damage == "zero modes":
+            doc["modes"] = 0
+            doc["patterns"] = [""]
+            doc["counts"] = [[runs] for runs in doc["runs"]]
         text = json.dumps(doc)
         path.write_text(text[:-10] if damage == "invalid JSON" else text)
         assert run([
@@ -202,6 +211,27 @@ class TestReconstruct:
         assert code == EXIT_DATA
         assert "1632000000 bytes" in capsys.readouterr().err
         assert peak < 16 * 2**20
+
+    def test_csv_record_matches_json_record(self, tmp_path):
+        sim = simulate_small(tmp_path)
+        outs = {}
+        for name, source in (("json", sim), ("csv", sim / "record.csv")):
+            outs[name] = tmp_path / name
+            assert run([
+                "reconstruct", str(source), "--truncation", "3",
+                "--max-iters", "300", "--bootstrap-reps", "2", "--seed", "0",
+                "--out-dir", str(outs[name]),
+            ]) == EXIT_OK
+        for name in ("trace.csv", "distribution.json", "distribution.csv",
+                     "summary.json", "uncertainty.csv"):
+            assert ((outs["csv"] / name).read_bytes()
+                    == (outs["json"] / name).read_bytes()), name
+        manifests = [json.loads((outs[name] / "manifest.json").read_text())
+                     for name in ("json", "csv")]
+        # a directory brings its simulate manifest along, a CSV file does not
+        assert manifests[0].pop("input_manifest")["command"] == "simulate"
+        assert manifests[1].pop("input_manifest") is None
+        assert manifests[0] == manifests[1]
 
     def test_missing_truncation_is_config_error(self, tmp_path):
         sim = simulate_small(tmp_path)
@@ -309,6 +339,31 @@ def test_cli_import_loads_no_scipy():
         f"import sys; sys.path.insert(0, {package_root!r}); "
         "import clicktomo.cli; assert 'scipy' not in sys.modules, "
         "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench wraps package attributes by name and calls a few entry
+    # points directly; a rename in the package would break it silently
+    root = Path(__file__).resolve().parents[1]
+    if not (root / "perfbench" / "tracing.py").is_file():
+        pytest.skip("no perfbench/ in this checkout")
+    package_root = str(Path(clicktomo.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path[:0] = [{package_root!r}, "
+        f"{str(root / 'perfbench')!r}]\n"
+        "import tracing\n"
+        "tracing.install(tracing.Tracer('t'))\n"
+        "import clicktomo\n"
+        "from clicktomo import build_matrix, uniform_grid\n"
+        "state = clicktomo.state_from_json(\n"
+        "    {'kind': 'heralded', 'tau': 0.5, 'truncation': 3}).normalized()\n"
+        "assert state.values.shape == (4, 4)\n"
+        "build_matrix(uniform_grid(4, 0.1, 0.4), 2, 3)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True

@@ -15,7 +15,7 @@ from clicktomo import (
 )
 from clicktomo import detection
 from clicktomo.detection import click_patterns
-from clicktomo.errors import GridMismatchError, ResourceLimitError
+from clicktomo.errors import ResourceLimitError
 
 
 def brute_force_matrix(etas, modes, truncation):
@@ -141,9 +141,10 @@ class TestBuildMatrix:
         m = build_matrix(small_grid, 2, 4)
         assert np.all(m.rows >= 0.0) and np.all(m.rows <= 1.0)
 
-    def test_column_cap(self, small_grid):
+    def test_column_cap(self, small_grid, monkeypatch):
+        monkeypatch.setattr(detection, "COLUMN_CAP", 100)
         with pytest.raises(ResourceLimitError):
-            build_matrix(small_grid, 2, 10, column_cap=100)
+            build_matrix(small_grid, 2, 10)
 
     def test_byte_cap_before_allocating(self, paper_grid_heralded):
         # M = 2, N = 999 passes the column cap, but the 102 x 10^6 matrix
@@ -165,12 +166,6 @@ class TestBuildMatrix:
         monkeypatch.setattr(detection, "MATRIX_BYTES_CAP", 3839)
         with pytest.raises(ResourceLimitError, match="3839 bytes"):
             build_matrix(small_grid, 2, 3)
-
-    def test_heterogeneous_mode_scale(self):
-        g = EfficiencyGrid(np.array([0.5]))
-        m = build_matrix(g, 2, 1, mode_efficiency_scale=[1.0, 0.5])
-        # mode 2 sees eta=0.25: p00 row on (0,1) is 0.75
-        np.testing.assert_allclose(m.rows[0], [1.0, 0.75, 0.5, 0.375])
 
 
 class TestForwardClickProbabilities:
@@ -219,12 +214,6 @@ class TestForwardClickProbabilities:
         # pattern blocks over efficiencies: 00 block first
         np.testing.assert_array_equal(vec[:k], probs.table[:, 0])
         np.testing.assert_array_equal(vec[k:2 * k], probs.table[:, 1])
-
-    def test_grid_mismatch(self, small_grid, balanced_state):
-        other = uniform_grid(5, 0.1, 0.6)
-        matrix = build_matrix(small_grid, 2, 3)
-        with pytest.raises(GridMismatchError):
-            forward_click_probabilities(balanced_state, other, matrix=matrix)
 
 
 def test_click_pattern_order():

@@ -9,7 +9,6 @@ from clicktomo import (
     JointDistribution,
     StoppingConfig,
     bootstrap_uncertainty,
-    element_ratio,
     fidelity,
     forward_click_probabilities,
     heralded_split_state,
@@ -80,17 +79,6 @@ class TestFidelity:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             fidelity([1.0], [0.5, 0.5])
-
-
-class TestElementRatio:
-    def test_heralded_ratio(self):
-        d = heralded_split_state(0.4, 2)
-        assert element_ratio(d, (0, 1), (1, 0)) == pytest.approx(2.0 / 3.0)
-
-    def test_zero_denominator(self):
-        d = heralded_split_state(0.5, 2)
-        with pytest.raises(ZeroDivisionError):
-            element_ratio(d, (0, 1), (2, 2))
 
 
 class TestBootstrap:

@@ -7,8 +7,6 @@ from clicktomo import (
     JointDistribution,
     forward_click_probabilities,
     frequencies,
-    heralded_split_state,
-    record_from_probabilities,
     sample_clicks,
 )
 
@@ -72,10 +70,10 @@ class TestSampleClicks:
 class TestFrequencies:
     def test_layout_hand_value(self):
         # single eta=0.2, heralded tau=0.5 -> p = (0.8, 0.1, 0.1, 0)
-        probs = forward_click_probabilities(
-            heralded_split_state(0.5, 1), EfficiencyGrid(np.array([0.2]))
+        rec = ClickRecord(
+            EfficiencyGrid(np.array([0.2])), 2,
+            np.array([[8000, 1000, 1000, 0]]), np.array([10_000]),
         )
-        rec = record_from_probabilities(probs, 10_000)
         h = frequencies(rec)
         np.testing.assert_allclose(h, [0.8, 0.1, 0.1], atol=1e-12)
 
@@ -143,12 +141,3 @@ class TestRoundTrips:
         ClickRecord.from_json(p1).to_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-
-class TestRecordFromProbabilities:
-    def test_idealized_counts(self, small_grid, balanced_state):
-        probs = forward_click_probabilities(balanced_state, small_grid)
-        rec = record_from_probabilities(probs, 1_000_000)
-        np.testing.assert_array_equal(rec.counts.sum(axis=1), 1_000_000)
-        np.testing.assert_allclose(
-            rec.frequency_table(), probs.table, atol=2e-6
-        )
