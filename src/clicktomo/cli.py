@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 configuration error, 3 data/file error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _io
 from .detection import forward_click_probabilities, uniform_grid
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .metrics import bootstrap_uncertainty, fidelity, marginal
@@ -60,10 +59,11 @@ PRESETS = {
 }
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+# Module names, called through this module: the benchmark's tracing wraps
+# the two writers by name to time the summary, manifest and figure writes.
+_write_json = _io.write_json
+_write_csv = _io.write_csv
+_fmt = _io.fmt
 
 
 def _load_json(path: Path):
@@ -150,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
         "runs": runs,
         "seed": seed,
-        "state_leakage": repr(float(state.leakage)),
+        "state_leakage": _fmt(state.leakage),
     }
     _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote record for {len(grid)} efficiencies x {runs} runs to {out_dir}")
@@ -237,20 +237,20 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "stop_reason": trace.stop_reason,
         "best_iteration": trace.best_iteration,
         "n_iterations": trace.n_iterations,
-        "epsilon_min": repr(float(trace.epsilon[trace.best_iteration])),
-        "renorm_correction": repr(float(trace.renorm_correction)),
+        "epsilon_min": _fmt(trace.epsilon[trace.best_iteration]),
+        "renorm_correction": _fmt(trace.renorm_correction),
         "marginals": [
-            [repr(float(v)) for v in marginal(trace.final, m)]
+            [_fmt(v) for v in marginal(trace.final, m)]
             for m in range(trace.final.modes)
         ],
     }
     if trace.final.modes == 2:
         rho01 = float(trace.final.values[0, 1])
         rho10 = float(trace.final.values[1, 0])
-        summary["rho01"] = repr(rho01)
-        summary["rho10"] = repr(rho10)
+        summary["rho01"] = _fmt(rho01)
+        summary["rho10"] = _fmt(rho10)
         if rho10 > 0:
-            summary["ratio_01_10"] = repr(rho01 / rho10)
+            summary["ratio_01_10"] = _fmt(rho01 / rho10)
 
     boot = None
     if args.bootstrap_reps:
@@ -262,13 +262,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         summary["bootstrap_reps"] = boot.reps
         summary["bootstrap_failed"] = boot.failed
         if trace.final.modes == 2:
-            summary["sigma01"] = repr(float(boot.sigma[0, 1]))
-            summary["sigma10"] = repr(float(boot.sigma[1, 0]))
+            summary["sigma01"] = _fmt(boot.sigma[0, 1])
+            summary["sigma10"] = _fmt(boot.sigma[1, 0])
 
     reference = _reference_marginal(args, manifest, truncation)
     if reference is not None:
         summary["reference_fidelities"] = [
-            repr(fidelity(marginal(trace.final, m), reference, normalize=True))
+            _fmt(fidelity(marginal(trace.final, m), reference))
             for m in range(trace.final.modes)
         ]
     _write_json(out_dir / "summary.json", summary)
@@ -315,15 +315,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 # --- reproduce -----------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _preset_record(name: str, runs: int, seed: int, **state):
+    """The state document of preset ``name`` with ``state`` overrides, and
+    a record of ``runs`` trials per efficiency sampled from it."""
+    preset = PRESETS[name]
+    state_doc = dict(preset["state"], **state)
+    grid = uniform_grid(preset["grid_k"], preset["eta_min"], preset["eta_max"])
+    probs = forward_click_probabilities(state_from_json(state_doc), grid)
+    return state_doc, sample_clicks(probs, runs, seed)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -333,40 +332,28 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.figure == "fig2":
         runs = args.runs or 100_000
         # two seeds stand in for the two spectral-filter variants
+        options = StoppingConfig(max_iters=args.max_iters)
         for tau in (0.5, 0.4):
             for offset in (0, 1):
-                preset = dict(PRESETS["heralded-balanced"])
-                state = dict(preset["state"], tau=tau)
-                grid = uniform_grid(preset["grid_k"], preset["eta_min"],
-                                    preset["eta_max"])
-                probs = forward_click_probabilities(state_from_json(state), grid)
-                record = sample_clicks(probs, runs, seed + offset)
-                options = StoppingConfig(max_iters=args.max_iters)
+                state, record = _preset_record("heralded-balanced", runs,
+                                               seed + offset, tau=tau)
                 trace = reconstruct(record, state["truncation"], options=options)
                 boot = bootstrap_uncertainty(
                     record, state["truncation"], reps=args.bootstrap_reps,
                     seed=seed + offset, options=options,
                 )
-                rows = [
-                    [n, k, _fmt(trace.final.values[n, k]), _fmt(boot.sigma[n, k])]
-                    for n in range(state["truncation"] + 1)
-                    for k in range(state["truncation"] + 1)
-                ]
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
-                _write_csv(out_dir / name, ["n", "k", "rho", "sigma"], rows)
+                _write_csv(out_dir / name, ["n", "k", "rho", "sigma"],
+                           _io.tensor_rows(trace.final.values, boot.sigma))
         print(f"wrote 4 joint-distribution tables to {out_dir}")
         return EXIT_OK
 
     # fig3: fidelity/epsilon curves and the frequency overlay
     runs = args.runs or 200_000
-    preset = PRESETS["multithermal-split"]
-    state_doc = preset["state"]
+    state_doc, record = _preset_record("multithermal-split", runs, seed)
     truncation = state_doc["truncation"]
     spec = ThermalSpec(state_doc["mean_photons"], state_doc["num_modes"])
     tau = state_doc["tau"]
-    grid = uniform_grid(preset["grid_k"], preset["eta_min"], preset["eta_max"])
-    probs = forward_click_probabilities(state_from_json(state_doc), grid)
-    record = sample_clicks(probs, runs, seed)
     trace = reconstruct(
         record, truncation,
         options=StoppingConfig(
@@ -379,8 +366,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         q = trace.iterates[i]
         dist = q.reshape(truncation + 1, truncation + 1)
         total = dist.sum()
-        f1 = fidelity(dist.sum(axis=1) / total, reference, normalize=True)
-        f2 = fidelity(dist.sum(axis=0) / total, reference, normalize=True)
+        f1 = fidelity(dist.sum(axis=1) / total, reference)
+        f2 = fidelity(dist.sum(axis=0) / total, reference)
         rows.append(
             [int(it), _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
              _fmt(trace.epsilon[it])]
@@ -393,7 +380,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     )
     freq = record.frequency_table()
     overlay = []
-    for nu, eta in enumerate(grid.etas):
+    for nu, eta in enumerate(record.grid.etas):
         p00, p01, p10, _ = multithermal_click_reference(spec, tau, float(eta))
         overlay.append(
             [_fmt(eta), _fmt(freq[nu, 0]), _fmt(freq[nu, 1]), _fmt(freq[nu, 2]),
@@ -542,19 +529,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (DegenerateSupportError, NumericalError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ClicktomoError as exc:
+    except (ClicktomoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

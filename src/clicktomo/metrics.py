@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import tensor_rows, write_csv
 from .errors import ClicktomoError
 from .sampler import ClickRecord
 # ``reconstruct`` stays importable from here: the benchmark's tracing
@@ -30,18 +30,18 @@ def marginal(dist: JointDistribution, mode: int) -> np.ndarray:
     return dist.values.sum(axis=axes) if axes else dist.values.copy()
 
 
-def fidelity(p, q, normalize: bool = False) -> float:
-    """Bhattacharyya overlap sum_n sqrt(p_n q_n) of two distributions."""
+def fidelity(p, q) -> float:
+    """Bhattacharyya overlap sum_n sqrt(p_n q_n) of two distributions,
+    each first scaled to unit mass, so a truncated reconstruction and its
+    reference compare as distributions."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("distributions must have the same shape")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("entries must be nonnegative")
-    if normalize:
-        p = p / p.sum()
-        q = q / q.sum()
-    return float(np.sum(np.sqrt(p * q)))
+    p_mass, q_mass = p.sum(), q.sum()
+    if np.any(p < 0) or np.any(q < 0) or not (p_mass > 0 and q_mass > 0):
+        raise ValueError("entries must be nonnegative, with a positive total")
+    return float(np.sum(np.sqrt(p / p_mass * (q / q_mass))))
 
 
 @dataclass
@@ -52,19 +52,10 @@ class BootstrapResult:
     reps: int
     failed: list[int]  # replicate indices whose reconstruction errored
 
-    def to_csv(self, path, point: JointDistribution | None = None) -> None:
-        modes = self.sigma.ndim
-        side = self.sigma.shape[0]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"n{j + 1}" for j in range(modes)] + ["rho", "sigma"]
-            )
-            for idx in np.ndindex((side,) * modes):
-                rho = "" if point is None else repr(float(point.values[idx]))
-                writer.writerow(
-                    list(idx) + [rho, repr(float(self.sigma[idx]))]
-                )
+    def to_csv(self, path, point: JointDistribution) -> None:
+        """The point estimate and its sigma per photon-number index."""
+        header = [f"n{j + 1}" for j in range(self.sigma.ndim)] + ["rho", "sigma"]
+        write_csv(path, header, tensor_rows(point.values, self.sigma))
 
 
 def bootstrap_uncertainty(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import fmt, write_csv, write_json
 from .detection import ClickProbabilities, EfficiencyGrid, click_patterns
 
 __all__ = ["ClickRecord", "sample_clicks", "frequencies"]
@@ -36,10 +37,18 @@ class ClickRecord:
     runs: np.ndarray
 
     def __post_init__(self):
+        counts = np.asarray(self.counts)
+        runs = np.asarray(self.runs)
+        # bool is not an integer type to numpy: True never counts as 1
+        for name, value in (("modes", self.modes), ("counts", counts),
+                            ("runs", runs)):
+            dtype = np.asarray(value).dtype
+            if not np.issubdtype(dtype, np.integer):
+                raise TypeError(f"{name} must be integers, got {dtype}")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
-        counts = np.asarray(self.counts, dtype=np.int64)
-        runs = np.asarray(self.runs, dtype=np.int64)
+        counts = counts.astype(np.int64, copy=False)
+        runs = runs.astype(np.int64, copy=False)
         expected = (len(self.grid), 2**self.modes)
         if counts.shape != expected:
             raise ValueError(f"counts shape {counts.shape}, expected {expected}")
@@ -70,7 +79,7 @@ class ClickRecord:
         return {
             "rng": RNG_ALGORITHM,
             "modes": self.modes,
-            "etas": [repr(float(e)) for e in self.grid.etas],
+            "etas": [fmt(e) for e in self.grid.etas],
             "patterns": self.patterns,
             "runs": self.runs.tolist(),
             "counts": self.counts.tolist(),
@@ -82,14 +91,12 @@ class ClickRecord:
         return ClickRecord(
             grid=grid,
             modes=doc["modes"],
-            counts=np.array(doc["counts"], dtype=np.int64),
-            runs=np.array(doc["runs"], dtype=np.int64),
+            counts=doc["counts"],
+            runs=doc["runs"],
         )
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def from_json(path) -> "ClickRecord":
@@ -97,15 +104,13 @@ class ClickRecord:
             return ClickRecord.from_json_dict(json.load(fh))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eta", "pattern", "count", "runs"])
-            for nu, eta in enumerate(self.grid.etas):
-                for j, pattern in enumerate(self.patterns):
-                    writer.writerow(
-                        [repr(float(eta)), pattern, int(self.counts[nu, j]),
-                         int(self.runs[nu])]
-                    )
+        patterns = self.patterns
+        write_csv(path, ["eta", "pattern", "count", "runs"], (
+            [fmt(eta), pattern, count, runs]
+            for eta, row, runs in zip(self.grid.etas, self.counts.tolist(),
+                                      self.runs.tolist())
+            for pattern, count in zip(patterns, row)
+        ))
 
     @staticmethod
     def from_csv(path) -> "ClickRecord":

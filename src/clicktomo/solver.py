@@ -9,13 +9,12 @@ deviation is returned.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._io import fmt, tensor_rows, write_csv, write_json
 from .detection import DetectionMatrix, build_matrix
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .sampler import ClickRecord, frequencies
@@ -106,40 +105,38 @@ class ReconstructionTrace:
                 ))
 
     def final_to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "modes": self.final.modes,
             "truncation": self.final.truncation,
-            "values": [repr(float(v)) for v in self.final.flat()],
-            "renorm_correction": repr(float(self.renorm_correction)),
+            "values": [fmt(v) for v in self.final.flat()],
+            "renorm_correction": fmt(self.renorm_correction),
             "stop_reason": self.stop_reason,
             "best_iteration": self.best_iteration,
             "n_iterations": self.n_iterations,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     def final_to_csv(self, path) -> None:
-        side = self.final.truncation + 1
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"n{j + 1}" for j in range(self.final.modes)] + ["rho"]
-            )
-            for idx in np.ndindex((side,) * self.final.modes):
-                writer.writerow(list(idx) + [repr(float(self.final.values[idx]))])
+        header = [f"n{j + 1}" for j in range(self.final.modes)] + ["rho"]
+        write_csv(path, header, tensor_rows(self.final.values))
+
+
+def _checked_q(q, n_cols: int, name: str) -> np.ndarray:
+    """``q`` as a float vector over the ``n_cols`` photon-number columns;
+    raises unless it has that length and no negative entry."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (n_cols,):
+        raise ValueError(f"{name} must have length {n_cols}, got {q.shape}")
+    if np.any(q < 0):
+        raise ValueError(f"{name} entries must be nonnegative")
+    return q
 
 
 def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]:
-    q = np.asarray(q, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     n_rows, n_cols = matrix.rows.shape
-    if q.shape != (n_cols,):
-        raise ValueError(f"q must have length {n_cols}, got {q.shape}")
+    q = _checked_q(q, n_cols, "q")
+    h = np.asarray(h, dtype=np.float64)
     if h.shape != (n_rows,):
         raise ValueError(f"h must have length {n_rows}, got {h.shape}")
-    if np.any(q < 0):
-        raise ValueError("q entries must be nonnegative")
     return q, h
 
 
@@ -224,26 +221,20 @@ def reconstruct_exact(
     probs,
     truncation: int,
     options: StoppingConfig | None = None,
-    q0: np.ndarray | None = None,
-    matrix: DetectionMatrix | None = None,
 ) -> ReconstructionTrace:
     """Reconstruct from exact click probabilities (infinite statistics).
 
     ``probs`` is a :class:`clicktomo.detection.ClickProbabilities`; the
-    exact probabilities play the role of the measured frequencies, and
-    every error decrease counts toward the minimum.
+    exact probabilities play the role of the measured frequencies. The
+    start is uniform; ``min_decrease=None`` means 0, as exact data have
+    no sampling noise to estimate a floor from.
     """
     if options is None:
         options = StoppingConfig()
-    if matrix is None:
-        matrix = build_matrix(probs.grid, probs.modes, truncation)
-    else:
-        matrix.check_grid(probs.grid)
-        if matrix.truncation != truncation or matrix.modes != probs.modes:
-            raise ValueError("matrix does not match the requested reconstruction")
+    matrix = build_matrix(probs.grid, probs.modes, truncation)
     h = probs.explicit_vector()
     min_decrease = 0.0 if options.min_decrease is None else options.min_decrease
-    return _reconstruct_core(matrix, h, options, q0, min_decrease)
+    return _reconstruct_core(matrix, h, options, None, min_decrease)
 
 
 def reconstruct_many(
@@ -271,9 +262,7 @@ def reconstruct_many(
     min_decrease = options.min_decrease
     if min_decrease is None:
         min_decrease = np.array([_frequency_noise_floor(r) for r in records])
-    n_cols = matrix.rows.shape[1]
-    q0 = np.full((n_cols, len(records)), 1.0 / n_cols)
-    result = _em_block(matrix, h, q0, options, min_decrease, history=False)
+    result = _em_block(matrix, h, None, options, min_decrease, history=False)
     finals: list[JointDistribution | ClicktomoError] = []
     for col, status in enumerate(result.status):
         try:
@@ -285,8 +274,12 @@ def reconstruct_many(
 
 def _em_block(matrix: DetectionMatrix, h, q0, options: StoppingConfig,
               min_decrease, history: bool) -> _kernels.BlockResult:
-    """One kernel run; ``history`` keeps the per-iteration ε and
-    log-likelihood and the snapshots ``options.store_every`` asks for."""
+    """One kernel run, from the uniform start unless ``q0`` is given;
+    ``history`` keeps the per-iteration ε and log-likelihood and the
+    snapshots ``options.store_every`` asks for."""
+    if q0 is None:
+        n_cols = matrix.rows.shape[1]
+        q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
     back = _kernels.back_projector(matrix.rows, matrix.column_sums())
     return _kernels.em_run(
         matrix.rows, back, h, q0, options.max_iters, options.patience,
@@ -314,18 +307,9 @@ def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float
 def _reconstruct_core(
     matrix: DetectionMatrix, h, options: StoppingConfig, q0, min_decrease,
 ) -> ReconstructionTrace:
-    n_cols = matrix.rows.shape[1]
-    if q0 is None:
-        q0 = np.full(n_cols, 1.0 / n_cols)
-    else:
-        q0 = np.asarray(q0, dtype=np.float64)
-        if q0.shape != (n_cols,):
-            raise ValueError(f"q0 must have length {n_cols}")
-        if np.any(q0 < 0):
-            raise ValueError("q0 entries must be nonnegative")
-    result = _em_block(
-        matrix, h[:, None], q0[:, None], options, min_decrease, history=True,
-    )
+    if q0 is not None:
+        q0 = _checked_q(q0, matrix.rows.shape[1], "q0")[:, None]
+    result = _em_block(matrix, h[:, None], q0, options, min_decrease, history=True)
     n_done = int(result.n_iterations[0])
     epsilon = result.epsilon[:n_done, 0]
     loglik = result.loglik[:n_done, 0]

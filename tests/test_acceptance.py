@@ -98,7 +98,7 @@ def test_criterion_balanced_split_recovery():
 def test_criterion_multithermal_marginal_fidelity(multithermal_trace):
     trace, reference, elapsed = multithermal_trace
     fids = [
-        fidelity(marginal(trace.final, m), reference, normalize=True)
+        fidelity(marginal(trace.final, m), reference)
         for m in (0, 1)
     ]
     ok = min(fids) >= 0.99 and elapsed < 300.0
@@ -116,8 +116,8 @@ def test_criterion_fidelity_peak_near_error_minimum(multithermal_trace):
     for q in trace.iterates:
         dist = q.reshape(9, 9)
         total = dist.sum()
-        f1 = fidelity(dist.sum(axis=1) / total, reference, normalize=True)
-        f2 = fidelity(dist.sum(axis=0) / total, reference, normalize=True)
+        f1 = fidelity(dist.sum(axis=1) / total, reference)
+        f2 = fidelity(dist.sum(axis=0) / total, reference)
         fid.append(0.5 * (f1 + f2))
     peak = int(trace.stored_iterations[int(np.argmax(fid))])
     distance = abs(peak - trace.best_iteration)

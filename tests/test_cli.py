@@ -169,7 +169,9 @@ class TestReconstruct:
         ]) == EXIT_DATA
 
     @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta",
-                                        "zero runs", "zero modes"])
+                                        "zero runs", "zero modes",
+                                        "fractional counts", "string count",
+                                        "float modes"])
     def test_malformed_record_is_data_error(self, tmp_path, capsys, damage):
         sim = simulate_small(tmp_path)
         path = sim / "record.json"
@@ -186,6 +188,14 @@ class TestReconstruct:
             doc["modes"] = 0
             doc["patterns"] = [""]
             doc["counts"] = [[runs] for runs in doc["runs"]]
+        elif damage == "fractional counts":
+            # consistent sums: only the type is wrong
+            doc["counts"][0][0] += 0.9
+            doc["runs"][0] += 0.9
+        elif damage == "string count":
+            doc["counts"][0][0] = str(doc["counts"][0][0])
+        elif damage == "float modes":
+            doc["modes"] = float(doc["modes"])
         text = json.dumps(doc)
         path.write_text(text[:-10] if damage == "invalid JSON" else text)
         assert run([
@@ -364,6 +374,11 @@ def test_benchmark_hooks_resolve():
         "    {'kind': 'heralded', 'tau': 0.5, 'truncation': 3}).normalized()\n"
         "assert state.values.shape == (4, 4)\n"
         "build_matrix(uniform_grid(4, 0.1, 0.4), 2, 3)\n"
+        # wrapped only if present: a renamed writer would drop the summary,
+        # manifest and figure writes out of the cli.write span unnoticed
+        "import clicktomo.cli as cli\n"
+        "for attr in ('_write_json', '_write_csv'):\n"
+        "    assert hasattr(getattr(cli, attr), '__wrapped__'), attr\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True

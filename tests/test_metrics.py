@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from clicktomo import (
     ClickRecord,
     EfficiencyGrid,
     JointDistribution,
+    ReconstructionTrace,
     StoppingConfig,
     bootstrap_uncertainty,
     fidelity,
@@ -18,6 +20,7 @@ from clicktomo import (
     uniform_grid,
 )
 from clicktomo.errors import NumericalError
+from clicktomo.metrics import BootstrapResult
 
 
 class TestMarginal:
@@ -70,11 +73,15 @@ class TestFidelity:
         assert fidelity(p, q) == pytest.approx(fidelity(q, p), abs=1e-14)
 
     def test_normalize_flag(self):
-        assert fidelity([2.0, 0.0], [4.0, 0.0], normalize=True) == pytest.approx(1.0)
+        assert fidelity([2.0, 0.0], [4.0, 0.0]) == pytest.approx(1.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             fidelity([1.0, -0.1], [0.5, 0.5])
+
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValueError):
+            fidelity([0.0, 0.0], [0.5, 0.5])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -177,8 +184,36 @@ class TestBootstrap:
         res = bootstrap_uncertainty(
             rec, 1, reps=3, seed=0, options=StoppingConfig(max_iters=200)
         )
+        point = reconstruct(rec, 1, StoppingConfig(max_iters=200)).final
         path = tmp_path / "sigma.csv"
-        res.to_csv(path)
+        res.to_csv(path, point)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n1,n2,rho,sigma"
         assert len(lines) == 1 + 4
+
+
+def test_photon_number_tables_at_three_modes(tmp_path, rng):
+    # distribution.csv and uncertainty.csv against a csv.writer reference:
+    # one row per index in np.ndindex order, full-precision repr entries
+    values = rng.random((3, 3, 3))
+    point = JointDistribution(values / values.sum())
+    sigma = rng.random((3, 3, 3))
+    trace = ReconstructionTrace(
+        epsilon=np.zeros(1), loglik=np.zeros(1), stop_reason="max-iters",
+        best_iteration=0, n_iterations=1, final=point, renorm_correction=0.0,
+    )
+    trace.final_to_csv(tmp_path / "distribution.csv")
+    BootstrapResult(sigma=sigma, reps=2, failed=[]).to_csv(
+        tmp_path / "uncertainty.csv", point
+    )
+    for name, columns, tensors in (
+        ("distribution.csv", ["rho"], [point.values]),
+        ("uncertainty.csv", ["rho", "sigma"], [point.values, sigma]),
+    ):
+        reference = tmp_path / f"reference_{name}"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n1", "n2", "n3"] + columns)
+            for idx in np.ndindex(3, 3, 3):
+                writer.writerow(list(idx) + [repr(float(t[idx])) for t in tensors])
+        assert (tmp_path / name).read_bytes() == reference.read_bytes()
