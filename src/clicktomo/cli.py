@@ -74,76 +74,59 @@ def _load_json(path: Path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Flag > config file > preset default, per key."""
-    config = {}
-    if getattr(args, "config", None):
-        config = _load_json(Path(args.config))
-        if not isinstance(config, dict):
-            raise ConfigError("config file must hold a JSON object")
-    preset = {}
-    preset_name = getattr(args, "preset", None) or config.get("preset")
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}"
-            )
-        preset = PRESETS[preset_name]
-    merged = {"preset": preset_name}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, preset.get(key))
-        merged[key] = value
-    return merged
+def _json_number(key: str, value, integer: bool = False):
+    """``value`` if it is None, a JSON integer or (unless ``integer``) a
+    JSON number; a boolean is neither."""
+    if value is None or type(value) in ((int,) if integer else (int, float)):
+        return value
+    kind = "an integer" if integer else "a number"
+    raise ConfigError(f"{key} must be {kind}, not {value!r}")
 
 
 # --- simulate ------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        ["state", "grid_k", "eta_min", "eta_max", "runs", "seed",
-         "tau", "mean_photons", "num_modes", "truncation"],
-    )
-    if cfg["state"] is None:
+def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
+    """A click record and its ``simulate`` manifest; per key, a flag beats
+    the config file, which beats the preset."""
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
+        )
+    overrides = ("tau", "mean_photons", "num_modes", "truncation")
+    keys = ("state", "grid_k", "eta_min", "eta_max", "runs", "seed", *overrides)
+    cfg = {key: source[key]
+           for source in (PRESETS.get(preset, {}), config, flags)
+           for key in keys if source.get(key) is not None}
+    for key in keys[1:]:
+        _json_number(key, cfg.get(key), key in ("grid_k", "runs", "seed", "truncation"))
+    if "state" not in cfg:
         raise ConfigError("select --preset or provide --state FILE")
     state_doc = cfg["state"]
     if isinstance(state_doc, str):
         state_doc = _load_json(Path(state_doc))
-    state_doc = dict(state_doc)
-    # targeted overrides of the preset state
-    for key in ("tau", "mean_photons", "num_modes", "truncation"):
-        if cfg[key] is not None:
-            state_doc[key] = cfg[key]
+    state_doc = dict(state_doc, **{key: cfg[key] for key in overrides if key in cfg})
     for key in ("grid_k", "eta_min", "eta_max"):
-        if cfg[key] is None:
+        if key not in cfg:
             raise ConfigError(f"missing --{key.replace('_', '-')}")
-    runs = int(cfg["runs"] if cfg["runs"] is not None else 100_000)
-    seed = int(cfg["seed"] if cfg["seed"] is not None else 0)
+    runs = cfg.get("runs", 100_000)
+    seed = cfg.get("seed", 0)
 
     try:
         state = state_from_json(state_doc)
-        grid = uniform_grid(int(cfg["grid_k"]), cfg["eta_min"], cfg["eta_max"])
+        grid = uniform_grid(cfg["grid_k"], cfg["eta_min"], cfg["eta_max"])
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    probs = forward_click_probabilities(state, grid)
-    record = sample_clicks(probs, runs, seed)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record.to_json(out_dir / "record.json")
-    record.to_csv(out_dir / "record.csv")
+    # outside the try: a matrix over the byte cap is a data error
+    record = sample_clicks(forward_click_probabilities(state, grid), runs, seed)
     manifest = {
         "command": "simulate",
         "version": __version__,
         "rng": RNG_ALGORITHM,
-        "preset": cfg["preset"],
+        "preset": preset,
         "state": state_doc,
         "grid": {
-            "k": int(cfg["grid_k"]),
+            "k": cfg["grid_k"],
             "eta_min": cfg["eta_min"],
             "eta_max": cfg["eta_max"],
             "spacing": "uniform",
@@ -152,8 +135,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": seed,
         "state_leakage": _fmt(state.leakage),
     }
+    return record, manifest
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = {} if args.config is None else _load_json(Path(args.config))
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object")
+    preset = args.preset if args.preset is not None else config.get("preset")
+    record, manifest = _simulate(preset, config, vars(args))
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    record.to_json(out_dir / "record.json")
+    record.to_csv(out_dir / "record.csv")
     _write_json(out_dir / "manifest.json", manifest)
-    print(f"wrote record for {len(grid)} efficiencies x {runs} runs to {out_dir}")
+    print(
+        f"wrote record for {manifest['grid']['k']} efficiencies x "
+        f"{manifest['runs']} runs to {out_dir}"
+    )
     return EXIT_OK
 
 
@@ -184,8 +184,10 @@ def _reference_marginal(args, manifest, truncation) -> np.ndarray | None:
         params = {}
         if manifest and manifest.get("state", {}).get("kind") == "multithermal_split":
             params = manifest["state"]
-        mean_photons = args.mean_photons or params.get("mean_photons")
-        num_modes = args.num_modes or params.get("num_modes", 1.0)
+        mean_photons = (params.get("mean_photons")
+                        if args.mean_photons is None else args.mean_photons)
+        num_modes = (params.get("num_modes", 1.0)
+                     if args.num_modes is None else args.num_modes)
         if mean_photons is None:
             raise ConfigError(
                 "--reference multithermal needs --mean-photons (not in manifest)"
@@ -210,14 +212,27 @@ def _parse_min_decrease(value) -> float | None:
         raise ConfigError("--min-decrease takes a number or 'auto'") from exc
 
 
+def _options_doc(options: StoppingConfig) -> dict:
+    """The stopping options as a manifest records them."""
+    return {
+        "max_iters": options.max_iters,
+        "patience": options.patience,
+        "eps_threshold": options.eps_threshold,
+        "min_decrease": (
+            "auto" if options.min_decrease is None else options.min_decrease
+        ),
+    }
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
-        truncation = manifest.get("state", {}).get("truncation")
+        truncation = _json_number(
+            "truncation", manifest.get("state", {}).get("truncation"), integer=True
+        )
     if truncation is None:
         raise ConfigError("--truncation is required (not found in a manifest)")
-    truncation = int(truncation)
     options = StoppingConfig(
         max_iters=args.max_iters,
         patience=args.patience,
@@ -225,7 +240,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
     trace = reconstruct(record, truncation, options=options)
-    seed = args.seed or 0
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +270,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.bootstrap_reps:
         boot = bootstrap_uncertainty(
             record, truncation, reps=args.bootstrap_reps,
-            seed=seed, options=options,
+            seed=args.seed, options=options,
         )
         boot.to_csv(out_dir / "uncertainty.csv", point=trace.final)
         summary["bootstrap_reps"] = boot.reps
@@ -267,25 +281,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     reference = _reference_marginal(args, manifest, truncation)
     if reference is not None:
-        summary["reference_fidelities"] = [
-            _fmt(fidelity(marginal(trace.final, m), reference))
-            for m in range(trace.final.modes)
-        ]
+        fids = [fidelity(marginal(trace.final, m), reference)
+                for m in range(trace.final.modes)]
+        summary["reference_fidelities"] = [_fmt(f) for f in fids]
     _write_json(out_dir / "summary.json", summary)
     run_manifest = {
         "command": "reconstruct",
         "version": __version__,
         "truncation": truncation,
-        "options": {
-            "max_iters": options.max_iters,
-            "patience": options.patience,
-            "eps_threshold": options.eps_threshold,
-            "min_decrease": (
-                "auto" if options.min_decrease is None else options.min_decrease
-            ),
-        },
+        "options": _options_doc(options),
         "bootstrap_reps": args.bootstrap_reps,
-        "seed": seed,
+        "seed": args.seed,
         "reference": args.reference,
         "input_manifest": manifest,
     }
@@ -295,106 +301,102 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         f"best at {trace.best_iteration}"
     )
     if "ratio_01_10" in summary:
-        line = f"rho01/rho10 = {float(summary['ratio_01_10']):.4f}"
-        if boot is not None and float(summary["rho10"]) > 0:
-            rho10 = float(summary["rho10"])
-            rho01 = float(summary["rho01"])
-            s01 = float(boot.sigma[0, 1])
-            s10 = float(boot.sigma[1, 0])
+        line = f"rho01/rho10 = {rho01 / rho10:.4f}"
+        if boot is not None:
             sigma_ratio = abs(rho01 / rho10) * np.hypot(
-                s01 / rho01 if rho01 else 0.0, s10 / rho10
+                boot.sigma[0, 1] / rho01 if rho01 else 0.0,
+                boot.sigma[1, 0] / rho10,
             )
             line += f" +- {sigma_ratio:.4f}"
         print(line)
     if reference is not None:
-        fids = ", ".join(f"{float(f):.5f}" for f in summary["reference_fidelities"])
-        print(f"marginal fidelities vs reference: {fids}")
+        print("marginal fidelities vs reference: "
+              + ", ".join(f"{f:.5f}" for f in fids))
     return EXIT_OK
 
 
 # --- reproduce -----------------------------------------------------------
 
 
-def _preset_record(name: str, runs: int, seed: int, **state):
-    """The state document of preset ``name`` with ``state`` overrides, and
-    a record of ``runs`` trials per efficiency sampled from it."""
-    preset = PRESETS[name]
-    state_doc = dict(preset["state"], **state)
-    grid = uniform_grid(preset["grid_k"], preset["eta_min"], preset["eta_max"])
-    probs = forward_click_probabilities(state_from_json(state_doc), grid)
-    return state_doc, sample_clicks(probs, runs, seed)
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
-    if args.figure == "fig2":
-        runs = args.runs or 100_000
+    fig2 = args.figure == "fig2"
+    runs = (100_000 if fig2 else 200_000) if args.runs is None else args.runs
+    # each table's record, as the simulate manifest that regenerates it
+    records = {}
+    if fig2:
         # two seeds stand in for the two spectral-filter variants
         options = StoppingConfig(max_iters=args.max_iters)
         for tau in (0.5, 0.4):
             for offset in (0, 1):
-                state, record = _preset_record("heralded-balanced", runs,
-                                               seed + offset, tau=tau)
-                trace = reconstruct(record, state["truncation"], options=options)
+                seed = args.seed + offset
+                record, sim = _simulate("heralded-balanced", {},
+                                        dict(tau=tau, runs=runs, seed=seed))
+                truncation = sim["state"]["truncation"]
+                trace = reconstruct(record, truncation, options=options)
                 boot = bootstrap_uncertainty(
-                    record, state["truncation"], reps=args.bootstrap_reps,
-                    seed=seed + offset, options=options,
+                    record, truncation, reps=args.bootstrap_reps,
+                    seed=seed, options=options,
                 )
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
                 _write_csv(out_dir / name, ["n", "k", "rho", "sigma"],
                            _io.tensor_rows(trace.final.values, boot.sigma))
-        print(f"wrote 4 joint-distribution tables to {out_dir}")
-        return EXIT_OK
-
-    # fig3: fidelity/epsilon curves and the frequency overlay
-    runs = args.runs or 200_000
-    state_doc, record = _preset_record("multithermal-split", runs, seed)
-    truncation = state_doc["truncation"]
-    spec = ThermalSpec(state_doc["mean_photons"], state_doc["num_modes"])
-    tau = state_doc["tau"]
-    trace = reconstruct(
-        record, truncation,
-        options=StoppingConfig(
-            store_every=1, min_decrease=None, max_iters=args.max_iters
-        ),
-    )
-    reference = multithermal_marginal(spec, truncation)
-    rows = []
-    for i, it in enumerate(trace.stored_iterations):
-        q = trace.iterates[i]
-        dist = q.reshape(truncation + 1, truncation + 1)
-        total = dist.sum()
-        f1 = fidelity(dist.sum(axis=1) / total, reference)
-        f2 = fidelity(dist.sum(axis=0) / total, reference)
-        rows.append(
-            [int(it), _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
-             _fmt(trace.epsilon[it])]
+                records[name] = sim
+        message = f"wrote 4 joint-distribution tables to {out_dir}"
+    else:
+        # fig3: fidelity/epsilon curves and the frequency overlay
+        options = StoppingConfig(store_every=1, min_decrease=None,
+                                 max_iters=args.max_iters)
+        record, sim = _simulate("multithermal-split", {},
+                                dict(runs=runs, seed=args.seed))
+        state_doc = sim["state"]
+        truncation = state_doc["truncation"]
+        spec = ThermalSpec(state_doc["mean_photons"], state_doc["num_modes"])
+        tau = state_doc["tau"]
+        trace = reconstruct(record, truncation, options=options)
+        reference = multithermal_marginal(spec, truncation)
+        rows = []
+        for i, it in enumerate(trace.stored_iterations):
+            dist = trace.iterates[i].reshape(truncation + 1, truncation + 1)
+            total = dist.sum()
+            f1 = fidelity(dist.sum(axis=1) / total, reference)
+            f2 = fidelity(dist.sum(axis=0) / total, reference)
+            rows.append(
+                [int(it), _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
+                 _fmt(trace.epsilon[it])]
+            )
+        _write_csv(
+            out_dir / "fidelity_curve.csv",
+            ["iteration", "fidelity_mean", "fidelity_mode1", "fidelity_mode2",
+             "epsilon"],
+            rows,
         )
-    _write_csv(
-        out_dir / "fidelity_curve.csv",
-        ["iteration", "fidelity_mean", "fidelity_mode1", "fidelity_mode2",
-         "epsilon"],
-        rows,
-    )
-    freq = record.frequency_table()
-    overlay = []
-    for nu, eta in enumerate(record.grid.etas):
-        p00, p01, p10, _ = multithermal_click_reference(spec, tau, float(eta))
-        overlay.append(
-            [_fmt(eta), _fmt(freq[nu, 0]), _fmt(freq[nu, 1]), _fmt(freq[nu, 2]),
-             _fmt(p00), _fmt(p01), _fmt(p10), int(record.runs[nu])]
+        freq = record.frequency_table()
+        overlay = []
+        for nu, eta in enumerate(record.grid.etas):
+            p00, p01, p10, _ = multithermal_click_reference(spec, tau, float(eta))
+            overlay.append(
+                [_fmt(eta), _fmt(freq[nu, 0]), _fmt(freq[nu, 1]), _fmt(freq[nu, 2]),
+                 _fmt(p00), _fmt(p01), _fmt(p10), int(record.runs[nu])]
+            )
+        _write_csv(
+            out_dir / "frequency_overlay.csv",
+            ["eta", "f00", "f01", "f10", "p00_ref", "p01_ref", "p10_ref", "runs"],
+            overlay,
         )
-    _write_csv(
-        out_dir / "frequency_overlay.csv",
-        ["eta", "f00", "f01", "f10", "p00_ref", "p01_ref", "p10_ref", "runs"],
-        overlay,
-    )
-    print(
-        f"wrote fidelity curve ({trace.n_iterations} iterations) and "
-        f"frequency overlay to {out_dir}"
-    )
+        records = dict.fromkeys(["fidelity_curve.csv", "frequency_overlay.csv"], sim)
+        message = (
+            f"wrote fidelity curve ({trace.n_iterations} iterations) and "
+            f"frequency overlay to {out_dir}"
+        )
+    manifest = {"command": "reproduce", "figure": args.figure,
+                "version": __version__, "runs": runs, "seed": args.seed,
+                "options": _options_doc(options), "records": records}
+    if fig2:
+        manifest["bootstrap_reps"] = args.bootstrap_reps
+    _write_json(out_dir / "manifest.json", manifest)
+    print(message)
     return EXIT_OK
 
 
@@ -477,46 +479,43 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--preset", choices=sorted(PRESETS))
     sim.add_argument("--state", help="JSON file describing a custom state")
     sim.add_argument("--config", help="JSON config file; flags override it")
-    sim.add_argument("--grid-k", type=int, dest="grid_k")
-    sim.add_argument("--eta-min", type=float, dest="eta_min")
-    sim.add_argument("--eta-max", type=float, dest="eta_max")
+    sim.add_argument("--grid-k", type=int)
+    sim.add_argument("--eta-min", type=float)
+    sim.add_argument("--eta-max", type=float)
     sim.add_argument("--runs", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--tau", type=float)
-    sim.add_argument("--mean-photons", type=float, dest="mean_photons")
-    sim.add_argument("--num-modes", type=float, dest="num_modes")
+    sim.add_argument("--mean-photons", type=float)
+    sim.add_argument("--num-modes", type=float)
     sim.add_argument("--truncation", type=int)
-    sim.add_argument("--out-dir", required=True, dest="out_dir")
+    sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=cmd_simulate)
 
     rec = sub.add_parser("reconstruct", help="reconstruct a distribution")
     rec.add_argument("record", help="record directory, JSON or CSV file")
     rec.add_argument("--truncation", type=int)
-    rec.add_argument("--max-iters", type=int, default=100_000, dest="max_iters")
+    rec.add_argument("--max-iters", type=int, default=100_000)
     rec.add_argument("--patience", type=int, default=200)
-    rec.add_argument("--eps-threshold", type=float, default=0.0,
-                     dest="eps_threshold")
-    rec.add_argument("--min-decrease", dest="min_decrease",
+    rec.add_argument("--eps-threshold", type=float, default=0.0)
+    rec.add_argument("--min-decrease",
                      help="significance floor for new error minima: a "
                      "number, or 'auto' to estimate from sampling noise")
     rec.add_argument("--reference",
                      help="'multithermal' or a state JSON file")
-    rec.add_argument("--mean-photons", type=float, dest="mean_photons")
-    rec.add_argument("--num-modes", type=float, dest="num_modes")
-    rec.add_argument("--bootstrap-reps", type=int, default=0,
-                     dest="bootstrap_reps")
-    rec.add_argument("--seed", type=int)
-    rec.add_argument("--out-dir", required=True, dest="out_dir")
+    rec.add_argument("--mean-photons", type=float)
+    rec.add_argument("--num-modes", type=float)
+    rec.add_argument("--bootstrap-reps", type=int, default=0)
+    rec.add_argument("--seed", type=int, default=0)
+    rec.add_argument("--out-dir", required=True)
     rec.set_defaults(func=cmd_reconstruct)
 
     rep = sub.add_parser("reproduce", help="emit plot-ready datasets")
     rep.add_argument("figure", choices=["fig2", "fig3"])
     rep.add_argument("--runs", type=int)
-    rep.add_argument("--seed", type=int)
-    rep.add_argument("--max-iters", type=int, default=100_000, dest="max_iters")
-    rep.add_argument("--bootstrap-reps", type=int, default=25,
-                     dest="bootstrap_reps")
-    rep.add_argument("--out-dir", required=True, dest="out_dir")
+    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--max-iters", type=int, default=100_000)
+    rep.add_argument("--bootstrap-reps", type=int, default=25)
+    rep.add_argument("--out-dir", required=True)
     rep.set_defaults(func=cmd_reproduce)
 
     val = sub.add_parser("validate", help="run quick invariant checks")

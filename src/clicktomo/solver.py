@@ -313,14 +313,9 @@ def _reconstruct_core(
     n_done = int(result.n_iterations[0])
     epsilon = result.epsilon[:n_done, 0]
     loglik = result.loglik[:n_done, 0]
-    try:
-        final, total = _final_distribution(
-            result.best_q[:, 0], result.status[0], matrix.modes
-        )
-    except NumericalError as err:
-        err.epsilon = epsilon
-        err.loglik = loglik
-        raise
+    final, total = _final_distribution(
+        result.best_q[:, 0], result.status[0], matrix.modes
+    )
     iterates = None if result.iterates is None else result.iterates[:, :, 0]
     return ReconstructionTrace(
         epsilon=epsilon,

@@ -162,6 +162,20 @@ class TestReconstruct:
         assert len(fids) == 2
         assert all(0.9 < f <= 1.0 + 1e-12 for f in fids)
 
+    @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
+    def test_zero_reference_parameter_is_config_error(self, tmp_path, flag):
+        # an explicit 0 is refused, not replaced by the manifest's value
+        out = tmp_path / "sim"
+        assert run([
+            "simulate", "--preset", "multithermal-split", "--grid-k", "4",
+            "--runs", "1000", "--truncation", "2", "--out-dir", str(out),
+        ]) == EXIT_OK
+        assert run([
+            "reconstruct", str(out), "--max-iters", "50",
+            "--reference", "multithermal", flag, "0",
+            "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+
     def test_missing_record_is_data_error(self, tmp_path):
         assert run([
             "reconstruct", str(tmp_path / "absent.json"),
@@ -325,6 +339,92 @@ class TestReproduce:
         assert len(curve) > 2
         overlay = (out / "frequency_overlay.csv").read_text().strip().splitlines()
         assert len(overlay) == 1 + 35
+
+
+    def test_fig2_rerun_from_manifest(self, tmp_path):
+        first = tmp_path / "fig2"
+        assert run([
+            "reproduce", "fig2", "--runs", "2000", "--max-iters", "200",
+            "--bootstrap-reps", "2", "--seed", "3", "--out-dir", str(first),
+        ]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert (manifest["command"], manifest["figure"]) == ("reproduce", "fig2")
+        tables = sorted(p.name for p in first.glob("*.csv"))
+        assert sorted(manifest["records"]) == tables
+        second = tmp_path / "again"
+        assert run([
+            "reproduce", "fig2", "--runs", str(manifest["runs"]),
+            "--seed", str(manifest["seed"]),
+            "--max-iters", str(manifest["options"]["max_iters"]),
+            "--bootstrap-reps", str(manifest["bootstrap_reps"]),
+            "--out-dir", str(second),
+        ]) == EXIT_OK
+        for name in tables:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        # each table's record is the one simulate writes for its tau and seed
+        for name, record in manifest["records"].items():
+            tau, offset = name[len("joint_tau"):-len(".csv")].split("_set")
+            sim = tmp_path / name
+            assert run([
+                "simulate", "--preset", "heralded-balanced", "--tau", tau,
+                "--runs", "2000", "--seed", str(3 + int(offset)),
+                "--out-dir", str(sim),
+            ]) == EXIT_OK
+            assert json.loads((sim / "manifest.json").read_text()) == record
+
+    def test_fig3_manifest_records(self, tmp_path):
+        out = tmp_path / "fig3"
+        assert run([
+            "reproduce", "fig3", "--runs", "5000", "--max-iters", "300",
+            "--seed", "4", "--out-dir", str(out),
+        ]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"]["min_decrease"] == "auto"
+        assert "bootstrap_reps" not in manifest
+        sim = tmp_path / "sim"
+        assert run([
+            "simulate", "--preset", "multithermal-split", "--runs", "5000",
+            "--seed", "4", "--out-dir", str(sim),
+        ]) == EXIT_OK
+        record = json.loads((sim / "manifest.json").read_text())
+        assert manifest["records"] == {
+            "fidelity_curve.csv": record, "frequency_overlay.csv": record,
+        }
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3"])
+    def test_zero_runs_is_config_error(self, tmp_path, figure):
+        assert run([
+            "reproduce", figure, "--runs", "0", "--max-iters", "50",
+            "--bootstrap-reps", "2", "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, values", [
+    ("simulate", {"truncation": 3.5}),
+    ("simulate", {"tau": "0.5"}),
+    ("simulate", {"grid_k": "5"}),
+    ("simulate", {"runs": True}),
+    ("simulate", {"runs": 1000.7, "seed": 3.9}),
+    ("reconstruct", {"truncation": 3.7}),
+], ids=["fractional truncation", "string tau", "string grid_k", "boolean runs",
+        "fractional runs and seed", "fractional manifest truncation"])
+def test_mistyped_value_is_config_error(tmp_path, command, values):
+    # config-file and manifest values are typed like the flags they stand for
+    if command == "simulate":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "preset": "heralded-balanced", "grid_k": 5,
+            "eta_min": 0.1, "eta_max": 0.3, "runs": 500, **values,
+        }))
+        argv = ["simulate", "--config", str(config)]
+    else:
+        sim = simulate_small(tmp_path)
+        manifest = json.loads((sim / "manifest.json").read_text())
+        manifest["state"].update(values)
+        (sim / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["reconstruct", str(sim), "--max-iters", "50"]
+    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 class TestValidate:
