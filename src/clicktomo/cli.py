@@ -89,7 +89,7 @@ def _json_number(key: str, value, integer: bool = False):
 def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
     """A click record and its ``simulate`` manifest; per key, a flag beats
     the config file, which beats the preset."""
-    if preset is not None and preset not in PRESETS:
+    if preset is not None and not (isinstance(preset, str) and preset in PRESETS):
         raise ConfigError(
             f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
         )
@@ -105,6 +105,8 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
     state_doc = cfg["state"]
     if isinstance(state_doc, str):
         state_doc = _load_json(Path(state_doc))
+    if not isinstance(state_doc, dict):
+        raise ConfigError("a state must be a JSON object or a file name")
     state_doc = dict(state_doc, **{key: cfg[key] for key in overrides if key in cfg})
     for key in ("grid_k", "eta_min", "eta_max"):
         if key not in cfg:

@@ -405,11 +405,14 @@ class TestReproduce:
     ("simulate", {"grid_k": "5"}),
     ("simulate", {"runs": True}),
     ("simulate", {"runs": 1000.7, "seed": 3.9}),
+    ("simulate", {"preset": ["heralded-balanced"]}),
+    ("simulate", {"state": 5}),
     ("reconstruct", {"truncation": 3.7}),
 ], ids=["fractional truncation", "string tau", "string grid_k", "boolean runs",
-        "fractional runs and seed", "fractional manifest truncation"])
+        "fractional runs and seed", "list preset", "number state",
+        "fractional manifest truncation"])
 def test_mistyped_value_is_config_error(tmp_path, command, values):
-    # config-file and manifest values are typed like the flags they stand for
+    # config-file and manifest values must have the JSON type their flags imply
     if command == "simulate":
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
