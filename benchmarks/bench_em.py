@@ -99,10 +99,10 @@ def _check_against_loops(matrix, back, h, iters=500):
     for block_h in (h[:, :1], h):
         width = block_h.shape[1]
         got = em_run(rows, back, block_h, np.tile(q0[:, None], (1, width)),
-                     iters, iters, 0.0, 0.0, history=True)
+                     iters, iters, 0.0, history=True)
         for col in range(width):
             ref = _em_run_loops(rows, rows_t, inv_colsum, block_h[:, col], q0,
-                                iters, iters, 0.0, 0.0)
+                                iters, iters, 0.0)
             agree = (
                 np.allclose(got.best_q[:, col], ref[0], rtol=0, atol=1e-13)
                 and got.best_iteration[col] == ref[2]
@@ -119,7 +119,7 @@ def _check_against_loops(matrix, back, h, iters=500):
 
 def _timed(matrix, back, h, q0, iters, history):
     start = time.perf_counter()
-    em_run(matrix, back, h, q0, iters, iters, 0.0, 0.0, history=history)
+    em_run(matrix, back, h, q0, iters, iters, 0.0, history=history)
     return time.perf_counter() - start
 
 

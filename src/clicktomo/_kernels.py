@@ -33,8 +33,7 @@ loop for one distribution: the reference the tests compare
    buffers.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
-the earliest iteration at which the patience rule could fire, and is
-cut at the first iterate that reaches ``eps_threshold``. The threshold,
+the earliest iteration at which the patience rule could fire. The
 patience and degenerate rules are then checked there, in that order,
 exactly as ``_em_run_loops`` checks them each iteration. Columns that
 stop leave the block before the next update, so the other columns see
@@ -51,9 +50,9 @@ zero model probability. :func:`log_likelihood` evaluates it in that
 form, as ``sum_{h>0} h log(g/h)`` plus ``sum_mu (h - g)``, so that no
 large terms cancel.
 
-Status codes: 0 = max iterations, 1 = error threshold reached,
-2 = patience window expired (error minimum detected), -1 = degenerate
-support (zero model probability with nonzero data).
+Status codes: 0 = max iterations, 2 = patience window expired (error
+minimum detected), -1 = degenerate support (zero model probability with
+nonzero data).
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 STATUS_MAX_ITERS = 0
-STATUS_THRESHOLD = 1
 STATUS_MIN_EPSILON = 2
 STATUS_DEGENERATE = -1
 
@@ -80,7 +78,7 @@ CHUNK_WIDTH = 25
 
 def _em_run_loops(
     matrix, matrix_t, inv_colsum, h,
-    q0, max_iters, patience, eps_threshold, min_decrease,
+    q0, max_iters, patience, min_decrease,
 ):
     n_rows = matrix.shape[0]
     q = q0.copy()
@@ -114,9 +112,6 @@ def _em_run_loops(
             best_eps = eps
             best_iter = it
             best_q[:] = q
-        if eps_threshold > 0.0 and eps <= eps_threshold:
-            status = STATUS_THRESHOLD
-            break
         if it - best_iter >= patience:
             status = STATUS_MIN_EPSILON
             break
@@ -263,7 +258,7 @@ def _scan_best(eps, t0, bar, best, mind):
 
 
 def em_run(
-    matrix, back, h, q0, max_iters, patience, eps_threshold, min_decrease,
+    matrix, back, h, q0, max_iters, patience, min_decrease,
     history=False, store_every=0,
 ) -> BlockResult:
     """Iterate the P×B block ``q0`` against the R×B frequencies ``h``.
@@ -338,12 +333,6 @@ def em_run(
                 degenerate = hits[n - 1]
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
-        if eps_threshold > 0.0:
-            reached = np.flatnonzero((eps <= eps_threshold).any(axis=1))
-            if reached.size and reached[0] < n - 1:
-                n = int(reached[0]) + 1
-                eps = eps[:n]
-                degenerate = None
         if history:
             eps_hist[t0:t0 + n, cols] = eps
             ll_hist[t0:t0 + n, cols] = log_likelihood(
@@ -365,14 +354,9 @@ def em_run(
             if bests[j] >= t0:
                 best_q[:, j] = qs[bests[j] - t0][:, j]
         stop = None
-        if (last - bests.min() >= patience or eps_threshold > 0.0
-                or degenerate is not None):
+        if last - bests.min() >= patience or degenerate is not None:
             stop = last - bests >= patience
             codes = np.where(stop, STATUS_MIN_EPSILON, STATUS_DEGENERATE)
-            if eps_threshold > 0.0:
-                reached = eps[-1] <= eps_threshold
-                stop |= reached
-                codes[reached] = STATUS_THRESHOLD
             if degenerate is not None:
                 stop |= degenerate
         t0 = last + 1

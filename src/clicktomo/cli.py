@@ -219,7 +219,6 @@ def _options_doc(options: StoppingConfig) -> dict:
     return {
         "max_iters": options.max_iters,
         "patience": options.patience,
-        "eps_threshold": options.eps_threshold,
         "min_decrease": (
             "auto" if options.min_decrease is None else options.min_decrease
         ),
@@ -238,7 +237,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     options = StoppingConfig(
         max_iters=args.max_iters,
         patience=args.patience,
-        eps_threshold=args.eps_threshold,
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
     trace = reconstruct(record, truncation, options=options)
@@ -498,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--truncation", type=int)
     rec.add_argument("--max-iters", type=int, default=100_000)
     rec.add_argument("--patience", type=int, default=200)
-    rec.add_argument("--eps-threshold", type=float, default=0.0)
     rec.add_argument("--min-decrease",
                      help="significance floor for new error minima: a "
                      "number, or 'auto' to estimate from sampling noise")

@@ -33,7 +33,6 @@ __all__ = [
 
 _STOP_REASONS = {
     _kernels.STATUS_MAX_ITERS: "max-iters",
-    _kernels.STATUS_THRESHOLD: "threshold",
     _kernels.STATUS_MIN_EPSILON: "min-epsilon",
 }
 
@@ -44,20 +43,18 @@ _CSV_BLOCK_ROWS = 4096
 class StoppingConfig:
     """Iteration limits and stopping rules.
 
-    ``eps_threshold=0`` disables the threshold so the patience rule
-    governs: the run stops once ``patience`` iterations pass without a
-    new error minimum. A candidate minimum must undercut the running
-    best by more than ``min_decrease`` (default 0: every decrease
-    counts). Passing ``min_decrease=None`` estimates the floor from the
-    binomial noise of the measured frequencies, so the iteration stops
-    once the error curve flattens into the sampling noise instead of
-    chasing vanishing improvements.
+    A run stops after ``max_iters`` iterations, or once ``patience``
+    iterations pass without a new error minimum. A candidate minimum
+    must undercut the running best by more than ``min_decrease``
+    (default 0: every decrease counts). Passing ``min_decrease=None``
+    estimates the floor from the binomial noise of the measured
+    frequencies, so the iteration stops once the error curve flattens
+    into the sampling noise instead of chasing vanishing improvements.
     ``store_every > 0`` keeps every that-many-th iterate in the trace.
     """
 
     max_iters: int = 100_000
     patience: int = 200
-    eps_threshold: float = 0.0
     min_decrease: float | None = 0.0
     store_every: int = 0
 
@@ -66,8 +63,6 @@ class StoppingConfig:
             raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.eps_threshold < 0:
-            raise ValueError("eps_threshold must be >= 0")
         if self.min_decrease is not None and self.min_decrease < 0:
             raise ValueError("min_decrease must be >= 0")
         if self.store_every < 0:
@@ -120,20 +115,13 @@ class ReconstructionTrace:
         write_csv(path, header, tensor_rows(self.final.values))
 
 
-def _checked_q(q, n_cols: int, name: str) -> np.ndarray:
-    """``q`` as a float vector over the ``n_cols`` photon-number columns;
-    raises unless it has that length and no negative entry."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (n_cols,):
-        raise ValueError(f"{name} must have length {n_cols}, got {q.shape}")
-    if np.any(q < 0):
-        raise ValueError(f"{name} entries must be nonnegative")
-    return q
-
-
 def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]:
     n_rows, n_cols = matrix.rows.shape
-    q = _checked_q(q, n_cols, "q")
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (n_cols,):
+        raise ValueError(f"q must have length {n_cols}, got {q.shape}")
+    if np.any(q < 0):
+        raise ValueError("q entries must be nonnegative")
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (n_rows,):
         raise ValueError(f"h must have length {n_rows}, got {h.shape}")
@@ -192,29 +180,21 @@ def reconstruct(
     record: ClickRecord,
     truncation: int,
     options: StoppingConfig | None = None,
-    q0: np.ndarray | None = None,
-    matrix: DetectionMatrix | None = None,
 ) -> ReconstructionTrace:
     """Run the EM iteration on a click record.
 
-    Starts from the uniform distribution unless ``q0`` is given, stops
-    per ``options``, and returns the iterate with the smallest total
-    error, renormalized to unit mass (the applied correction is kept in
-    the trace).
+    Starts from the uniform distribution, stops per ``options``, and
+    returns the iterate with the smallest total error, renormalized to
+    unit mass (the applied correction is kept in the trace).
     """
     if options is None:
         options = StoppingConfig()
-    if matrix is None:
-        matrix = build_matrix(record.grid, record.modes, truncation)
-    else:
-        matrix.check_grid(record.grid)
-        if matrix.truncation != truncation or matrix.modes != record.modes:
-            raise ValueError("matrix does not match the requested reconstruction")
+    matrix = build_matrix(record.grid, record.modes, truncation)
     h = frequencies(record)
     min_decrease = options.min_decrease
     if min_decrease is None:
         min_decrease = _frequency_noise_floor(record)
-    return _reconstruct_core(matrix, h, options, q0, min_decrease)
+    return _reconstruct_core(matrix, h, options, min_decrease)
 
 
 def reconstruct_exact(
@@ -234,7 +214,7 @@ def reconstruct_exact(
     matrix = build_matrix(probs.grid, probs.modes, truncation)
     h = probs.explicit_vector()
     min_decrease = 0.0 if options.min_decrease is None else options.min_decrease
-    return _reconstruct_core(matrix, h, options, None, min_decrease)
+    return _reconstruct_core(matrix, h, options, min_decrease)
 
 
 def reconstruct_many(
@@ -262,7 +242,7 @@ def reconstruct_many(
     min_decrease = options.min_decrease
     if min_decrease is None:
         min_decrease = np.array([_frequency_noise_floor(r) for r in records])
-    result = _em_block(matrix, h, None, options, min_decrease, history=False)
+    result = _em_block(matrix, h, options, min_decrease, history=False)
     finals: list[JointDistribution | ClicktomoError] = []
     for col, status in enumerate(result.status):
         try:
@@ -272,19 +252,18 @@ def reconstruct_many(
     return finals
 
 
-def _em_block(matrix: DetectionMatrix, h, q0, options: StoppingConfig,
+def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,
               min_decrease, history: bool) -> _kernels.BlockResult:
-    """One kernel run, from the uniform start unless ``q0`` is given;
-    ``history`` keeps the per-iteration ε and log-likelihood and the
-    snapshots ``options.store_every`` asks for."""
-    if q0 is None:
-        n_cols = matrix.rows.shape[1]
-        q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
+    """One kernel run, every column from the uniform start; ``history``
+    keeps the per-iteration ε and log-likelihood and the snapshots
+    ``options.store_every`` asks for."""
+    n_cols = matrix.rows.shape[1]
+    q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
     back = _kernels.back_projector(matrix.rows, matrix.column_sums())
     return _kernels.em_run(
         matrix.rows, back, h, q0, options.max_iters, options.patience,
-        options.eps_threshold, min_decrease,
-        history=history, store_every=options.store_every if history else 0,
+        min_decrease, history=history,
+        store_every=options.store_every if history else 0,
     )
 
 
@@ -305,11 +284,9 @@ def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float
 
 
 def _reconstruct_core(
-    matrix: DetectionMatrix, h, options: StoppingConfig, q0, min_decrease,
+    matrix: DetectionMatrix, h, options: StoppingConfig, min_decrease,
 ) -> ReconstructionTrace:
-    if q0 is not None:
-        q0 = _checked_q(q0, matrix.rows.shape[1], "q0")[:, None]
-    result = _em_block(matrix, h[:, None], q0, options, min_decrease, history=True)
+    result = _em_block(matrix, h[:, None], options, min_decrease, history=True)
     n_done = int(result.n_iterations[0])
     epsilon = result.epsilon[:n_done, 0]
     loglik = result.loglik[:n_done, 0]

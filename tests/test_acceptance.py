@@ -207,8 +207,7 @@ def test_criterion_iteration_invariants():
         probs = forward_click_probabilities(state, grid)
         record = sample_clicks(probs, 50_000, seed=int(rng.integers(1 << 30)))
         m = build_matrix(grid, 2, truncation)
-        trace = reconstruct(record, truncation, StoppingConfig(max_iters=300),
-                            matrix=m)
+        trace = reconstruct(record, truncation, StoppingConfig(max_iters=300))
         ll = trace.loglik
         if not np.all(np.isfinite(ll)):
             ok = False

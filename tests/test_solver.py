@@ -25,7 +25,6 @@ from clicktomo._kernels import (
     STATUS_DEGENERATE,
     STATUS_MAX_ITERS,
     STATUS_MIN_EPSILON,
-    STATUS_THRESHOLD,
     _em_run_loops,
     back_projector,
     chunk_length,
@@ -232,14 +231,6 @@ class TestReconstruct:
         assert trace.stop_reason == "min-epsilon"
         assert trace.n_iterations - trace.best_iteration >= 100
 
-    def test_threshold_stop(self, small_grid):
-        rec = heralded_record(small_grid)
-        trace = reconstruct(
-            rec, 3, StoppingConfig(max_iters=100_000, eps_threshold=1e-3)
-        )
-        assert trace.stop_reason == "threshold"
-        assert trace.epsilon[trace.n_iterations - 1] <= 1e-3
-
     def test_store_every_snapshots(self, small_grid):
         rec = heralded_record(small_grid)
         trace = reconstruct(rec, 3, StoppingConfig(max_iters=100, store_every=10))
@@ -260,21 +251,14 @@ class TestReconstruct:
         other = EfficiencyGrid(np.linspace(0.2, 0.6, 5))
         m = build_matrix(other, 2, 3)
         with pytest.raises(GridMismatchError):
-            reconstruct(rec, 3, matrix=m)
-
-    def test_custom_q0(self, small_grid):
-        rec = heralded_record(small_grid)
-        q0 = np.full(16, 1.0 / 16)
-        t1 = reconstruct(rec, 3, StoppingConfig(max_iters=200), q0=q0)
-        t2 = reconstruct(rec, 3, StoppingConfig(max_iters=200))
-        np.testing.assert_allclose(t1.final.values, t2.final.values, atol=1e-14)
+            log_likelihood(np.full(16, 1.0 / 16), m, rec)
 
     def test_degenerate_start_raises(self, small_grid):
+        # at N = 0 the model holds only the vacuum and never clicks, so
+        # the uniform start already gives the observed clicks no probability
         rec = heralded_record(small_grid)
-        q0 = np.zeros(16)
-        q0[0] = 1.0
         with pytest.raises(DegenerateSupportError):
-            reconstruct(rec, 3, StoppingConfig(max_iters=50), q0=q0)
+            reconstruct(rec, 0)
 
 
 def _kernel_args(grid):
@@ -285,7 +269,7 @@ def _kernel_args(grid):
     inv = 1.0 / colsum
     mt = np.ascontiguousarray(m.rows.T)
     q0 = np.full(16, 1.0 / 16)
-    return (m.rows, mt, inv, h, q0, 500, 200, 0.0, 0.0)
+    return (m.rows, mt, inv, h, q0, 500, 200, 0.0)
 
 
 def _assert_kernel_outputs_match(out_loop, out_np):
@@ -333,11 +317,11 @@ class TestBackendsAgree:
         q0 = np.stack([uniform] * 3 + [vacuum], axis=1)
         max_iters, patience = 3000, 100
         block = em_run(m.rows, back_projector(m.rows, m.column_sums()), h, q0,
-                       max_iters, patience, 0.0, np.append(mind, 0.0))
+                       max_iters, patience, np.append(mind, 0.0))
         stops = set()
         for col in range(3):
             ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
-                                patience, 0.0, mind[col])
+                                patience, mind[col])
             np.testing.assert_allclose(
                 block.best_q[:, col], ref[0], rtol=0, atol=1e-13
             )
@@ -411,7 +395,7 @@ class TestChunkBoundaries:
         matrix, mt, inv, back = setup
         h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
         q0 = np.full(16, 1.0 / 16)
-        args = (3000, patience, 0.0, 1e-4)
+        args = (3000, patience, 1e-4)
         ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
         assert ref[6] == STATUS_MIN_EPSILON and (ref[3] - 1) % 7 == position
         block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
@@ -422,31 +406,29 @@ class TestChunkBoundaries:
             block.status[0],
         ))
 
-    def test_max_iters_and_threshold_stops(self, setup, small_grid, monkeypatch):
-        # staggered threshold stops, one column that never reaches the
-        # threshold, and per-column min_decrease
+    def test_max_iters_and_patience_stops(self, setup, small_grid, monkeypatch):
+        # staggered patience stops beside a column that runs to max_iters,
+        # with per-column min_decrease
         matrix, mt, inv, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 2000, 3))]
-        mind = np.array([0.0, 1e-5, 3e-4])
+        mind = np.array([0.0, 1e-4, 3e-4])
         q0 = np.full(16, 1.0 / 16)
-        max_iters, threshold = 2001, 3e-3
+        max_iters, patience = 2001, 50
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0] * 3, axis=1), max_iters, max_iters,
-                           threshold, mind)
+                           np.stack([q0] * 3, axis=1), max_iters, patience, mind)
         stops = []
         for col in range(3):
             ref = _em_run_loops(matrix, mt, inv, hs[col], q0, max_iters,
-                                max_iters, threshold, mind[col])
+                                patience, mind[col])
             np.testing.assert_allclose(block.best_q[:, col], ref[0], rtol=0,
                                        atol=1e-13)
             assert block.best_iteration[col] == ref[2]
             assert block.n_iterations[col] == ref[3]
             assert block.status[col] == ref[6]
             stops.append((ref[6], ref[3]))
-        assert stops[2] == (STATUS_MAX_ITERS, max_iters)
-        assert {s for s, _ in stops[:2]} == {STATUS_THRESHOLD}
-        assert stops[0][1] != stops[1][1]
+        assert stops == [(STATUS_MAX_ITERS, max_iters),
+                         (STATUS_MIN_EPSILON, 1272), (STATUS_MIN_EPSILON, 613)]
 
     def test_snapshots_end_at_each_stop(self, setup, small_grid, monkeypatch):
         # columns leave the block at different iterations, one of them
@@ -458,7 +440,7 @@ class TestChunkBoundaries:
         vacuum[0] = 1.0
         q0 = np.stack([np.full(16, 1.0 / 16)] * 2 + [vacuum], axis=1)
         block = self._runs(monkeypatch, matrix, back,
-                           np.stack(hs + [hs[0]], axis=1), q0, 3000, 100, 0.0,
+                           np.stack(hs + [hs[0]], axis=1), q0, 3000, 100,
                            np.array([1e-4, 3e-4, 0.0]), history=True,
                            store_every=9)
         assert block.status.tolist() == [STATUS_MIN_EPSILON] * 2 + [STATUS_DEGENERATE]
@@ -480,7 +462,7 @@ class TestChunkBoundaries:
         h = forward_click_probabilities(
             JointDistribution(vac), small_grid).explicit_vector()
         q0 = vac.reshape(-1) if start == "vacuum" else np.full(16, 1.0 / 16)
-        args = (1500, 100, 0.0, 0.0)
+        args = (1500, 100, 0.0)
         ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
         block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
                            *args, history=True)
@@ -509,7 +491,7 @@ class TestChunkBoundaries:
                   JointDistribution(vac), small_grid).explicit_vector(),
               frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
-        args = (2500, 2500, 0.0, 0.0)
+        args = (2500, 2500, 0.0)
         iterate = _kernels._iterate
         runs = []
         for length in CHUNKS:
@@ -561,7 +543,6 @@ class TestStoppingConfigValidation:
         [
             {"max_iters": 0},
             {"patience": 0},
-            {"eps_threshold": -1.0},
             {"min_decrease": -1e-3},
             {"store_every": -1},
         ],
