@@ -1,6 +1,7 @@
 """Byte format of the output files: floats as their full-precision
 ``repr``, JSON indented by 2 with sorted keys, CSV in the default
-:mod:`csv` dialect. Reruns with the same manifest write the same bytes."""
+:mod:`csv` dialect. Reruns with the same manifest write the same bytes.
+:func:`json_number` checks the type of a number read from a JSON input."""
 
 from __future__ import annotations
 
@@ -12,6 +13,16 @@ import numpy as np
 
 def fmt(x) -> str:
     return repr(float(x))
+
+
+def json_number(key: str, value, integer: bool = False):
+    """``value`` if it is a JSON integer or (unless ``integer``) a JSON
+    number; raises ``ValueError`` otherwise. A boolean is neither."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return value
+    kind = "an integer" if integer else "a number"
+    raise ValueError(f"{key} must be {kind}, not {value!r}")
 
 
 def write_json(path, doc) -> None:

@@ -74,15 +74,6 @@ def _load_json(path: Path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _json_number(key: str, value, integer: bool = False):
-    """``value`` if it is None, a JSON integer or (unless ``integer``) a
-    JSON number; a boolean is neither."""
-    if value is None or type(value) in ((int,) if integer else (int, float)):
-        return value
-    kind = "an integer" if integer else "a number"
-    raise ConfigError(f"{key} must be {kind}, not {value!r}")
-
-
 # --- simulate ------------------------------------------------------------
 
 
@@ -99,7 +90,9 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
            for source in (PRESETS.get(preset, {}), config, flags)
            for key in keys if source.get(key) is not None}
     for key in keys[1:]:
-        _json_number(key, cfg.get(key), key in ("grid_k", "runs", "seed", "truncation"))
+        if key in cfg:
+            _io.json_number(key, cfg[key],
+                            key in ("grid_k", "runs", "seed", "truncation"))
     if "state" not in cfg:
         raise ConfigError("select --preset or provide --state FILE")
     state_doc = cfg["state"]
@@ -194,10 +187,14 @@ def _reference_marginal(args, manifest, truncation) -> np.ndarray | None:
             raise ConfigError(
                 "--reference multithermal needs --mean-photons (not in manifest)"
             )
-        spec = ThermalSpec(mean_photons, num_modes)
+        spec = ThermalSpec(_io.json_number("mean_photons", mean_photons),
+                           _io.json_number("num_modes", num_modes))
         return multithermal_marginal(spec, truncation)
     doc = _load_json(Path(ref))
-    state = state_from_json(doc)
+    try:
+        state = state_from_json(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{ref}: missing {exc}") from exc
     if state.truncation < truncation:
         raise ConfigError("reference state truncation below reconstruction")
     return marginal(state, 0)[: truncation + 1]
@@ -229,16 +226,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
-        truncation = _json_number(
-            "truncation", manifest.get("state", {}).get("truncation"), integer=True
-        )
+        truncation = manifest.get("state", {}).get("truncation")
     if truncation is None:
         raise ConfigError("--truncation is required (not found in a manifest)")
+    _io.json_number("truncation", truncation, integer=True)
     options = StoppingConfig(
         max_iters=args.max_iters,
         patience=args.patience,
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
+    # resolved before the solve: a bad reference writes no file
+    reference = _reference_marginal(args, manifest, truncation)
     trace = reconstruct(record, truncation, options=options)
 
     out_dir = Path(args.out_dir)
@@ -279,7 +277,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             summary["sigma01"] = _fmt(boot.sigma[0, 1])
             summary["sigma10"] = _fmt(boot.sigma[1, 0])
 
-    reference = _reference_marginal(args, manifest, truncation)
     if reference is not None:
         fids = [fidelity(marginal(trace.final, m), reference)
                 for m in range(trace.final.modes)]
@@ -320,11 +317,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     fig2 = args.figure == "fig2"
     runs = (100_000 if fig2 else 200_000) if args.runs is None else args.runs
-    # each table's record, as the simulate manifest that regenerates it
-    records = {}
+    # each table's header and rows, and its record, as the simulate
+    # manifest that regenerates it; nothing is written before all exist
+    tables, records = {}, {}
     if fig2:
         # two seeds stand in for the two spectral-filter variants
         options = StoppingConfig(max_iters=args.max_iters)
@@ -340,8 +337,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                     seed=seed, options=options,
                 )
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
-                _write_csv(out_dir / name, ["n", "k", "rho", "sigma"],
-                           _io.tensor_rows(trace.final.values, boot.sigma))
+                tables[name] = (["n", "k", "rho", "sigma"],
+                                _io.tensor_rows(trace.final.values, boot.sigma))
                 records[name] = sim
         message = f"wrote 4 joint-distribution tables to {out_dir}"
     else:
@@ -366,8 +363,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 [int(it), _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
                  _fmt(trace.epsilon[it])]
             )
-        _write_csv(
-            out_dir / "fidelity_curve.csv",
+        tables["fidelity_curve.csv"] = (
             ["iteration", "fidelity_mean", "fidelity_mode1", "fidelity_mode2",
              "epsilon"],
             rows,
@@ -380,16 +376,18 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 [_fmt(eta), _fmt(freq[nu, 0]), _fmt(freq[nu, 1]), _fmt(freq[nu, 2]),
                  _fmt(p00), _fmt(p01), _fmt(p10), int(record.runs[nu])]
             )
-        _write_csv(
-            out_dir / "frequency_overlay.csv",
+        tables["frequency_overlay.csv"] = (
             ["eta", "f00", "f01", "f10", "p00_ref", "p01_ref", "p10_ref", "runs"],
             overlay,
         )
-        records = dict.fromkeys(["fidelity_curve.csv", "frequency_overlay.csv"], sim)
+        records = dict.fromkeys(tables, sim)
         message = (
             f"wrote fidelity curve ({trace.n_iterations} iterations) and "
             f"frequency overlay to {out_dir}"
         )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
     manifest = {"command": "reproduce", "figure": args.figure,
                 "version": __version__, "runs": runs, "seed": args.seed,
                 "options": _options_doc(options), "records": records}

@@ -21,8 +21,11 @@ class GridMismatchError(ClicktomoError, ValueError):
 class DegenerateSupportError(ClicktomoError, ArithmeticError):
     """EM update hit a pattern with zero model probability but nonzero data.
 
-    Remedy: restart from a strictly positive initial distribution
-    (the default uniform start never triggers this).
+    An observed click pattern that no distribution within the truncation
+    can produce ends a reconstruction with this error: at truncation 0,
+    for example, the model holds only the vacuum and never clicks.
+    :func:`clicktomo.em_step` also raises it for a ``q`` that gives an
+    observed pattern no probability.
     """
 
 

@@ -272,8 +272,8 @@ def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float
     raises when the solve ended degenerate, non-finite or massless."""
     if status == _kernels.STATUS_DEGENERATE:
         raise DegenerateSupportError(
-            "model probability vanished on an observed pattern during "
-            "iteration; restart from a strictly positive start"
+            "an observed click pattern has no model probability; "
+            "the truncation may be too small to explain the data"
         )
     if not np.all(np.isfinite(best_q)):
         raise NumericalError("non-finite values in the EM iterate")

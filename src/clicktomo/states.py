@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import json_number
 from .errors import TruncationError
 
 __all__ = [
@@ -208,18 +209,26 @@ def state_from_json(doc: dict) -> JointDistribution:
 
     Supported kinds: ``heralded`` (tau), ``multithermal_split``
     (tau, mean_photons, num_modes) and ``custom`` (modes, values,
-    optional leakage). All kinds carry ``truncation``.
+    optional leakage). All kinds carry ``truncation``. ``truncation``
+    and ``modes`` must be integers and the other scalars numbers, a
+    boolean being neither; a value of another type raises ``ValueError``.
     """
+
+    def number(key, integer=False, default=None):
+        value = doc[key] if default is None else doc.get(key, default)
+        return json_number(key, value, integer)
+
     kind = doc.get("kind")
     if kind == "heralded":
-        return heralded_split_state(doc["tau"], doc["truncation"])
+        return heralded_split_state(number("tau"), number("truncation", True))
     if kind == "multithermal_split":
-        spec = ThermalSpec(doc["mean_photons"], doc.get("num_modes", 1.0))
-        marg = multithermal_marginal(spec, doc["truncation"])
-        return split_on_beamsplitter(marg, doc["tau"], doc["truncation"])
+        truncation = number("truncation", True)
+        spec = ThermalSpec(number("mean_photons"),
+                           number("num_modes", default=1.0))
+        marg = multithermal_marginal(spec, truncation)
+        return split_on_beamsplitter(marg, number("tau"), truncation)
     if kind == "custom":
-        return JointDistribution.from_flat(
-            doc["values"], doc["modes"], leakage=doc.get("leakage", 0.0)
-        )
+        return JointDistribution.from_flat(doc["values"], number("modes", True),
+                                           leakage=number("leakage", default=0.0))
     raise ValueError(f"unknown state kind {kind!r}")
 

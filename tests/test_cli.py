@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import clicktomo
-from clicktomo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from clicktomo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def run(args):
@@ -175,6 +175,53 @@ class TestReconstruct:
             "--reference", "multithermal", flag, "0",
             "--out-dir", str(tmp_path / "rec"),
         ]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [("mean_photons", "0.15"),
+                                            ("num_modes", True)])
+    def test_mistyped_manifest_reference_is_config_error(self, tmp_path,
+                                                          key, value):
+        # refused before the solve, so no output file is written
+        out = tmp_path / "sim"
+        assert run([
+            "simulate", "--preset", "multithermal-split", "--grid-k", "4",
+            "--runs", "1000", "--truncation", "2", "--out-dir", str(out),
+        ]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["state"][key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run([
+            "reconstruct", str(out), "--max-iters", "50",
+            "--reference", "multithermal", "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert not (tmp_path / "rec").exists()
+
+    def test_reference_state_without_tau_is_config_error(self, tmp_path):
+        sim = simulate_small(tmp_path)
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps({"kind": "heralded", "truncation": 3}))
+        assert run([
+            "reconstruct", str(sim), "--max-iters", "50",
+            "--reference", str(reference), "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert not (tmp_path / "rec").exists()
+
+    def test_zero_truncation_is_numerical_error(self, tmp_path, capsys):
+        # at N = 0 the model holds only the vacuum and never clicks, while
+        # the heralded data do
+        sim = simulate_small(tmp_path)
+        assert run([
+            "reconstruct", str(sim), "--truncation", "0",
+            "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_NUMERICAL
+        assert "truncation may be too small" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_eps_threshold_flag_is_refused(self, tmp_path):
+        sim = simulate_small(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", str(sim), "--eps-threshold", "1e-3",
+                 "--out-dir", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_missing_record_is_data_error(self, tmp_path):
         assert run([
@@ -397,6 +444,7 @@ class TestReproduce:
             "reproduce", figure, "--runs", "0", "--max-iters", "50",
             "--bootstrap-reps", "2", "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command, values", [
@@ -407,9 +455,12 @@ class TestReproduce:
     ("simulate", {"runs": 1000.7, "seed": 3.9}),
     ("simulate", {"preset": ["heralded-balanced"]}),
     ("simulate", {"state": 5}),
+    ("simulate", {"state": {"kind": "heralded", "tau": 0.5, "truncation": 3.5}}),
+    ("simulate", {"state": {"kind": "heralded", "tau": "0.5", "truncation": 3}}),
     ("reconstruct", {"truncation": 3.7}),
 ], ids=["fractional truncation", "string tau", "string grid_k", "boolean runs",
         "fractional runs and seed", "list preset", "number state",
+        "fractional state truncation", "string state tau",
         "fractional manifest truncation"])
 def test_mistyped_value_is_config_error(tmp_path, command, values):
     # config-file and manifest values must have the JSON type their flags imply

@@ -257,7 +257,7 @@ class TestReconstruct:
         # at N = 0 the model holds only the vacuum and never clicks, so
         # the uniform start already gives the observed clicks no probability
         rec = heralded_record(small_grid)
-        with pytest.raises(DegenerateSupportError):
+        with pytest.raises(DegenerateSupportError, match="truncation"):
             reconstruct(rec, 0)
 
 

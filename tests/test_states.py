@@ -242,3 +242,21 @@ class TestStateJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             state_from_json({"kind": "squeezed", "truncation": 2})
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "heralded", "tau": 0.5, "truncation": 3.5},
+        {"kind": "heralded", "tau": "0.5", "truncation": 3},
+        {"kind": "heralded", "tau": 0.5, "truncation": True},
+        {"kind": "multithermal_split", "tau": 0.5, "mean_photons": "0.15",
+         "truncation": 4},
+        {"kind": "multithermal_split", "tau": 0.5, "mean_photons": 0.15,
+         "num_modes": None, "truncation": 4},
+        {"kind": "custom", "modes": 2.0, "values": [0.0, 0.6, 0.4, 0.0]},
+        {"kind": "custom", "modes": 2, "values": [0.0, 0.6, 0.4, 0.0],
+         "leakage": False},
+    ], ids=["fractional truncation", "string tau", "boolean truncation",
+            "string mean_photons", "null num_modes", "float modes",
+            "boolean leakage"])
+    def test_mistyped_number(self, doc):
+        with pytest.raises(ValueError, match="must be an? (integer|number)"):
+            state_from_json(doc)
