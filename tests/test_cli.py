@@ -216,13 +216,6 @@ class TestReconstruct:
         assert "truncation may be too small" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_eps_threshold_flag_is_refused(self, tmp_path):
-        sim = simulate_small(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            run(["reconstruct", str(sim), "--eps-threshold", "1e-3",
-                 "--out-dir", str(tmp_path / "x")])
-        assert exc.value.code == EXIT_CONFIG
-
     def test_missing_record_is_data_error(self, tmp_path):
         assert run([
             "reconstruct", str(tmp_path / "absent.json"),
