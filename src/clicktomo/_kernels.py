@@ -137,14 +137,18 @@ def _em_run_loops(
 # several iterates along a leading axis.
 
 
+def inverse_column_sums(colsum):
+    """``1/colsum``, and 0 where the column sum vanishes."""
+    positive = colsum > 0.0
+    return np.where(positive, 1.0 / np.where(positive, colsum, 1.0), 0.0)
+
+
 def back_projector(matrix, colsum):
     """P×R back-projection: ``matrix.T`` with row p scaled by
     ``1/colsum[p]`` (0 where the column sum vanishes), so that one EM
-    update is ``q * (back @ (h/g))``. One copy, scaled in place."""
-    positive = colsum > 0.0
-    inv_colsum = np.where(positive, 1.0 / np.where(positive, colsum, 1.0), 0.0)
+    update is ``q * back.dot(h/g)``. One copy, scaled in place."""
     back = matrix.T.copy()
-    back *= inv_colsum[:, None]
+    back *= inverse_column_sums(colsum)[:, None]
     return back
 
 
@@ -221,9 +225,9 @@ def _iterate(matrix, back, h, gs, qs, ratio, start, n, where):
         ratio.fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         for g, q, nxt in zip(gs[start:n], qs[start:n], qs[start + 1:n + 1]):
-            np.dot(matrix, q, out=g)
+            matrix.dot(q, out=g)
             np.divide(h, g, out=ratio, where=where)
-            np.dot(back, ratio, out=nxt)
+            back.dot(ratio, out=nxt)
             np.multiply(nxt, q, out=nxt)
 
 
@@ -263,7 +267,11 @@ def em_run(
 ) -> BlockResult:
     """Iterate the P×B block ``q0`` against the R×B frequencies ``h``.
 
-    ``back`` is :func:`back_projector` of ``matrix``. ``min_decrease``
+    ``matrix`` (R×P) and ``back`` (P×R) are the dense matrix and its
+    :func:`back_projector`, or any pair of operators with ``shape`` and
+    ``dot(x, out=None)`` on P×B and R×B blocks, such as the factored
+    two-mode pair of :class:`clicktomo.detection.DetectionMatrix`.
+    ``min_decrease``
     is a scalar or one value per column. ``history`` keeps the ε and
     log-likelihood of every iteration (memory O(max_iters·B));
     ``store_every > 0`` keeps every that-many-th iterate. The module
@@ -379,7 +387,7 @@ def em_run(
         h, best_q = h.take(keep, axis=1), best_q.take(keep, axis=1)
         g = gbuf[n - 1].take(keep, axis=1)
         q = qs[n - 1].take(keep, axis=1)
-        q *= back @ data_ratio(h, g)
+        q *= back.dot(data_ratio(h, g))
         qs = None
     else:
         best_out[:, cols] = best_q

@@ -8,9 +8,11 @@ model mapping joint photon statistics to click-pattern probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._kernels import back_projector, inverse_column_sums
 from .errors import GridMismatchError, ResourceLimitError
 from .states import JointDistribution
 
@@ -28,8 +30,14 @@ __all__ = [
 # Columns (1+N)^M a detection matrix may have.
 COLUMN_CAP = 10**6
 # Bytes a reconstruction may spend on the matrix and the back-projector,
-# its scaled transpose: rows x columns x 8 B each.
+# its scaled transpose: rows x columns x 8 B each. Counted on the dense
+# size also where the solve runs on the factored pair.
 MATRIX_BYTES_CAP = 2**30
+# Two-mode matrices from this truncation on run the forward model and the
+# EM update on the factored pair (TwoModeMatrix) instead of the dense
+# matrix: the crossover of one forward plus back-projection, measured with
+# benchmarks/bench_em.py (README, Performance).
+FACTORED_MIN_TRUNCATION = 32
 
 
 @dataclass(frozen=True)
@@ -93,28 +101,175 @@ def click_patterns(modes: int) -> list[str]:
     return [format(i, f"0{modes}b") for i in range(2**modes)]
 
 
+def _output(out, shape):
+    """``out``, checked as :func:`numpy.dot` checks it (the factored maps
+    write through reshaped views of it), or a new array."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    return out
+
+
+class TwoModeMatrix:
+    """The R×P detection matrix of two modes, held as its factors.
+
+    Row (pattern, eta) of the dense matrix is the outer product of one
+    factor per mode: a = (1-eta)^n for no click, 1 - a for a click. With
+    Q the (N+1)×(N+1)×B view of a P×B block, T = a@Q and U = (1-a)@Q,
+    the forward map is p00 = Σ T∘a, p01 = Σ T∘(1-a), p10 = Σ U∘a, and
+    the transpose is [a; 1-a]ᵀ @ [r00 a + r01 (1-a); r10 a]. Each way
+    is one BLAS product of 2K(N+1)^2 multiply-adds per column on factors
+    that stay in cache, where the dense matrix streams its 3K(N+1)^2
+    entries from memory. Every entry of either map is a sum of nonnegative products,
+    as in the dense matrix. A form that subtracts, such as
+    p01 = aᵀQ1 - p00, cancels where a is about 1e-15 (eta = 0.25 at
+    n = 120): it can turn a model frequency negative, or a column sum
+    into rounding noise.
+    """
+
+    def __init__(self, a):
+        k, side = a.shape
+        self.shape = (3 * k, side * side)
+        self._k, self._side = k, side
+        self._ac = np.concatenate([a, 1.0 - a])  # 2K×(N+1)
+        self._a = self._ac[:k]
+        # per efficiency, the factors as rows (2×K×1×(N+1)) and as
+        # columns (K×(N+1)×2), for batched products with T, U and r
+        self._rows_ac = self._ac.reshape(2, k, 1, side)
+        self._row_a = self._a[:, None, :]
+        self._cols_ac = np.stack([self._a, self._ac[k:]], axis=-1)
+
+    def dot(self, x, out=None):
+        """``A @ x`` for a P-vector or a P×B block."""
+        k, side = self._k, self._side
+        x2 = x.reshape(side, -1)
+        width = x2.shape[1] // side
+        out = _output(out, (self.shape[0],) + x.shape[1:])
+        tu = (self._ac @ x2).reshape(2 * k, side, width)
+        np.matmul(self._rows_ac, tu[:k], out=out[:2 * k].reshape(2, k, 1, width))
+        np.matmul(self._row_a, tu[k:], out=out[2 * k:].reshape(k, 1, width))
+        return out
+
+    def rdot(self, r, out=None):
+        """``A.T @ r`` for an R-vector or an R×B block."""
+        k, side = self._k, self._side
+        r2 = r.reshape(3 * k, -1)
+        width = r2.shape[1]
+        out = _output(out, (self.shape[1],) + r.shape[1:])
+        wv = np.empty((2 * k, side, width))
+        np.matmul(self._cols_ac, r2[:2 * k].reshape(2, k, width).transpose(1, 0, 2),
+                  out=wv[:k])
+        np.einsum("ik,ib->ikb", self._a, r2[2 * k:], out=wv[k:])
+        np.dot(self._ac.T, wv.reshape(2 * k, side * width),
+               out=out.reshape(side, side * width))
+        return out
+
+
+class ScaledTranspose:
+    """P×R back-projection of a :class:`TwoModeMatrix`: its transpose with
+    row p scaled by ``inv_colsum[p]``, as :func:`back_projector` builds
+    it from a dense matrix."""
+
+    def __init__(self, matrix: TwoModeMatrix, inv_colsum):
+        self.shape = matrix.shape[::-1]
+        self._matrix = matrix
+        self._inv_colsum = inv_colsum
+
+    def dot(self, r, out=None):
+        out = self._matrix.rdot(r, out)
+        out *= self._inv_colsum.reshape((-1,) + (1,) * (out.ndim - 1))
+        return out
+
+
 @dataclass(frozen=True)
 class DetectionMatrix:
     """Linear map from flattened joint photon statistics to the explicit
     click-pattern probabilities.
 
-    ``rows`` has shape (R, P) with R = (2^M - 1) * K: one block of K
+    ``shape`` is (R, P) with R = (2^M - 1) * K: one block of K
     efficiencies per explicit pattern, patterns in binary order with the
     all-click pattern omitted.  Columns follow the row-major flattening
     of the photon tensor (mode 1 slowest).
+
+    ``forward`` (R×P) and ``back`` (P×R, the transpose with row p scaled
+    by one over column sum p) are what the forward model and the EM
+    update multiply by. For two modes at truncation N >=
+    ``FACTORED_MIN_TRUNCATION`` they are the factored pair
+    (:class:`TwoModeMatrix`); otherwise the dense ``rows`` and its
+    scaled copy. ``rows`` is built on first use.
     """
 
-    rows: np.ndarray
     grid: EfficiencyGrid
     modes: int
     truncation: int
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        if self.modes < 1:
+            raise ValueError("modes must be >= 1")
+        if self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
+        n_rows, n_cols = self.shape
+        if n_cols > COLUMN_CAP:
+            raise ResourceLimitError(
+                f"(1+N)^M = {n_cols} columns exceeds the cap of {COLUMN_CAP}"
+            )
+        # the dense equivalent, whichever operator the solve uses
+        matrix_bytes = 2 * 8 * n_rows * n_cols
+        if matrix_bytes > MATRIX_BYTES_CAP:
+            raise ResourceLimitError(
+                f"the {n_rows} x {n_cols} matrix and its back-projector need "
+                f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
+                f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
+            )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return ((2**self.modes - 1) * len(self.grid),
+                (self.truncation + 1) ** self.modes)
+
+    @cached_property
+    def _no_click(self) -> np.ndarray:
+        """K×(N+1): the no-click factor a = (1-eta)^n of one mode."""
+        return no_click_coefficient(self.grid.etas[:, None],
+                                    np.arange(self.truncation + 1))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The dense R×P matrix, read-only."""
+        # per mode: no click with probability a, a click with 1 - a
+        a = self._no_click
+        factors = {"0": a, "1": 1.0 - a}
+        k, side = a.shape
+        rows = np.empty(self.shape)
+        for b, pattern in enumerate(click_patterns(self.modes)[:-1]):
+            # outer product over the modes, one row per efficiency; the last
+            # factor is multiplied straight into the matrix, so no temporary
+            # of the matrix block's size is made
+            block = np.ones((k, 1))
+            for bit in pattern[:-1]:
+                block = (block[:, :, None] * factors[bit][:, None, :]).reshape(k, -1)
+            np.multiply(block[:, :, None], factors[pattern[-1]][:, None, :],
+                        out=rows[b * k:(b + 1) * k].reshape(k, -1, side))
         rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        return rows
+
+    @cached_property
+    def forward(self):
+        if self.modes == 2 and self.truncation >= FACTORED_MIN_TRUNCATION:
+            return TwoModeMatrix(self._no_click)
+        return self.rows
+
+    @cached_property
+    def back(self):
+        colsum = self.column_sums()
+        if isinstance(self.forward, TwoModeMatrix):
+            return ScaledTranspose(self.forward, inverse_column_sums(colsum))
+        return back_projector(self.rows, colsum)
 
     def column_sums(self) -> np.ndarray:
+        if isinstance(self.forward, TwoModeMatrix):
+            return self.forward.rdot(np.ones(self.shape[0]))
         return self.rows.sum(axis=0)
 
     def check_grid(self, grid: EfficiencyGrid) -> None:
@@ -125,41 +280,10 @@ class DetectionMatrix:
 
 
 def build_matrix(grid: EfficiencyGrid, modes: int, truncation: int) -> DetectionMatrix:
-    """Assemble the click-pattern matrix for M modes on a truncated space,
-    every mode seeing the grid efficiency."""
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    side = truncation + 1
-    n_cols = side**modes
-    if n_cols > COLUMN_CAP:
-        raise ResourceLimitError(
-            f"(1+N)^M = {n_cols} columns exceeds the cap of {COLUMN_CAP}"
-        )
-    n_rows = (2**modes - 1) * len(grid)
-    matrix_bytes = 2 * 8 * n_rows * n_cols
-    if matrix_bytes > MATRIX_BYTES_CAP:
-        raise ResourceLimitError(
-            f"the {n_rows} x {n_cols} matrix and its back-projector need "
-            f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
-            f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
-        )
-    # per mode: no click with probability a = (1-eta)^n, a click with 1 - a
-    a = no_click_coefficient(grid.etas[:, None], np.arange(side))
-    factors = {"0": a, "1": 1.0 - a}
-    k = len(grid)
-    rows = np.empty((n_rows, n_cols))
-    for b, pattern in enumerate(click_patterns(modes)[:-1]):
-        # outer product over the modes, one row per efficiency; the last
-        # factor is multiplied straight into the matrix, so no temporary
-        # of the matrix block's size is made
-        block = np.ones((k, 1))
-        for bit in pattern[:-1]:
-            block = (block[:, :, None] * factors[bit][:, None, :]).reshape(k, -1)
-        np.multiply(block[:, :, None], factors[pattern[-1]][:, None, :],
-                    out=rows[b * k:(b + 1) * k].reshape(k, -1, side))
-    return DetectionMatrix(rows=rows, grid=grid, modes=modes, truncation=truncation)
+    """The click-pattern matrix for M modes on a truncated space, every
+    mode seeing the grid efficiency. Checks the caps; allocates nothing
+    of the matrix's size."""
+    return DetectionMatrix(grid=grid, modes=modes, truncation=truncation)
 
 
 @dataclass(frozen=True)
@@ -198,7 +322,7 @@ def forward_click_probabilities(
 ) -> ClickProbabilities:
     """Exact click statistics of ``state`` measured over ``grid``."""
     matrix = build_matrix(grid, state.modes, state.truncation)
-    g = matrix.rows @ state.flat()
+    g = matrix.forward.dot(state.flat())
     k = len(grid)
     n_explicit = 2**state.modes - 1
     table = np.empty((k, n_explicit + 1))

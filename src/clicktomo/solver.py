@@ -116,7 +116,7 @@ class ReconstructionTrace:
 
 
 def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]:
-    n_rows, n_cols = matrix.rows.shape
+    n_rows, n_cols = matrix.shape
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (n_cols,):
         raise ValueError(f"q must have length {n_cols}, got {q.shape}")
@@ -131,20 +131,19 @@ def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]
 def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
     """One multiplicative update of the flattened distribution."""
     q, h = _validate_qh(q, matrix, h)
-    g = matrix.rows @ q
+    g = matrix.forward.dot(q)
     if _kernels.degenerate_columns(h[:, None], g[:, None])[0]:
         raise DegenerateSupportError(
             "model probability vanished on an observed pattern; "
             "restart from a strictly positive (e.g. uniform) start"
         )
-    back = _kernels.back_projector(matrix.rows, matrix.column_sums())
-    return q * (back @ _kernels.data_ratio(h, g))
+    return q * matrix.back.dot(_kernels.data_ratio(h, g))
 
 
 def total_error(q, matrix: DetectionMatrix, h) -> float:
     """Mean absolute deviation between measured and modeled frequencies."""
     q, h = _validate_qh(q, matrix, h)
-    g = matrix.rows @ q
+    g = matrix.forward.dot(q)
     return float(_kernels.mean_abs_deviation(h[:, None], g[:, None])[0])
 
 
@@ -160,7 +159,7 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
     observed pattern has zero model probability.
     """
     matrix.check_grid(record.grid)
-    g = (matrix.rows @ np.asarray(q, dtype=np.float64))[:, None]
+    g = matrix.forward.dot(np.asarray(q, dtype=np.float64))[:, None]
     h = frequencies(record)[:, None]
     return float(_kernels.log_likelihood(h, g)[0])
 
@@ -257,11 +256,10 @@ def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,
     """One kernel run, every column from the uniform start; ``history``
     keeps the per-iteration ε and log-likelihood and the snapshots
     ``options.store_every`` asks for."""
-    n_cols = matrix.rows.shape[1]
+    n_cols = matrix.shape[1]
     q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
-    back = _kernels.back_projector(matrix.rows, matrix.column_sums())
     return _kernels.em_run(
-        matrix.rows, back, h, q0, options.max_iters, options.patience,
+        matrix.forward, matrix.back, h, q0, options.max_iters, options.patience,
         min_decrease, history=history,
         store_every=options.store_every if history else 0,
     )

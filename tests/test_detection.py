@@ -7,14 +7,18 @@ import pytest
 from clicktomo import (
     EfficiencyGrid,
     JointDistribution,
+    ThermalSpec,
     build_matrix,
     forward_click_probabilities,
     heralded_split_state,
+    multithermal_marginal,
     no_click_coefficient,
+    split_on_beamsplitter,
     uniform_grid,
 )
 from clicktomo import detection
-from clicktomo.detection import click_patterns
+from clicktomo._kernels import back_projector, degenerate_columns, inverse_column_sums
+from clicktomo.detection import ScaledTranspose, TwoModeMatrix, click_patterns
 from clicktomo.errors import ResourceLimitError
 
 
@@ -166,6 +170,111 @@ class TestBuildMatrix:
         monkeypatch.setattr(detection, "MATRIX_BYTES_CAP", 3839)
         with pytest.raises(ResourceLimitError, match="3839 bytes"):
             build_matrix(small_grid, 2, 3)
+
+
+def _assert_relative(got, want, rtol=1e-14):
+    """Entry by entry within ``rtol`` of ``want``, exact zeros included."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    nonzero = want != 0.0
+    assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= rtol
+
+
+def _factored(grid, truncation):
+    """The factored two-mode matrix, built directly, whatever the size
+    rule picks."""
+    return TwoModeMatrix(
+        no_click_coefficient(grid.etas[:, None], np.arange(truncation + 1)))
+
+
+class TestTwoModeMatrix:
+    # the multithermal grid, and one from eta = 0.25 to 1: at n = 120 the
+    # no-click factor (0.75^120) is about 1e-15, and so are the sums of
+    # the high-n columns
+    GRIDS = [uniform_grid(35, 0.05, 0.25), uniform_grid(12, 0.25, 1.0)]
+
+    @pytest.mark.parametrize("truncation", [30, 60, 120])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_dense_rows(self, truncation, width, rng):
+        for grid in self.GRIDS:
+            m = build_matrix(grid, 2, truncation)
+            dense, op = m.rows, _factored(grid, truncation)
+            assert op.shape == dense.shape
+            colsum = op.rdot(np.ones(dense.shape[0]))
+            _assert_relative(colsum, dense.sum(axis=0))
+            q = rng.random((dense.shape[1], width))
+            q /= q.sum(axis=0)
+            ratio = rng.random((dense.shape[0], width)) + 0.5
+            back = ScaledTranspose(op, inverse_column_sums(colsum))
+            dense_back = back_projector(dense, dense.sum(axis=0))
+            for col in range(width):
+                _assert_relative(op.dot(q)[:, col], (dense @ q)[:, col])
+                _assert_relative(op.rdot(ratio)[:, col], (dense.T @ ratio)[:, col])
+                _assert_relative(back.dot(ratio)[:, col],
+                                 (dense_back @ ratio)[:, col])
+            if truncation == 120 and grid is self.GRIDS[1]:
+                assert colsum.min() < 1e-14
+
+    def test_writes_into_out_and_takes_vectors(self, rng):
+        grid = self.GRIDS[0]
+        op = _factored(grid, 40)
+        q = rng.random((41 * 41, 2))
+        g = np.empty((op.shape[0], 2))
+        assert op.dot(q, out=g) is g
+        _assert_relative(op.dot(q[:, 1].copy()), g[:, 1])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            op.dot(q, out=np.empty((2, op.shape[0])).T)
+
+    def test_exact_zeros_at_unit_efficiency(self):
+        # support on (0,0), (1,1) and (2,3): at eta = 1 the patterns 01
+        # and 10 need a photon in exactly one mode, so their probability
+        # is exactly 0 there, as in the dense matrix
+        grid = EfficiencyGrid(np.array([0.3, 0.6, 1.0]))
+        truncation = 40
+        values = np.zeros((truncation + 1, truncation + 1))
+        values[0, 0], values[1, 1], values[2, 3] = 0.5, 0.3, 0.2
+        m = build_matrix(grid, 2, truncation)
+        assert isinstance(m.forward, TwoModeMatrix)
+        q = values.reshape(-1)
+        g = m.forward.dot(q)
+        dense = m.rows @ q
+        _assert_relative(g, dense)
+        assert np.flatnonzero(g == 0.0).tolist() == [5, 8]
+        # data that click in both single-mode patterns at eta = 1 have no
+        # model probability there; the model's own frequencies do
+        wide = JointDistribution(np.full(values.shape, 1.0 / values.size))
+        h = np.stack([m.forward.dot(wide.flat()), dense, dense], axis=1)
+        qs = np.stack([q, q, wide.flat()], axis=1)
+        np.testing.assert_array_equal(
+            degenerate_columns(h, m.forward.dot(qs)), [True, False, False])
+
+    def test_size_rule(self, small_grid):
+        n = detection.FACTORED_MIN_TRUNCATION
+        assert isinstance(build_matrix(small_grid, 2, n).forward, TwoModeMatrix)
+        assert isinstance(build_matrix(small_grid, 2, n).back, ScaledTranspose)
+        for modes, truncation in ((2, n - 1), (2, 3), (2, 8), (1, 200)):
+            m = build_matrix(small_grid, modes, truncation)
+            assert m.forward is m.rows
+            np.testing.assert_array_equal(
+                m.back, back_projector(m.rows, m.rows.sum(axis=0)))
+        m = build_matrix(EfficiencyGrid(np.array([0.5])), 3, n)
+        assert m.forward is m.rows
+
+    def test_wide_forward_model_never_builds_the_dense_matrix(self):
+        # N = 120 on the multithermal grid: the dense matrix would take
+        # 105 x 14,641 x 8 B = 12.3 MB
+        grid = uniform_grid(35, 0.05, 0.25)
+        state = split_on_beamsplitter(
+            multithermal_marginal(ThermalSpec(0.15, 1000.0), 120), 0.5, 120)
+        tracemalloc.start()
+        try:
+            probs = forward_click_probabilities(state, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        dense = build_matrix(grid, 2, 120).rows @ state.flat()
+        _assert_relative(probs.explicit_vector(), dense)
 
 
 class TestForwardClickProbabilities:

@@ -14,6 +14,7 @@ from clicktomo import (
     frequencies,
     heralded_split_state,
     log_likelihood,
+    no_click_coefficient,
     reconstruct,
     reconstruct_exact,
     sample_clicks,
@@ -29,7 +30,10 @@ from clicktomo._kernels import (
     back_projector,
     chunk_length,
     em_run,
+    inverse_column_sums,
 )
+from clicktomo import detection
+from clicktomo.detection import ScaledTranspose, TwoModeMatrix
 from clicktomo.errors import DegenerateSupportError, GridMismatchError
 from clicktomo.solver import _CSV_BLOCK_ROWS, _frequency_noise_floor
 
@@ -334,6 +338,72 @@ class TestBackendsAgree:
         assert block.n_iterations[3] == 1
         np.testing.assert_array_equal(block.best_q[:, 3], vacuum)
         assert block.epsilon is None and block.loglik is None
+
+
+class TestFactoredOperator:
+    """The kernel and the one-step functions on the factored two-mode
+    pair, against the dense matrix."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_em_run_matches_loop_reference(self, small_grid, width):
+        # built directly, below the truncation the size rule factors at;
+        # patience stops at different iterations, and with these
+        # min_decrease values the stop rule never sees two ε values within
+        # 1e-10 of each other, so last-bit differences cannot move a stop
+        m = build_matrix(small_grid, 2, 3)
+        op = TwoModeMatrix(no_click_coefficient(small_grid.etas[:, None],
+                                                np.arange(4)))
+        back = ScaledTranspose(op, inverse_column_sums(op.rdot(np.ones(15))))
+        mt = np.ascontiguousarray(m.rows.T)
+        inv = 1.0 / m.column_sums()
+        hs = [
+            frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+            for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.3, 20_000, 3))
+        ][:width]
+        mind = np.array([1e-4, 3e-4, 1e-4])[:width]
+        uniform = np.full(16, 1.0 / 16)
+        max_iters, patience = 3000, 100
+        block = em_run(op, back, np.stack(hs, axis=1),
+                       np.stack([uniform] * width, axis=1), max_iters,
+                       patience, mind, history=True)
+        for col in range(width):
+            ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
+                                patience, mind[col])
+            bar, margin = np.inf, np.inf
+            for e in ref[4][:ref[3]]:
+                margin = min(margin, abs(e - bar))
+                if e < bar:
+                    bar = e - mind[col]
+            assert margin > 1e-10
+            assert ref[6] == STATUS_MIN_EPSILON
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+
+    def test_one_step_functions(self, rng):
+        # at the size rule's truncation em_step, total_error and
+        # log_likelihood run on the factored pair
+        grid = uniform_grid(6, 0.1, 0.6)
+        m = build_matrix(grid, 2, detection.FACTORED_MIN_TRUNCATION)
+        assert isinstance(m.forward, TwoModeMatrix)
+        n_cols = m.shape[1]
+        q = rng.random(n_cols)
+        q /= q.sum()
+        h = m.rows @ (q + rng.random(n_cols) / n_cols) / 2.0
+        g = m.rows @ q
+        back = back_projector(m.rows, m.rows.sum(axis=0))
+        np.testing.assert_allclose(em_step(q, m, h), q * (back @ (h / g)),
+                                   rtol=1e-13, atol=0)
+        assert total_error(q, m, h) == pytest.approx(
+            np.mean(np.abs(h - g)), rel=1e-13)
+        rec = sample_clicks(forward_click_probabilities(
+            JointDistribution.from_flat(q, 2), grid), 1000, seed=1)
+        hr = frequencies(rec)
+        assert log_likelihood(q, m, rec) == pytest.approx(
+            np.sum(hr * np.log(g / hr, where=hr > 0, out=np.zeros_like(g))
+                   + hr - g), rel=1e-12)
 
 
 def _force_chunk(monkeypatch, length, matrix, width):
