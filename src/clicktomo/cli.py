@@ -161,6 +161,11 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
             manifest = _load_json(manifest_path)
+            if not isinstance(manifest, dict) or not isinstance(
+                    manifest.get("state", {}), dict):
+                raise ConfigError(
+                    f"{manifest_path}: the manifest and its state must be "
+                    "JSON objects")
         path = path / "record.json"
     load = ClickRecord.from_csv if path.suffix == ".csv" else ClickRecord.from_json
     try:

@@ -195,6 +195,21 @@ class TestReconstruct:
         ]) == EXIT_CONFIG
         assert not (tmp_path / "rec").exists()
 
+    @pytest.mark.parametrize("manifest, flags", [
+        ({"state": [1]}, []),
+        ([1], ["--reference", "multithermal"]),
+    ])
+    def test_manifest_not_an_object_is_config_error(self, tmp_path, capsys,
+                                                    manifest, flags):
+        sim = simulate_small(tmp_path)
+        (sim / "manifest.json").write_text(json.dumps(manifest))
+        assert run([
+            "reconstruct", str(sim), "--max-iters", "50", *flags,
+            "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert "must be JSON objects" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
     def test_reference_state_without_tau_is_config_error(self, tmp_path):
         sim = simulate_small(tmp_path)
         reference = tmp_path / "reference.json"
