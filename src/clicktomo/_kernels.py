@@ -271,11 +271,11 @@ def em_run(
     :func:`back_projector`, or any pair of operators with ``shape`` and
     ``dot(x, out=None)`` on P×B and R×B blocks, such as the factored
     two-mode pair of :class:`clicktomo.detection.DetectionMatrix`.
-    ``min_decrease``
-    is a scalar or one value per column. ``history`` keeps the ε and
-    log-likelihood of every iteration (memory O(max_iters·B));
-    ``store_every > 0`` keeps every that-many-th iterate. The module
-    docstring describes the two phases of each chunk.
+    ``min_decrease`` is a scalar or one value per column. ``history``
+    keeps the ε and log-likelihood of every iteration (memory
+    O(max_iters·B)); ``store_every > 0`` keeps every that-many-th
+    iterate. The module docstring describes the two phases of each
+    chunk.
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape

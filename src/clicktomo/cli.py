@@ -426,7 +426,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     def fixed_point():
         state = heralded_split_state(0.4, 2)
         matrix = build_matrix(grid, 2, 2)
-        h = matrix.rows @ state.flat()
+        h = matrix.forward.dot(state.flat())
         q1 = em_step(state.flat(), matrix, h)
         assert np.max(np.abs(q1 - state.flat())) < 1e-12
 
@@ -450,7 +450,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     def error_zero():
         state = heralded_split_state(0.5, 2)
         matrix = build_matrix(grid, 2, 2)
-        h = matrix.rows @ state.flat()
+        h = matrix.forward.dot(state.flat())
         assert total_error(state.flat(), matrix, h) == 0.0
 
     check("em fixed point on exact data", fixed_point)
