@@ -202,16 +202,27 @@ class TestTwoModeMatrix:
             assert op.shape == dense.shape
             colsum = op.rdot(np.ones(dense.shape[0]))
             _assert_relative(colsum, dense.sum(axis=0))
+            # the multithermal state, whose mass sits at low photon numbers,
+            # so that p01 is about 3e-3 of p00 at eta = 0.05, and random
+            # distributions
             q = rng.random((dense.shape[1], width))
+            q[:, 0] = split_on_beamsplitter(multithermal_marginal(
+                ThermalSpec(0.15, 1000.0), truncation), 0.5, truncation).flat()
             q /= q.sum(axis=0)
             ratio = rng.random((dense.shape[0], width)) + 0.5
-            back = ScaledTranspose(op, inverse_column_sums(colsum))
+            backs = [ScaledTranspose(op, inverse_column_sums(colsum))]
+            if truncation >= detection.FACTORED_MIN_TRUNCATION:
+                # and the pair the size rule hands out
+                assert isinstance(m.forward, TwoModeMatrix)
+                _assert_relative(m.column_sums(), dense.sum(axis=0))
+                backs.append(m.back)
             dense_back = back_projector(dense, dense.sum(axis=0))
             for col in range(width):
                 _assert_relative(op.dot(q)[:, col], (dense @ q)[:, col])
                 _assert_relative(op.rdot(ratio)[:, col], (dense.T @ ratio)[:, col])
-                _assert_relative(back.dot(ratio)[:, col],
-                                 (dense_back @ ratio)[:, col])
+                for back in backs:
+                    _assert_relative(back.dot(ratio)[:, col],
+                                     (dense_back @ ratio)[:, col])
             if truncation == 120 and grid is self.GRIDS[1]:
                 assert colsum.min() < 1e-14
 
