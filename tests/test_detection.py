@@ -251,8 +251,9 @@ class TestTwoModeMatrix:
         dense = m.rows @ q
         _assert_relative(g, dense)
         assert np.flatnonzero(g == 0.0).tolist() == [5, 8]
-        # data that click in both single-mode patterns at eta = 1 have no
-        # model probability there; the model's own frequencies do
+        # frequencies of a state with mass everywhere are positive on those
+        # two rows, where q has no model probability: degenerate. q's own
+        # frequencies are 0 there, and the full state explains any data.
         wide = JointDistribution(np.full(values.shape, 1.0 / values.size))
         h = np.stack([m.forward.dot(wide.flat()), dense, dense], axis=1)
         qs = np.stack([q, q, wide.flat()], axis=1)
