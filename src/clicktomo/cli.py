@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 configuration error, 3 data/file error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -64,6 +66,68 @@ PRESETS = {
 _write_json = _io.write_json
 _write_csv = _io.write_csv
 _fmt = _io.fmt
+
+
+@contextlib.contextmanager
+def _in_background(fn, *args, **kwargs):
+    """Start ``fn(*args, **kwargs)`` beside the caller, in a forked child.
+
+    A context manager: it yields a function that waits for the call and
+    returns its result, or raises its exception. The child inherits ``fn``
+    and its arguments by the fork, so nothing callable is pickled; only
+    the outcome crosses the pipe back. A child still running when the
+    block is left, by an exception or without a wait, is killed and
+    joined. Where the process may use only one CPU, or ``fork`` is not
+    available, ``fn`` runs inline at the wait instead, as a serial call
+    there would.
+    """
+    # imported here, so that commands without a bootstrap start as fast
+    import multiprocessing
+
+    # a platform without the affinity call (macOS) runs inline
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield lambda: fn(*args, **kwargs)
+        return
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_call_and_send,
+                        args=(reader, writer, fn, args, kwargs))
+    child.start()
+    writer.close()
+
+    def wait():
+        try:
+            ok, value = reader.recv()
+        except EOFError:  # the child ended before it could send
+            child.join()
+            raise ChildProcessError(
+                f"a background process exited with code {child.exitcode} "
+                "and no result") from None
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield wait
+    finally:
+        child.kill()
+        child.join()
+        reader.close()
+
+
+def _call_and_send(reader, writer, fn, args, kwargs) -> None:
+    """The child side of :func:`_in_background`."""
+    # with the child's copy of the read end closed, the send fails once
+    # the parent is gone, and the child ends quietly
+    reader.close()
+    try:
+        outcome = True, fn(*args, **kwargs)
+    except BaseException as exc:  # re-raised in the parent by the wait
+        outcome = False, exc
+    with contextlib.suppress(BrokenPipeError):
+        writer.send(outcome)
 
 
 def _load_json(path: Path):
@@ -227,7 +291,16 @@ def _options_doc(options: StoppingConfig) -> dict:
     }
 
 
+def _check_bootstrap_reps(reps: int, zero_allowed: bool) -> None:
+    """Refuse a bootstrap size before any solve, so a refused run writes
+    no file and starts no background process."""
+    if reps < 2 and not (zero_allowed and reps == 0):
+        allowed = "0 or at least 2" if zero_allowed else "at least 2"
+        raise ConfigError(f"--bootstrap-reps must be {allowed}, got {reps}")
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    _check_bootstrap_reps(args.bootstrap_reps, zero_allowed=True)
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
@@ -242,13 +315,22 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     )
     # resolved before the solve: a bad reference writes no file
     reference = _reference_marginal(args, manifest, truncation)
-    trace = reconstruct(record, truncation, options=options)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out_dir / "trace.csv")
-    trace.final_to_json(out_dir / "distribution.json")
-    trace.final_to_csv(out_dir / "distribution.csv")
+    # the replicate block runs beside the point solve and its writes; a
+    # point-solve or write error ends the command before the wait
+    bootstrap = (
+        _in_background(bootstrap_uncertainty, record, truncation,
+                       reps=args.bootstrap_reps, seed=args.seed,
+                       options=options)
+        if args.bootstrap_reps else contextlib.nullcontext()
+    )
+    with bootstrap as wait_for_bootstrap:
+        trace = reconstruct(record, truncation, options=options)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(out_dir / "trace.csv")
+        trace.final_to_json(out_dir / "distribution.json")
+        trace.final_to_csv(out_dir / "distribution.csv")
+        boot = wait_for_bootstrap() if wait_for_bootstrap else None
 
     summary = {
         "stop_reason": trace.stop_reason,
@@ -269,12 +351,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if rho10 > 0:
             summary["ratio_01_10"] = _fmt(rho01 / rho10)
 
-    boot = None
-    if args.bootstrap_reps:
-        boot = bootstrap_uncertainty(
-            record, truncation, reps=args.bootstrap_reps,
-            seed=args.seed, options=options,
-        )
+    if boot is not None:
         boot.to_csv(out_dir / "uncertainty.csv", point=trace.final)
         summary["bootstrap_reps"] = boot.reps
         summary["bootstrap_failed"] = boot.failed
@@ -328,6 +405,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     # manifest that regenerates it; nothing is written before all exist
     tables, records = {}, {}
     if fig2:
+        _check_bootstrap_reps(args.bootstrap_reps, zero_allowed=False)
         # two seeds stand in for the two spectral-filter variants
         options = StoppingConfig(max_iters=args.max_iters)
         for tau in (0.5, 0.4):
@@ -336,11 +414,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 record, sim = _simulate("heralded-balanced", {},
                                         dict(tau=tau, runs=runs, seed=seed))
                 truncation = sim["state"]["truncation"]
-                trace = reconstruct(record, truncation, options=options)
-                boot = bootstrap_uncertainty(
-                    record, truncation, reps=args.bootstrap_reps,
-                    seed=seed, options=options,
-                )
+                with _in_background(bootstrap_uncertainty, record, truncation,
+                                    reps=args.bootstrap_reps, seed=seed,
+                                    options=options) as wait_for_bootstrap:
+                    trace = reconstruct(record, truncation, options=options)
+                    boot = wait_for_bootstrap()
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
                 tables[name] = (["n", "k", "rho", "sigma"],
                                 _io.tensor_rows(trace.final.values, boot.sigma))

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import clicktomo
+import clicktomo.cli as cli
 from clicktomo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from clicktomo.errors import ClicktomoError
 
 
 def run(args):
@@ -312,6 +316,35 @@ class TestReconstruct:
         assert manifests[1].pop("input_manifest") is None
         assert manifests[0] == manifests[1]
 
+    @pytest.mark.parametrize("reps", [1, -2])
+    def test_bad_bootstrap_reps_refused_before_the_solve(self, tmp_path,
+                                                         monkeypatch, capsys,
+                                                         reps):
+        sim = simulate_small(tmp_path)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the flags were checked")
+
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+        monkeypatch.setattr(cli, "bootstrap_uncertainty", no_solve)
+        assert run([
+            "reconstruct", str(sim), "--bootstrap-reps", str(reps),
+            "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_CONFIG
+        assert "--bootstrap-reps must be 0 or at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_zero_bootstrap_reps_means_no_bootstrap(self, tmp_path):
+        sim = simulate_small(tmp_path)
+        out = tmp_path / "rec"
+        assert run([
+            "reconstruct", str(sim), "--max-iters", "50",
+            "--bootstrap-reps", "0", "--out-dir", str(out),
+        ]) == EXIT_OK
+        assert not (out / "uncertainty.csv").exists()
+        assert "bootstrap_reps" not in json.loads(
+            (out / "summary.json").read_text())
+
     def test_missing_truncation_is_config_error(self, tmp_path):
         sim = simulate_small(tmp_path)
         assert run([
@@ -453,6 +486,164 @@ class TestReproduce:
             "--bootstrap-reps", "2", "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
+
+
+    @pytest.mark.parametrize("reps", [0, 1, -2])
+    def test_fig2_bad_bootstrap_reps_refused_before_the_solve(
+            self, tmp_path, monkeypatch, capsys, reps):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the flags were checked")
+
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+        monkeypatch.setattr(cli, "bootstrap_uncertainty", no_solve)
+        assert run([
+            "reproduce", "fig2", "--runs", "2000", "--max-iters", "50",
+            "--bootstrap-reps", str(reps), "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_CONFIG
+        assert "--bootstrap-reps must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+OUTPUTS = ("trace.csv", "distribution.json", "distribution.csv",
+           "summary.json", "uncertainty.csv", "manifest.json")
+
+
+@pytest.fixture(params=["background", "inline"])
+def bootstrap_path(request, monkeypatch):
+    """Run the bootstrap in a forked child (two usable CPUs) or inline at
+    the wait (one usable CPU)."""
+    if (request.param == "background"
+            and "fork" not in multiprocessing.get_all_start_methods()):
+        pytest.skip("no fork start method on this platform")
+    cpus = {"background": {0, 1}, "inline": {0}}[request.param]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    return request.param
+
+
+def wrap_bootstrap(monkeypatch, record_to: Path, fail: bool = False):
+    """Replace ``cli.bootstrap_uncertainty`` by a closure, as the
+    benchmark's tracer does; the closure writes the pid it ran in."""
+    wrapped = cli.bootstrap_uncertainty
+
+    def wrapper(*args, **kwargs):
+        record_to.write_text(str(os.getpid()))
+        if fail:
+            raise ClicktomoError("only 1 of 2 bootstrap replicates succeeded")
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bootstrap_uncertainty", wrapper)
+
+
+class TestBootstrapBeside:
+    """``reconstruct`` and ``reproduce fig2`` run the bootstrap beside the
+    point solve; where it runs must change no output and no exit code."""
+
+    def reconstruct(self, sim, out, *flags):
+        return run(["reconstruct", str(sim), "--max-iters", "300",
+                    "--bootstrap-reps", "3", "--seed", "5",
+                    "--out-dir", str(out), *flags])
+
+    def test_paths_write_identical_bytes(self, tmp_path, monkeypatch):
+        sim = simulate_small(tmp_path)
+        outs = {}
+        for path, cpus in (("background", {0, 1}), ("inline", {0})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            outs[path] = tmp_path / path
+            assert self.reconstruct(sim, outs[path]) == EXIT_OK
+        for name in OUTPUTS:
+            assert ((outs["background"] / name).read_bytes()
+                    == (outs["inline"] / name).read_bytes()), name
+        # and the same bytes as the library calls made in this process
+        record = clicktomo.ClickRecord.from_json(sim / "record.json")
+        options = clicktomo.StoppingConfig(max_iters=300, min_decrease=0.0)
+        trace = clicktomo.reconstruct(record, 3, options=options)
+        boot = clicktomo.bootstrap_uncertainty(record, 3, reps=3, seed=5,
+                                               options=options)
+        trace.final_to_json(tmp_path / "distribution.json")
+        boot.to_csv(tmp_path / "uncertainty.csv", point=trace.final)
+        for name in ("distribution.json", "uncertainty.csv"):
+            assert ((tmp_path / name).read_bytes()
+                    == (outs["inline"] / name).read_bytes()), name
+
+    def test_wrapped_bootstrap_runs_in_a_child(self, tmp_path, monkeypatch,
+                                               bootstrap_path):
+        sim = simulate_small(tmp_path)
+        plain = tmp_path / "plain"
+        assert self.reconstruct(sim, plain) == EXIT_OK
+        pid_file = tmp_path / "pid"
+        wrap_bootstrap(monkeypatch, pid_file)
+        wrapped = tmp_path / "wrapped"
+        assert self.reconstruct(sim, wrapped) == EXIT_OK
+        for name in OUTPUTS:
+            assert (wrapped / name).read_bytes() == (plain / name).read_bytes()
+        in_child = int(pid_file.read_text()) != os.getpid()
+        assert in_child == (bootstrap_path == "background")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure, code", [
+        ("degenerate point solve", EXIT_NUMERICAL),
+        ("output directory is a file", EXIT_DATA),
+    ])
+    def test_point_solve_or_write_error_leaves_no_process(
+            self, tmp_path, capsys, bootstrap_path, failure, code):
+        sim = simulate_small(tmp_path)
+        out = tmp_path / "x"
+        flags = []
+        if failure == "output directory is a file":
+            out.write_text("")
+        else:
+            flags = ["--truncation", "0"]
+        assert self.reconstruct(sim, out, *flags) == code
+        # the point-solve error wins over the bootstrap's own failure
+        assert "bootstrap" not in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        if failure == "degenerate point solve":
+            assert not out.exists()
+
+    def test_bootstrap_error_comes_after_the_point_outputs(
+            self, tmp_path, monkeypatch, capsys, bootstrap_path):
+        sim = simulate_small(tmp_path)
+        wrap_bootstrap(monkeypatch, tmp_path / "pid", fail=True)
+        out = tmp_path / "rec"
+        assert self.reconstruct(sim, out) == EXIT_DATA
+        assert "only 1 of 2 bootstrap replicates" in capsys.readouterr().err
+        written = sorted(p.name for p in out.iterdir())
+        assert written == ["distribution.csv", "distribution.json", "trace.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_without_a_result(self, tmp_path, monkeypatch,
+                                              capsys):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def dies(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("the bootstrap ran inline")
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "bootstrap_uncertainty", dies)
+        sim = simulate_small(tmp_path)
+        assert self.reconstruct(sim, tmp_path / "rec") == EXIT_DATA
+        assert "exited with code 9" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_fig2_paths_write_identical_bytes(self, tmp_path, monkeypatch):
+        outs = {}
+        for path, cpus in (("background", {0, 1}), ("inline", {0})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            outs[path] = tmp_path / path
+            assert run([
+                "reproduce", "fig2", "--runs", "2000", "--max-iters", "100",
+                "--bootstrap-reps", "2", "--out-dir", str(outs[path]),
+            ]) == EXIT_OK
+        names = sorted(p.name for p in outs["inline"].iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert ((outs["background"] / name).read_bytes()
+                    == (outs["inline"] / name).read_bytes()), name
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command, values", [

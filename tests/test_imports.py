@@ -2,10 +2,13 @@
 
 No linter is installed, so this is the standard-library stand-in for
 pyflakes' F401: a deliberate re-export carries ``# noqa: F401``, and a
-name listed in ``__all__`` counts as used.
+name listed in ``__all__`` counts as used. The last test checks what
+``import clicktomo.cli`` loads.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,17 @@ def test_checker_flags_unused_and_honours_noqa():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the CLI imports multiprocessing only when a command runs a bootstrap
+    # beside its point solve, so start-up stays what it was without it
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import clicktomo.cli; "
+        "loaded = sorted(m for m in sys.modules if m.startswith("
+        "('multiprocessing', 'concurrent'))); assert not loaded, loaded"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
