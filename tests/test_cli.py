@@ -32,6 +32,10 @@ def simulate_small(tmp_path, **overrides):
     return out
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("solved before the flags were checked")
+
+
 class TestSimulate:
     def test_outputs_and_manifest(self, tmp_path):
         out = simulate_small(tmp_path)
@@ -321,10 +325,6 @@ class TestReconstruct:
                                                          monkeypatch, capsys,
                                                          reps):
         sim = simulate_small(tmp_path)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before the flags were checked")
-
         monkeypatch.setattr(cli, "reconstruct", no_solve)
         monkeypatch.setattr(cli, "bootstrap_uncertainty", no_solve)
         assert run([
@@ -491,9 +491,6 @@ class TestReproduce:
     @pytest.mark.parametrize("reps", [0, 1, -2])
     def test_fig2_bad_bootstrap_reps_refused_before_the_solve(
             self, tmp_path, monkeypatch, capsys, reps):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before the flags were checked")
-
         monkeypatch.setattr(cli, "reconstruct", no_solve)
         monkeypatch.setattr(cli, "bootstrap_uncertainty", no_solve)
         assert run([
