@@ -597,6 +597,17 @@ class TestBootstrapBeside:
         if failure == "degenerate point solve":
             assert not out.exists()
 
+    def test_interrupt_leaves_no_process(self, tmp_path, monkeypatch,
+                                         bootstrap_path):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "reconstruct", interrupted)
+        sim = simulate_small(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            self.reconstruct(sim, tmp_path / "x")
+        assert multiprocessing.active_children() == []
+
     def test_bootstrap_error_comes_after_the_point_outputs(
             self, tmp_path, monkeypatch, capsys, bootstrap_path):
         sim = simulate_small(tmp_path)
