@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -74,60 +77,67 @@ def _in_background(fn, *args, **kwargs):
 
     A context manager: it yields a function that waits for the call and
     returns its result, or raises its exception. The child inherits ``fn``
-    and its arguments by the fork, so nothing callable is pickled; only
-    the outcome crosses the pipe back. A child still running when the
-    block is left, by an exception or without a wait, is killed and
-    joined. Where the process may use only one CPU, or ``fork`` is not
-    available, ``fn`` runs inline at the wait instead, as a serial call
-    there would.
+    and its arguments by the fork; only the pickled outcome crosses back.
+    A child not reaped when the block is left is killed and reaped; on
+    Linux it also dies with the parent. With one usable CPU, or no
+    ``fork``, ``fn`` runs inline at the wait, as a serial call would.
     """
-    # imported here, so that commands without a bootstrap start as fast
-    import multiprocessing
-
     # a platform without the affinity call (macOS) runs inline
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
-    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if cpus < 2 or not hasattr(os, "fork"):
         yield lambda: fn(*args, **kwargs)
         return
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_call_and_send,
-                        args=(reader, writer, fn, args, kwargs))
-    child.start()
-    writer.close()
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves by code 0 only after a complete dump
+        code = 1
+        try:
+            _die_with(parent)
+            os.close(read_end)
+            try:
+                outcome = True, fn(*args, **kwargs)
+            except BaseException as exc:  # re-raised in the parent by the wait
+                outcome = False, exc
+            with open(write_end, "wb") as sink:
+                pickle.dump(outcome, sink)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    reaped = False
 
     def wait():
-        try:
-            ok, value = reader.recv()
-        except EOFError:  # the child ended before it could send
-            child.join()
+        nonlocal reaped
+        data = pipe.read()  # to EOF: the child has sent all or has died
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code:
             raise ChildProcessError(
-                f"a background process exited with code {child.exitcode} "
-                "and no result") from None
+                f"a background process exited with code {code} and no result")
+        ok, value = pickle.loads(data)
         if ok:
             return value
         raise value
 
-    try:
-        yield wait
-    finally:
-        child.kill()
-        child.join()
-        reader.close()
+    with open(read_end, "rb") as pipe:
+        try:
+            yield wait
+        finally:
+            if not reaped:  # once reaped, the pid may name another process
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _call_and_send(reader, writer, fn, args, kwargs) -> None:
-    """The child side of :func:`_in_background`."""
-    # with the child's copy of the read end closed, the send fails once
-    # the parent is gone, and the child ends quietly
-    reader.close()
-    try:
-        outcome = True, fn(*args, **kwargs)
-    except BaseException as exc:  # re-raised in the parent by the wait
-        outcome = False, exc
-    with contextlib.suppress(BrokenPipeError):
-        writer.send(outcome)
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this process when its parent ends, by Linux's
+    ``prctl(PR_SET_PDEATHSIG = 1, SIGKILL)``, and end it now if the parent
+    has already ended."""
+    with contextlib.suppress(AttributeError, OSError):
+        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _load_json(path: Path):
@@ -315,8 +325,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     )
     # resolved before the solve: a bad reference writes no file
     reference = _reference_marginal(args, manifest, truncation)
-    # the replicate block runs beside the point solve and its writes; a
-    # point-solve or write error ends the command before the wait
+    # the replicate block runs in a child beside the point solve and its
+    # writes; an error in the command, or its kill, ends the child too
     bootstrap = (
         _in_background(bootstrap_uncertainty, record, truncation,
                        reps=args.bootstrap_reps, seed=args.seed,

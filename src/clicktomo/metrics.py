@@ -65,7 +65,7 @@ def bootstrap_uncertainty(
     seed: int = 0,
     options: StoppingConfig | None = None,
 ) -> BootstrapResult:
-    """Parametric bootstrap: resample counts from the empirical pattern
+    """Nonparametric bootstrap: resample counts from the empirical pattern
     frequencies, rerun the reconstruction, take entrywise standard
     deviations across replicates.
 

@@ -1,8 +1,9 @@
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -509,9 +510,8 @@ OUTPUTS = ("trace.csv", "distribution.json", "distribution.csv",
 def bootstrap_path(request, monkeypatch):
     """Run the bootstrap in a forked child (two usable CPUs) or inline at
     the wait (one usable CPU)."""
-    if (request.param == "background"
-            and "fork" not in multiprocessing.get_all_start_methods()):
-        pytest.skip("no fork start method on this platform")
+    if request.param == "background" and not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
     cpus = {"background": {0, 1}, "inline": {0}}[request.param]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     return request.param
@@ -529,6 +529,46 @@ def wrap_bootstrap(monkeypatch, record_to: Path, fail: bool = False):
         return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(cli, "bootstrap_uncertainty", wrapper)
+
+
+# a driver that runs ``reconstruct`` with a bootstrap that announces its
+# pid and then sleeps, so that the test can kill the driver meanwhile
+DRIVER = """\
+import os, sys, time
+sys.path.insert(0, {src!r})
+import clicktomo.cli as cli
+
+def hold(*args, **kwargs):
+    with open({pid_file!r} + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace({pid_file!r} + ".tmp", {pid_file!r})
+    time.sleep(60)
+
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cli.bootstrap_uncertainty = hold
+cli.main(["reconstruct", {sim!r}, "--max-iters", "50",
+          "--bootstrap-reps", "2", "--out-dir", {out!r}])
+"""
+
+
+def process_state(pid: int) -> str | None:
+    """The state letter of a process (``Z`` for a zombie), or None once
+    it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = "is still running" if pid == 0 else f"{pid} was left unreaped"
+    raise AssertionError(f"a child process {left}")
 
 
 class TestBootstrapBeside:
@@ -575,7 +615,7 @@ class TestBootstrapBeside:
             assert (wrapped / name).read_bytes() == (plain / name).read_bytes()
         in_child = int(pid_file.read_text()) != os.getpid()
         assert in_child == (bootstrap_path == "background")
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     @pytest.mark.parametrize("failure, code", [
         ("degenerate point solve", EXIT_NUMERICAL),
@@ -593,7 +633,7 @@ class TestBootstrapBeside:
         assert self.reconstruct(sim, out, *flags) == code
         # the point-solve error wins over the bootstrap's own failure
         assert "bootstrap" not in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         if failure == "degenerate point solve":
             assert not out.exists()
 
@@ -606,7 +646,7 @@ class TestBootstrapBeside:
         sim = simulate_small(tmp_path)
         with pytest.raises(KeyboardInterrupt):
             self.reconstruct(sim, tmp_path / "x")
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_bootstrap_error_comes_after_the_point_outputs(
             self, tmp_path, monkeypatch, capsys, bootstrap_path):
@@ -617,12 +657,12 @@ class TestBootstrapBeside:
         assert "only 1 of 2 bootstrap replicates" in capsys.readouterr().err
         written = sorted(p.name for p in out.iterdir())
         assert written == ["distribution.csv", "distribution.json", "trace.csv"]
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_child_that_dies_without_a_result(self, tmp_path, monkeypatch,
                                               capsys):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         parent = os.getpid()
 
@@ -631,11 +671,52 @@ class TestBootstrapBeside:
                 raise AssertionError("the bootstrap ran inline")
             os._exit(9)
 
-        monkeypatch.setattr(cli, "bootstrap_uncertainty", dies)
+        def unpicklable(*args, **kwargs):  # a result the pipe cannot carry
+            if os.getpid() == parent:
+                raise AssertionError("the bootstrap ran inline")
+            return lambda: None
+
         sim = simulate_small(tmp_path)
-        assert self.reconstruct(sim, tmp_path / "rec") == EXIT_DATA
-        assert "exited with code 9" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        for bootstrap, code in ((dies, 9), (unpicklable, 1)):
+            monkeypatch.setattr(cli, "bootstrap_uncertainty", bootstrap)
+            assert self.reconstruct(sim, tmp_path / f"rec{code}") == EXIT_DATA
+            assert (f"exited with code {code} and no result"
+                    in capsys.readouterr().err)
+            assert_no_child_process()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux only")
+    def test_child_dies_with_a_killed_parent(self, tmp_path):
+        sim = simulate_small(tmp_path)
+        pid_file = tmp_path / "pid"
+        script = DRIVER.format(src=str(Path(cli.__file__).parents[1]),
+                               pid_file=str(pid_file), sim=str(sim),
+                               out=str(tmp_path / "rec"))
+        with open(tmp_path / "driver.err", "w") as err:
+            driver = subprocess.Popen([sys.executable, "-c", script],
+                                      stderr=err)
+        child = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists():
+                assert driver.poll() is None, (
+                    (tmp_path / "driver.err").read_text())
+                assert time.monotonic() < deadline, "the bootstrap never began"
+                time.sleep(0.02)
+            child = int(pid_file.read_text())
+            assert child != driver.pid
+            driver.kill()
+            driver.wait()
+            deadline = time.monotonic() + 5
+            while process_state(child) not in (None, "Z"):
+                assert time.monotonic() < deadline, (
+                    "the child outlived its killed parent")
+                time.sleep(0.05)
+        finally:
+            driver.kill()
+            driver.wait()
+            if child is not None and process_state(child) not in (None, "Z"):
+                os.kill(child, signal.SIGKILL)
 
     def test_fig2_paths_write_identical_bytes(self, tmp_path, monkeypatch):
         outs = {}
@@ -651,7 +732,7 @@ class TestBootstrapBeside:
         for name in names:
             assert ((outs["background"] / name).read_bytes()
                     == (outs["inline"] / name).read_bytes()), name
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
 
 @pytest.mark.parametrize("command, values", [

@@ -3,7 +3,7 @@
 No linter is installed, so this is the standard-library stand-in for
 pyflakes' F401: a deliberate re-export carries ``# noqa: F401``, and a
 name listed in ``__all__`` counts as used. The last test checks what
-``import clicktomo.cli`` loads.
+``import clicktomo.cli``, and a bootstrap run after it, loads.
 """
 
 import ast
@@ -56,14 +56,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_import_loads_no_process_pool():
-    # the CLI imports multiprocessing only when a command runs a bootstrap
-    # beside its point solve, so start-up stays what it was without it
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # the background bootstrap forks by hand, so neither the import nor a
+    # reconstruct whose bootstrap runs in a forked child (two usable CPUs)
+    # loads a process-pool framework
+    sim, out = str(tmp_path / "sim"), str(tmp_path / "rec")
+    check = ("loaded = sorted(m for m in sys.modules if m.startswith("
+             "('multiprocessing', 'concurrent'))); assert not loaded, loaded; ")
     code = (
-        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
-        "import clicktomo.cli; "
-        "loaded = sorted(m for m in sys.modules if m.startswith("
-        "('multiprocessing', 'concurrent'))); assert not loaded, loaded"
+        f"import os, sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import clicktomo.cli; " + check
+        + "os.sched_getaffinity = lambda pid: {0, 1}; "
+        "assert clicktomo.cli.main(['simulate', '--preset', 'heralded-balanced', "
+        f"'--grid-k', '6', '--runs', '2000', '--out-dir', {sim!r}]) == 0; "
+        f"assert clicktomo.cli.main(['reconstruct', {sim!r}, '--bootstrap-reps', "
+        f"'2', '--max-iters', '50', '--out-dir', {out!r}]) == 0; " + check
     )
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
