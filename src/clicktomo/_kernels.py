@@ -29,8 +29,7 @@ loop for one distribution: the reference the tests compare
    list moves its best iterate (the ``min_decrease`` rule). Vectorised
    checks settle the columns whose ε falls at every step or never
    undercuts the best; the others are scanned in plain Python. The
-   best iterate and the ``store_every`` snapshots come from the
-   buffers.
+   best iterate comes from the buffers.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
 the earliest iteration at which the patience rule could fire. The
@@ -202,8 +201,6 @@ class BlockResult:
     status: np.ndarray  # B
     epsilon: np.ndarray | None  # max_iters×B; rows past a column's end unspecified
     loglik: np.ndarray | None
-    iterates: np.ndarray | None  # S×P×B; a stopped column reads NaN
-    stored_iterations: np.ndarray | None
 
 
 def chunk_length(n_rows, n_cols, width):
@@ -262,8 +259,7 @@ def _scan_best(eps, t0, bar, best, mind):
 
 
 def em_run(
-    matrix, back, h, q0, max_iters, patience, min_decrease,
-    history=False, store_every=0,
+    matrix, back, h, q0, max_iters, patience, min_decrease, history=False,
 ) -> BlockResult:
     """Iterate the P×B block ``q0`` against the R×B frequencies ``h``.
 
@@ -273,9 +269,8 @@ def em_run(
     two-mode pair of :class:`clicktomo.detection.DetectionMatrix`.
     ``min_decrease`` is a scalar or one value per column. ``history``
     keeps the ε and log-likelihood of every iteration (memory
-    O(max_iters·B)); ``store_every > 0`` keeps every that-many-th
-    iterate. The module docstring describes the two phases of each
-    chunk.
+    O(max_iters·B)). The module docstring describes the two phases of
+    each chunk.
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape
@@ -285,8 +280,6 @@ def em_run(
     status_out = np.full(width, STATUS_MAX_ITERS, dtype=np.int64)
     eps_hist = np.empty((max_iters, width)) if history else None
     ll_hist = np.empty((max_iters, width)) if history else None
-    snapshots: list[np.ndarray] = []
-    snapshot_iters: list[int] = []
 
     # per active column: its index in the outputs, its best ε so far
     # minus its min_decrease, and its best iteration
@@ -345,13 +338,6 @@ def em_run(
             eps_hist[t0:t0 + n, cols] = eps
             ll_hist[t0:t0 + n, cols] = log_likelihood(
                 h, gbuf[:n], work[:n], ll_buf[:n])
-        if store_every > 0:
-            first = -(-t0 // store_every) * store_every
-            for it in range(first, t0 + n, store_every):
-                snap = np.full((n_cols, width), np.nan)
-                snap[:, cols] = qs[it - t0]
-                snapshots.append(snap)
-                snapshot_iters.append(it)
 
         # phase 2: the min_decrease rule along each column's ε, then the
         # stop rules at the chunk's last iterate
@@ -400,6 +386,4 @@ def em_run(
         status=status_out,
         epsilon=eps_hist,
         loglik=ll_hist,
-        iterates=np.stack(snapshots) if store_every > 0 else None,
-        stored_iterations=np.array(snapshot_iters) if store_every > 0 else None,
     )

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _io
-from .detection import forward_click_probabilities, uniform_grid
+from .detection import build_matrix, forward_click_probabilities, uniform_grid
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .metrics import bootstrap_uncertainty, fidelity, marginal
-from .sampler import RNG_ALGORITHM, ClickRecord, sample_clicks
-from .solver import StoppingConfig, reconstruct
+from .sampler import RNG_ALGORITHM, ClickRecord, frequencies, sample_clicks
+from .solver import StoppingConfig, em_step, reconstruct
 from .states import (
     ThermalSpec,
     multithermal_click_reference,
@@ -436,8 +436,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         message = f"wrote 4 joint-distribution tables to {out_dir}"
     else:
         # fig3: fidelity/epsilon curves and the frequency overlay
-        options = StoppingConfig(store_every=1, min_decrease=None,
-                                 max_iters=args.max_iters)
+        options = StoppingConfig(min_decrease=None, max_iters=args.max_iters)
         record, sim = _simulate("multithermal-split", {},
                                 dict(runs=runs, seed=args.seed))
         state_doc = sim["state"]
@@ -446,16 +445,21 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         tau = state_doc["tau"]
         trace = reconstruct(record, truncation, options=options)
         reference = multithermal_marginal(spec, truncation)
+        # the solve's iterates, replayed from its uniform start
+        matrix = build_matrix(record.grid, record.modes, truncation)
+        h = frequencies(record)
+        q = np.full(matrix.shape[1], 1.0 / matrix.shape[1])
         rows = []
-        for i, it in enumerate(trace.stored_iterations):
-            dist = trace.iterates[i].reshape(truncation + 1, truncation + 1)
+        for it in range(trace.n_iterations):
+            dist = q.reshape(truncation + 1, truncation + 1)
             total = dist.sum()
             f1 = fidelity(dist.sum(axis=1) / total, reference)
             f2 = fidelity(dist.sum(axis=0) / total, reference)
             rows.append(
-                [int(it), _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
+                [it, _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
                  _fmt(trace.epsilon[it])]
             )
+            q = em_step(q, matrix, h)
         tables["fidelity_curve.csv"] = (
             ["iteration", "fidelity_mean", "fidelity_mode1", "fidelity_mode2",
              "epsilon"],

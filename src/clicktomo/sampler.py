@@ -87,6 +87,9 @@ class ClickRecord:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ClickRecord":
+        # float(True) is 1.0: a boolean is refused, as for counts and modes
+        if any(isinstance(e, bool) for e in doc["etas"]):
+            raise TypeError("etas must be numbers, not booleans")
         grid = EfficiencyGrid(np.array([float(e) for e in doc["etas"]]))
         return ClickRecord(
             grid=grid,

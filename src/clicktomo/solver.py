@@ -50,23 +50,20 @@ class StoppingConfig:
     estimates the floor from the binomial noise of the measured
     frequencies, so the iteration stops once the error curve flattens
     into the sampling noise instead of chasing vanishing improvements.
-    ``store_every > 0`` keeps every that-many-th iterate in the trace.
     """
 
     max_iters: int = 100_000
     patience: int = 200
     min_decrease: float | None = 0.0
-    store_every: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.min_decrease is not None and self.min_decrease < 0:
-            raise ValueError("min_decrease must be >= 0")
-        if self.store_every < 0:
-            raise ValueError("store_every must be >= 0")
+        # written so that NaN and infinity fail it
+        if self.min_decrease is not None and not 0.0 <= self.min_decrease < np.inf:
+            raise ValueError("min_decrease must be finite and >= 0")
 
 
 @dataclass
@@ -80,8 +77,6 @@ class ReconstructionTrace:
     n_iterations: int
     final: JointDistribution
     renorm_correction: float
-    iterates: np.ndarray | None = None
-    stored_iterations: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
         # The bytes csv.writer emits (floats never need quoting), written a
@@ -254,14 +249,12 @@ def reconstruct_many(
 def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,
               min_decrease, history: bool) -> _kernels.BlockResult:
     """One kernel run, every column from the uniform start; ``history``
-    keeps the per-iteration ε and log-likelihood and the snapshots
-    ``options.store_every`` asks for."""
+    keeps the per-iteration ε and log-likelihood."""
     n_cols = matrix.shape[1]
     q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
     return _kernels.em_run(
         matrix.forward, matrix.back, h, q0, options.max_iters, options.patience,
         min_decrease, history=history,
-        store_every=options.store_every if history else 0,
     )
 
 
@@ -291,7 +284,6 @@ def _reconstruct_core(
     final, total = _final_distribution(
         result.best_q[:, 0], result.status[0], matrix.modes
     )
-    iterates = None if result.iterates is None else result.iterates[:, :, 0]
     return ReconstructionTrace(
         epsilon=epsilon,
         loglik=loglik,
@@ -300,6 +292,4 @@ def _reconstruct_core(
         n_iterations=n_done,
         final=final,
         renorm_correction=float(1.0 - total),
-        iterates=iterates,
-        stored_iterations=result.stored_iterations,
     )

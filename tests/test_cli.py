@@ -249,7 +249,7 @@ class TestReconstruct:
     @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta",
                                         "zero runs", "zero modes",
                                         "fractional counts", "string count",
-                                        "float modes"])
+                                        "float modes", "boolean eta"])
     def test_malformed_record_is_data_error(self, tmp_path, capsys, damage):
         sim = simulate_small(tmp_path)
         path = sim / "record.json"
@@ -274,6 +274,9 @@ class TestReconstruct:
             doc["counts"][0][0] = str(doc["counts"][0][0])
         elif damage == "float modes":
             doc["modes"] = float(doc["modes"])
+        elif damage == "boolean eta":
+            # float(True) is 1.0, the grid's largest allowed efficiency
+            doc["etas"][-1] = True
         text = json.dumps(doc)
         path.write_text(text[:-10] if damage == "invalid JSON" else text)
         assert run([
@@ -353,12 +356,14 @@ class TestReconstruct:
             "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_CONFIG
 
-    def test_bad_min_decrease_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("value", ["lots", "nan", "inf"])
+    def test_bad_min_decrease_is_config_error(self, tmp_path, value):
         sim = simulate_small(tmp_path)
         assert run([
-            "reconstruct", str(sim), "--min-decrease", "lots",
+            "reconstruct", str(sim), "--min-decrease", value,
             "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         sim1 = simulate_small(tmp_path / "a")

@@ -72,7 +72,7 @@ class TestFidelity:
         q /= q.sum()
         assert fidelity(p, q) == pytest.approx(fidelity(q, p), abs=1e-14)
 
-    def test_normalize_flag(self):
+    def test_scales_each_input_to_unit_mass(self):
         assert fidelity([2.0, 0.0], [4.0, 0.0]) == pytest.approx(1.0)
 
     def test_rejects_negative(self):

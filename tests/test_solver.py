@@ -99,6 +99,25 @@ class TestEmStep:
         with pytest.raises(DegenerateSupportError):
             em_step(q0, m, h)
 
+    @pytest.mark.parametrize("truncation", [3, detection.FACTORED_MIN_TRUNCATION])
+    def test_em_step_replays_the_solve(self, small_grid, truncation):
+        # em_step from the uniform start gives the solve's iterates bit for
+        # bit, on the dense and on the factored pair: a caller that needs
+        # every iterate replays them
+        rec = heralded_record(small_grid)
+        m = build_matrix(small_grid, 2, truncation)
+        assert isinstance(m.forward, TwoModeMatrix) == (truncation > 3)
+        trace = reconstruct(rec, truncation,
+                            StoppingConfig(max_iters=2000, min_decrease=None))
+        h = frequencies(rec)
+        iterates = [np.full(m.shape[1], 1.0 / m.shape[1])]
+        for _ in range(trace.n_iterations - 1):
+            iterates.append(em_step(iterates[-1], m, h))
+        np.testing.assert_array_equal(
+            [total_error(q, m, h) for q in iterates], trace.epsilon)
+        best = iterates[trace.best_iteration]
+        np.testing.assert_array_equal(best / best.sum(), trace.final.flat())
+
 
 class TestTotalError:
     def test_exact_data_zero(self, small_grid):
@@ -166,9 +185,13 @@ class TestLogLikelihood:
         rec = sample_clicks(probs, 100_000, seed=2)
         m = build_matrix(grid, 2, 3)
         trace = reconstruct(rec, 3, StoppingConfig(
-            max_iters=20_000, patience=20_000, store_every=19_999))
-        q = trace.iterates[-1]
-        h = frequencies(rec).tolist()
+            max_iters=20_000, patience=20_000))
+        # iterate 19,999, replayed from the uniform start
+        h = frequencies(rec)
+        q = np.full(16, 1.0 / 16)
+        for _ in range(19_999):
+            q = em_step(q, m, h)
+        h = h.tolist()
         g = (m.rows @ q).tolist()
         exact = math.fsum(
             [hm * math.log(gm / hm) for hm, gm in zip(h, g) if hm > 0.0]
@@ -235,21 +258,6 @@ class TestReconstruct:
         assert trace.stop_reason == "min-epsilon"
         assert trace.n_iterations - trace.best_iteration >= 100
 
-    def test_store_every_snapshots(self, small_grid):
-        rec = heralded_record(small_grid)
-        trace = reconstruct(rec, 3, StoppingConfig(max_iters=100, store_every=10))
-        assert trace.iterates is not None
-        assert trace.iterates.shape == (10, 16)
-        np.testing.assert_array_equal(trace.stored_iterations, np.arange(0, 100, 10))
-
-    def test_storing_path_matches_kernel_path(self, small_grid):
-        rec = heralded_record(small_grid)
-        opts = dict(max_iters=400, patience=200)
-        t1 = reconstruct(rec, 3, StoppingConfig(**opts))
-        t2 = reconstruct(rec, 3, StoppingConfig(**opts, store_every=50))
-        np.testing.assert_allclose(t1.final.values, t2.final.values, atol=1e-12)
-        np.testing.assert_allclose(t1.epsilon, t2.epsilon, atol=1e-14)
-
     def test_grid_mismatch(self, small_grid):
         rec = heralded_record(small_grid)
         other = EfficiencyGrid(np.linspace(0.2, 0.6, 5))
@@ -295,8 +303,8 @@ def _em_run_block_of_one(matrix, matrix_t, inv_colsum, h, q0, *stop_args):
             r.n_iterations[0], r.epsilon[:, 0], r.loglik[:, 0], r.status[0])
 
 
-class TestBackendsAgree:
-    def test_numba_and_numpy_kernels_identical(self, small_grid):
+class TestBlockKernelAgainstLoopReference:
+    def test_block_of_one_matches_loop_reference(self, small_grid):
         # the block kernel at width 1 against the scalar loop reference
         args = _kernel_args(small_grid)
         _assert_kernel_outputs_match(
@@ -419,11 +427,8 @@ def _force_chunk(monkeypatch, length, matrix, width):
 
 
 def _assert_same_block(a, b):
-    for field in ("best_q", "best_iteration", "n_iterations", "status",
-                  "stored_iterations"):
+    for field in ("best_q", "best_iteration", "n_iterations", "status"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-    if a.iterates is not None:
-        np.testing.assert_array_equal(a.iterates, b.iterates)
     if a.epsilon is not None:
         for col, n_done in enumerate(a.n_iterations):
             np.testing.assert_array_equal(a.epsilon[:n_done, col],
@@ -511,16 +516,11 @@ class TestChunkBoundaries:
         q0 = np.stack([np.full(16, 1.0 / 16)] * 2 + [vacuum], axis=1)
         block = self._runs(monkeypatch, matrix, back,
                            np.stack(hs + [hs[0]], axis=1), q0, 3000, 100,
-                           np.array([1e-4, 3e-4, 0.0]), history=True,
-                           store_every=9)
+                           np.array([1e-4, 3e-4, 0.0]), history=True)
         assert block.status.tolist() == [STATUS_MIN_EPSILON] * 2 + [STATUS_DEGENERATE]
-        stored = block.stored_iterations
-        np.testing.assert_array_equal(stored, np.arange(0, stored[-1] + 1, 9))
-        assert stored[-1] <= block.n_iterations.max() - 1 < stored[-1] + 9
-        for col, n_done in enumerate(block.n_iterations):
-            alive = ~np.isnan(block.iterates[:, 0, col])
-            np.testing.assert_array_equal(alive, stored < n_done)
-        np.testing.assert_array_equal(block.iterates[0], q0)
+        assert block.n_iterations[0] != block.n_iterations[1]
+        assert block.n_iterations[2] == 1
+        np.testing.assert_array_equal(block.best_q[:, 2], vacuum)
 
     @pytest.mark.parametrize("start", ["vacuum", "uniform"])
     def test_exact_vacuum_data(self, setup, small_grid, monkeypatch, start):
@@ -614,7 +614,8 @@ class TestStoppingConfigValidation:
             {"max_iters": 0},
             {"patience": 0},
             {"min_decrease": -1e-3},
-            {"store_every": -1},
+            {"min_decrease": float("nan")},
+            {"min_decrease": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
