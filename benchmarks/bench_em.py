@@ -102,7 +102,7 @@ def main():
                 print(
                     f"  B={width:<4d} {label:8s} {per_iter:9.2f} us/iteration  "
                     f"{per_iter / width:8.2f} us/replicate-iteration  "
-                    f"chunk {chunk_length(n_rows, n_cols, width):4d}  "
+                    f"chunk {chunk_length(n_rows, width):4d}  "
                     f"{'with histories' if history else ''}"
                 )
 

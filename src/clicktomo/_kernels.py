@@ -11,25 +11,29 @@ loop for one distribution: the reference the tests compare
 ``em_run`` works in chunks of iterations, in two phases:
 
 1. One update loop, run unmasked and checked once. Each iteration
-   writes its iterate q and model frequencies g = A q into
-   preallocated chunk buffers and takes the ratio h/g. The update only
-   needs that ratio on the observed rows (h > 0), so a masked run
-   divides there and keeps zeros elsewhere. A chunk runs unmasked, and
-   one check that every g of the chunk is positive covers it. If the
-   check fails, the chunk is replayed masked from the first iterate
-   whose g is not positive. The iterates before it are the same either
-   way, as 0/g is 0 on an unobserved row when g > 0, so the replay is
+   writes the model frequencies g = A q of its iterate q into a
+   preallocated chunk buffer, takes the ratio h/g and writes the next
+   iterate. The update only needs that ratio on the observed rows
+   (h > 0), so a masked run divides there and keeps zeros elsewhere. A
+   chunk runs unmasked, and one check that every g of the chunk is
+   positive covers it. If the check fails, the chunk is replayed masked
+   from its first iterate. Masked and unmasked iterates are the same
+   while g > 0, as 0/g is 0 on an unobserved row, so the replay is
    exact. A chunk that follows one with a non-positive g runs masked
    from its start. In either case one pass over the chunk's g then
    finds the first iterate where an observed row has no model
-   probability (a degenerate column): the chunk ends there, and what
-   the loop wrote after it is never read.
+   probability (a degenerate column): the chunk ends there.
 2. Once per chunk, vectorised passes over the buffers give the ε and
    log-likelihood of every iterate, and a scan over each column's ε
    list moves its best iterate (the ``min_decrease`` rule). Vectorised
    checks settle the columns whose ε falls at every step or never
-   undercuts the best; the others are scanned in plain Python. The
-   best iterate comes from the buffers.
+   undercuts the best; the others are scanned in plain Python.
+
+The iterates take three arrays, the chunk's first and two that the
+update writes in turn, which end up holding its first, last and next
+iterates. A best inside the chunk, or the iterate a degenerate column
+ends it at, is recomputed by running the chunk again from its first
+iterate: the same numpy calls on the same block give the same bits.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
 the earliest iteration at which the patience rule could fire. The
@@ -37,9 +41,9 @@ patience and degenerate rules are then checked there, in that order,
 exactly as ``_em_run_loops`` checks them each iteration. Columns that
 stop leave the block before the next update, so the other columns see
 the same block widths, hence the same BLAS results, whatever the chunk
-length. The chunk length is the number of iterates that fit, with their
-model frequencies and the next iterate, in ``CHUNK_BYTES``, counted for
-a block of at most ``CHUNK_WIDTH`` columns.
+length. The chunk length is the number of iterations whose model
+frequencies fit in ``CHUNK_BYTES``, counted for a block of at most
+``CHUNK_WIDTH`` columns; it does not depend on the length of an iterate.
 
 The per-iteration log-likelihood is the scaled negative information
 divergence between the measured and modeled frequencies,
@@ -64,8 +68,8 @@ STATUS_MAX_ITERS = 0
 STATUS_MIN_EPSILON = 2
 STATUS_DEGENERATE = -1
 
-# Bytes of chunk buffers per block: the iterates and model frequencies
-# of one chunk stay in cache while the per-chunk passes read them.
+# Bytes of model frequencies per chunk: they stay in cache while the
+# per-chunk passes read them.
 CHUNK_BYTES = 256 * 1024
 # A block wider than this gets the chunk length of a block this wide.
 # The per-chunk passes cost about as much whatever the width, so a chunk
@@ -203,13 +207,12 @@ class BlockResult:
     loglik: np.ndarray | None
 
 
-def chunk_length(n_rows, n_cols, width):
+def chunk_length(n_rows, width):
     """Iterations per chunk for a block of ``width`` columns: the chunk's
-    iterates and model frequencies, and the iterate after it, fit in
+    model frequencies, ``n_rows`` per column and iteration, fit in
     ``CHUNK_BYTES`` for a block of at most ``CHUNK_WIDTH`` columns, and
     in proportionally more for a wider one. At least 1."""
-    width = min(width, CHUNK_WIDTH)
-    return max(1, (CHUNK_BYTES // (8 * width) - n_cols) // (n_rows + n_cols))
+    return max(1, CHUNK_BYTES // (8 * min(width, CHUNK_WIDTH) * n_rows))
 
 
 def _iterate(matrix, back, h, gs, qs, ratio, start, n, where):
@@ -291,12 +294,12 @@ def em_run(
     # q is the iterate the next chunk starts from; best_q is not changed
     # before the first chunk has copied q0 into its buffer
     q = best_q = np.array(q0, dtype=np.float64, order="C")
-    qs = None  # chunk buffers, allocated once per block width
-    t0 = 0  # the iteration of qs[0]
+    trio = None  # iterate buffers, allocated once per block width
+    t0 = 0  # the iteration of the chunk's first iterate
     careful = False  # whether the last chunk had a non-positive g
     while t0 < max_iters:
-        if qs is None:
-            span = min(chunk_length(n_rows, n_cols, cols.size), max_iters)
+        if trio is None:
+            span = min(chunk_length(n_rows, cols.size), max_iters)
             gbuf = np.empty((span, n_rows, cols.size))
             work = np.empty_like(gbuf)
             eps_buf = np.empty((span, cols.size))
@@ -307,31 +310,31 @@ def em_run(
             # one array per iterate: numpy aligns each to 16 bytes, while
             # slices of one buffer are only 8-byte aligned when P is odd,
             # which slowed the P = 14,641 update by about 3%
-            qs = [np.empty((n_cols, cols.size)) for _ in range(span + 1)]
-            qs[0][...] = q
+            trio = [np.empty((n_cols, cols.size)) for _ in range(3)]
+            trio[0][...] = q
+        # iterate t goes to qs[t]: the first array, then the others in turn
+        qs = trio[:1] + trio[1:] * (span // 2 + 1)
         # no column can meet the patience rule before its best + patience
         n = min(span, max_iters - t0, int(bests.min()) + patience - t0 + 1)
         # a chunk after one with a non-positive model frequency runs
         # masked from its start: on data such as exact vacuum every chunk
         # would otherwise run twice
-        masked = careful
-        _iterate(matrix, back, h, gs, qs, ratio, 0, n,
-                 observed if masked else True)
+        where = observed if careful else True
+        _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
         careful = not gbuf[:n].min() > 0.0
         degenerate = None
         if careful:
-            if not masked:
-                # replay masked from the first iterate with a non-positive g
-                positive = gbuf[:n].reshape(n, -1).min(axis=1) > 0.0
-                _iterate(matrix, back, h, gs, qs, ratio,
-                         int(np.argmin(positive)), n, observed)
-            # an observed row with no model probability ends the chunk
-            # at that iterate, which gets no update
+            if where is True:
+                where = observed
+                _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
+            # an observed row with no model probability ends the chunk at
+            # that iterate, which gets no update; the loop went past it
             hits = degenerate_columns(h, gbuf[:n])
             cut = np.flatnonzero(hits.any(axis=1))
             if cut.size:
                 n = int(cut[0]) + 1
                 degenerate = hits[n - 1]
+                _iterate(matrix, back, h, gs, qs, ratio, 0, n - 1, where)
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
         if history:
@@ -343,19 +346,30 @@ def em_run(
         # stop rules at the chunk's last iterate
         last = t0 + n - 1
         falls, scanned = _scan_best(eps, t0, bars, bests, minds)
-        np.copyto(best_q, qs[n - 1], where=falls)
-        for j in scanned:
-            if bests[j] >= t0:
-                best_q[:, j] = qs[bests[j] - t0][:, j]
         stop = None
         if last - bests.min() >= patience or degenerate is not None:
             stop = last - bests >= patience
             codes = np.where(stop, STATUS_MIN_EPSILON, STATUS_DEGENERATE)
             if degenerate is not None:
                 stop |= degenerate
+        going_on = stop is None or not stop.any()
+        np.copyto(best_q, qs[n - 1], where=falls)
+        inside = []
+        for j in scanned:
+            k = int(bests[j]) - t0
+            if 0 < k < n - 1:
+                inside.append((k, j))
+            elif k >= 0:
+                best_q[:, j] = qs[k][:, j]
+        # run the chunk again for a best inside it, in the first array and
+        # the one not read below (qs[n - 1] if the block goes on, else qs[n])
+        spare, k0 = [qs[0], qs[n + going_on]] * n, 0
+        for k, j in sorted(inside):
+            _iterate(matrix, back, h, gs, spare, ratio, k0, k, where)
+            best_q[:, j], k0 = spare[k][:, j], k
         t0 = last + 1
-        if stop is None or not stop.any():
-            qs = qs[n:] + qs[:n]  # the next iterate, qs[n], comes first
+        if going_on:
+            trio = [qs[n], qs[n + 1], qs[0]]  # the next iterate comes first
             continue
 
         idx = cols[stop]
@@ -374,7 +388,7 @@ def em_run(
         g = gbuf[n - 1].take(keep, axis=1)
         q = qs[n - 1].take(keep, axis=1)
         q *= back.dot(data_ratio(h, g))
-        qs = None
+        trio = None
     else:
         best_out[:, cols] = best_q
         best_iter_out[cols] = bests

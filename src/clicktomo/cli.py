@@ -250,10 +250,12 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         ) from exc
 
 
-def _reference_marginal(args, manifest, truncation) -> np.ndarray | None:
+def _reference_marginal(args, manifest, truncation):
+    """The reference marginal (None without ``--reference``), and the
+    multithermal parameters it was built from (None for a state file)."""
     ref = args.reference
     if ref is None:
-        return None
+        return None, None
     if ref == "multithermal":
         params = {}
         if manifest and manifest.get("state", {}).get("kind") == "multithermal_split":
@@ -268,7 +270,8 @@ def _reference_marginal(args, manifest, truncation) -> np.ndarray | None:
             )
         spec = ThermalSpec(_io.json_number("mean_photons", mean_photons),
                            _io.json_number("num_modes", num_modes))
-        return multithermal_marginal(spec, truncation)
+        return multithermal_marginal(spec, truncation), {
+            "mean_photons": spec.mean_photons, "num_modes": spec.num_modes}
     doc = _load_json(Path(ref))
     try:
         state = state_from_json(doc)
@@ -276,7 +279,7 @@ def _reference_marginal(args, manifest, truncation) -> np.ndarray | None:
         raise ConfigError(f"{ref}: missing {exc}") from exc
     if state.truncation < truncation:
         raise ConfigError("reference state truncation below reconstruction")
-    return marginal(state, 0)[: truncation + 1]
+    return marginal(state, 0)[: truncation + 1], None
 
 
 def _parse_min_decrease(value) -> float | None:
@@ -324,7 +327,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
     # resolved before the solve: a bad reference writes no file
-    reference = _reference_marginal(args, manifest, truncation)
+    reference, reference_params = _reference_marginal(args, manifest,
+                                                      truncation)
     # the replicate block runs in a child beside the point solve and its
     # writes; an error in the command, or its kill, ends the child too
     bootstrap = (
@@ -384,6 +388,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "reference": args.reference,
         "input_manifest": manifest,
     }
+    if reference_params is not None:
+        run_manifest["reference_params"] = reference_params
     _write_json(out_dir / "manifest.json", run_manifest)
     print(
         f"stopped after {trace.n_iterations} iterations ({trace.stop_reason}), "

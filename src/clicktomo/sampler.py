@@ -129,14 +129,18 @@ class ClickRecord:
         etas = sorted({float(r["eta"]) for r in rows})
         index = {repr(e): i for i, e in enumerate(etas)}
         counts = np.zeros((len(etas), len(patterns)), dtype=np.int64)
-        runs = np.zeros(len(etas), dtype=np.int64)
+        seen, runs = set(), {}
         for r in rows:
-            nu = index[repr(float(r["eta"]))]
-            counts[nu, patterns.index(r["pattern"])] = int(r["count"])
-            runs[nu] = int(r["runs"])
+            eta, pattern, n_runs = repr(float(r["eta"])), r["pattern"], int(r["runs"])
+            if (eta, pattern) in seen:
+                raise ValueError(f"two rows for eta {eta}, pattern {pattern}")
+            seen.add((eta, pattern))
+            if runs.setdefault(eta, n_runs) != n_runs:
+                raise ValueError(f"the rows of eta {eta} give different runs")
+            counts[index[eta], patterns.index(pattern)] = int(r["count"])
         return ClickRecord(
             grid=EfficiencyGrid(np.array(etas)), modes=modes,
-            counts=counts, runs=runs,
+            counts=counts, runs=[runs[eta] for eta in index],
         )
 
 

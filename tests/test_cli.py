@@ -171,6 +171,33 @@ class TestReconstruct:
         assert len(fids) == 2
         assert all(0.9 < f <= 1.0 + 1e-12 for f in fids)
 
+    def test_manifest_records_the_reference_parameters(self, tmp_path):
+        # the overrides change the fidelities, so the manifest records
+        # them; a run from the recorded values gives the same summary
+        sim = tmp_path / "sim"
+        assert run([
+            "simulate", "--preset", "multithermal-split", "--grid-k", "6",
+            "--runs", "20000", "--truncation", "3", "--out-dir", str(sim),
+        ]) == EXIT_OK
+        base = ["reconstruct", str(sim), "--max-iters", "300",
+                "--reference", "multithermal", "--num-modes", "2"]
+        outs = [tmp_path / name for name in ("a", "b", "again")]
+        for out, mean in zip(outs, ("0.3", "0.2")):
+            assert run(base + ["--mean-photons", mean,
+                               "--out-dir", str(out)]) == EXIT_OK
+        manifests = [json.loads((out / "manifest.json").read_text())
+                     for out in outs[:2]]
+        assert manifests[0] != manifests[1]
+        params = manifests[0]["reference_params"]
+        assert params == {"mean_photons": 0.3, "num_modes": 2.0}
+        assert run(["reconstruct", str(sim), "--max-iters", "300",
+                    "--reference", "multithermal",
+                    "--mean-photons", repr(params["mean_photons"]),
+                    "--num-modes", repr(params["num_modes"]),
+                    "--out-dir", str(outs[2])]) == EXIT_OK
+        summaries = [(out / "summary.json").read_bytes() for out in outs]
+        assert summaries[2] == summaries[0] != summaries[1]
+
     @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
     def test_zero_reference_parameter_is_config_error(self, tmp_path, flag):
         # an explicit 0 is refused, not replaced by the manifest's value
@@ -302,6 +329,22 @@ class TestReconstruct:
         assert code == EXIT_DATA
         assert "1632000000 bytes" in capsys.readouterr().err
         assert peak < 16 * 2**20
+
+    def test_duplicate_csv_row_is_data_error(self, tmp_path, capsys):
+        # a conflicting copy of the first row, placed before it: the
+        # record is refused, not read with whichever row came last
+        sim = simulate_small(tmp_path)
+        path = sim / "record.csv"
+        header, first, *rest = path.read_text().splitlines()
+        eta, pattern, count, runs = first.split(",")
+        copy = ",".join([eta, pattern, str(int(count) + 1), runs])
+        path.write_text("\n".join([header, copy, first, *rest]) + "\n")
+        assert run([
+            "reconstruct", str(path), "--truncation", "3", "--max-iters", "50",
+            "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_DATA
+        assert "malformed click record" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_csv_record_matches_json_record(self, tmp_path):
         sim = simulate_small(tmp_path)
@@ -831,3 +874,24 @@ def test_benchmark_hooks_resolve():
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_em_runs():
+    # benchmarks/bench_em.py checks each kernel path against the loop
+    # reference before it times it; a short run on the heralded size
+    root = Path(__file__).resolve().parents[1]
+    script = root / "benchmarks" / "bench_em.py"
+    if not script.is_file():
+        pytest.skip("no benchmarks/ in this checkout")
+    package_root = str(Path(clicktomo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, str(script), "--iters", "20", "--widths", "1", "2",
+         "--sizes", "heralded"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("EM kernel, heralded: 20 iterations")
+    chunks = [line.split("chunk")[1].split()[0] for line in lines[1:]]
+    assert chunks == ["321", "321", "160"]

@@ -133,6 +133,28 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.counts, rec.counts)
         np.testing.assert_array_equal(back.grid.etas, rec.grid.etas)
 
+    @pytest.mark.parametrize("damage, message", [
+        ("duplicate row", "two rows for eta"),
+        ("runs differ", "different runs"),
+    ])
+    def test_csv_conflicting_rows_refused(self, small_grid, balanced_state,
+                                          tmp_path, damage, message):
+        rec = sample_clicks(forward_click_probabilities(balanced_state,
+                                                        small_grid), 500, seed=1)
+        path = tmp_path / "record.csv"
+        rec.to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        runs = rows[0].split(",")[3]
+        if damage == "duplicate row":
+            # a copy with the same count and runs is refused as well
+            rows.insert(0, rows[0])
+        else:
+            # the same total on every row of the first efficiency but one
+            rows[1] = ",".join(rows[1].split(",")[:3] + [str(int(runs) + 1)])
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            ClickRecord.from_csv(path)
+
     def test_json_bytes_stable(self, small_grid, balanced_state, tmp_path):
         probs = forward_click_probabilities(balanced_state, small_grid)
         rec = sample_clicks(probs, 500, seed=1)

@@ -419,11 +419,9 @@ def _force_chunk(monkeypatch, length, matrix, width):
     into chunks of ``length`` iterations (None: the default)."""
     if length is None:
         return
-    n_rows, n_cols = matrix.shape
-    monkeypatch.setattr(
-        _kernels, "CHUNK_BYTES", 8 * width * (length * (n_rows + n_cols) + n_cols)
-    )
-    assert chunk_length(n_rows, n_cols, width) == length
+    n_rows = matrix.shape[0]
+    monkeypatch.setattr(_kernels, "CHUNK_BYTES", 8 * width * length * n_rows)
+    assert chunk_length(n_rows, width) == length
 
 
 def _assert_same_block(a, b):
@@ -546,6 +544,84 @@ class TestChunkBoundaries:
         if start == "vacuum":
             assert ref[6] == STATUS_MIN_EPSILON and ref[2] == 0
 
+    def test_bests_inside_a_chunk(self, setup, small_grid, monkeypatch):
+        # a min_decrease above the per-iteration fall of ε moves each
+        # column's best every few iterations, so a chunk seldom ends on
+        # one: at the default length the final bests lie inside the last
+        # chunk, at a different iteration in each column, and are
+        # recomputed from its first iterate. At length 1 nothing is.
+        matrix, mt, inv, back = setup
+        hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+              for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 5000, 3))]
+        mind = np.array([2e-6, 5e-6, 1e-5])
+        q0 = np.full(16, 1.0 / 16)
+        max_iters = 3000
+        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                           np.stack([q0] * 3, axis=1), max_iters, max_iters,
+                           mind, history=True)
+        span = chunk_length(matrix.shape[0], 3)
+        last_start = (max_iters - 1) // span * span
+        bests = block.best_iteration.tolist()
+        assert len(set(bests)) == 3
+        assert all(last_start < b < max_iters - 1 for b in bests)
+        for col in range(3):
+            ref = _em_run_loops(matrix, mt, inv, hs[col], q0, max_iters,
+                                max_iters, mind[col])
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+
+    def test_chunk_length_ignores_the_iterate_length(self, monkeypatch):
+        # 105 rows at 81 columns (N = 8) and at 14,641 (N = 120, the
+        # factored pair): the first chunk of a 1-column block is as long
+        # at both, as long as the rows alone allow
+        grid = uniform_grid(35, 0.05, 0.25)
+        iterate = _kernels._iterate
+        firsts = []
+        for truncation, n_cols in ((8, 81), (120, 14641)):
+            m = build_matrix(grid, 2, truncation)
+            assert m.forward.shape == (105, n_cols)
+            ends = []
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "_iterate",
+                              lambda *args: ends.append(args[7]) or iterate(*args))
+                em_run(m.forward, m.back, np.full((105, 1), 1.0 / 105),
+                       np.full((n_cols, 1), 1.0 / n_cols), 400, 400, 0.0)
+            firsts.append(ends[0])
+        assert firsts == [chunk_length(105, 1)] * 2 == [312] * 2
+
+    def test_degenerate_stop_inside_a_chunk(self, setup, small_grid,
+                                            monkeypatch):
+        # exact vacuum data but for one click row, at the smallest
+        # subnormal frequency: its model frequency underflows to zero
+        # after 2083 iterations, inside a chunk of 7 and of the default
+        # length, and the column ends there. The heralded column goes on
+        # from the iterate at that cut, which the loop had passed. g/h
+        # overflows on that row in both log-likelihoods.
+        matrix, mt, inv, back = setup
+        vac = np.zeros((4, 4))
+        vac[0, 0] = 1.0
+        h = forward_click_probabilities(
+            JointDistribution(vac), small_grid).explicit_vector()
+        h[5] = 5e-324
+        hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
+        q0 = np.full(16, 1.0 / 16)
+        args = (2500, 2500, 0.0)
+        with np.errstate(over="ignore"):
+            block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                               np.stack([q0, q0], axis=1), *args, history=True)
+            refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
+        assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
+        assert block.n_iterations[0] == 2084
+        for col, ref in enumerate(refs):
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_replay_from_a_non_positive_iterate_inside_a_chunk(
             self, setup, small_grid, monkeypatch):
@@ -553,7 +629,8 @@ class TestChunkBoundaries:
         # of the click rows decay until they underflow to zero, after
         # about 2000 iterations and inside a chunk of 7 or of the default
         # length; the optimistic chunk then fails its check and is
-        # replayed from there. The heralded column stays positive.
+        # replayed masked from its first iterate. The heralded column
+        # stays positive.
         matrix, mt, inv, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
@@ -565,11 +642,10 @@ class TestChunkBoundaries:
         iterate = _kernels._iterate
         runs = []
         for length in CHUNKS:
-            starts = []
+            calls = []  # (masked, start) of each run of the update loop
 
             def spy(matrix, back, h, gs, qs, ratio, start, n, where):
-                if where is not True:
-                    starts.append(start)
+                calls.append((where is not True, start))
                 return iterate(matrix, back, h, gs, qs, ratio, start, n, where)
 
             with monkeypatch.context() as patch:
@@ -578,9 +654,13 @@ class TestChunkBoundaries:
                 runs.append(em_run(matrix, back, np.stack(hs, axis=1),
                                    np.stack([q0, q0], axis=1), *args,
                                    history=True))
+            starts = [start for masked, start in calls if masked]
             assert starts, "no chunk took the masked path"
-            if length != 1:
-                assert max(starts) > 0, "no replay began inside a chunk"
+            # an unmasked run followed by a masked one: the one chunk that
+            # failed its check, replayed from its first iterate
+            replays = [start for (was_masked, _), (masked, start)
+                       in zip(calls, calls[1:]) if masked and not was_masked]
+            assert replays == [0]
         for other in runs[1:]:
             _assert_same_block(runs[0], other)
         block = runs[0]
