@@ -307,8 +307,8 @@ def em_run(
             ratio = np.empty((n_rows, cols.size))
             observed = h > 0.0
             gs = list(gbuf)
-            # one array per iterate: numpy aligns each to 16 bytes, while
-            # slices of one buffer are only 8-byte aligned when P is odd,
+            # whole arrays, not slices of one: numpy aligns each to 16
+            # bytes, while such slices are only 8-byte aligned when P is odd,
             # which slowed the P = 14,641 update by about 3%
             trio = [np.empty((n_cols, cols.size)) for _ in range(3)]
             trio[0][...] = q

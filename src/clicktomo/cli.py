@@ -250,7 +250,8 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         ) from exc
 
 
-def _reference_marginal(args, manifest, truncation):
+def _reference_marginal(args, manifest,
+                        truncation) -> tuple[np.ndarray | None, dict | None]:
     """The reference marginal (None without ``--reference``), and the
     multithermal parameters it was built from (None for a state file)."""
     ref = args.reference
