@@ -25,25 +25,27 @@ loop for one distribution: the reference the tests compare
    probability (a degenerate column): the chunk ends there.
 2. Once per chunk, vectorised passes over the buffers give the ε and
    log-likelihood of every iterate, and a scan over each column's ε
-   list moves its best iterate (the ``min_decrease`` rule). Vectorised
+   list moves its best iteration (the ``min_decrease`` rule). Vectorised
    checks settle the columns whose ε falls at every step or never
    undercuts the best; the others are scanned in plain Python.
 
 The iterates take three arrays, the chunk's first and two that the
 update writes in turn, which end up holding its first, last and next
-iterates. A best inside the chunk, or the iterate a degenerate column
-ends it at, is recomputed by running the chunk again from its first
-iterate: the same numpy calls on the same block give the same bits.
+iterates. A column's best iterate follows from its best iteration
+alone. One inside the chunk, or the iterate a degenerate column ends it
+at, is recomputed by running the chunk again from its first iterate:
+the same numpy calls on the same block give the same bits.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
-the earliest iteration at which the patience rule could fire. The
-patience and degenerate rules are then checked there, in that order,
-exactly as ``_em_run_loops`` checks them each iteration. Columns that
-stop leave the block before the next update, so the other columns see
-the same block widths, hence the same BLAS results, whatever the chunk
-length. The chunk length is the number of iterations whose model
-frequencies fit in ``CHUNK_BYTES``, counted for a block of at most
-``CHUNK_WIDTH`` columns; it does not depend on the length of an iterate.
+the earliest iteration at which the patience rule could fire, nor past
+the budget. One stop block takes each stop there as a mask, in
+``_em_run_loops``'s order: patience, degenerate, the end of the budget.
+Every column that stops leaves the block the same way, before the next
+update, so the other columns see the same block widths, hence the same
+BLAS results, whatever the chunk length. The chunk length is the number
+of iterations whose model frequencies fit in ``CHUNK_BYTES``, counted
+for a block of at most ``CHUNK_WIDTH`` columns; it does not depend on
+the length of an iterate.
 
 The per-iteration log-likelihood is the scaled negative information
 divergence between the measured and modeled frequencies,
@@ -235,30 +237,28 @@ def _scan_best(eps, t0, bar, best, mind):
     """Phase 2: the ``min_decrease`` rule along each column of the n×B
     chunk ``eps``, whose first row is iteration ``t0``. An iterate
     becomes a column's best when its ε is below ``bar``, the best ε so
-    far minus ``mind``. Updates ``bar`` and ``best`` in place.
+    far minus ``mind``. Updates ``bar`` and ``best`` in place; the caller
+    takes each best iterate from ``best`` alone.
 
     A column whose ε falls by more than ``mind`` from each iterate to
     the next ends the chunk with its last iterate as the best, and one
     whose ε never goes below ``bar`` keeps its best; neither needs the
     scan. The others are scanned in plain Python, as ``_em_run_loops``
-    writes the rule. Returns the mask of the falling columns (True when
-    all fall) and the list of the scanned ones.
+    writes the rule.
     """
     below = eps < bar
     falls = below[0] & (eps[1:] < eps[:-1] - mind).all(axis=0)
     np.copyto(bar, eps[-1] - mind, where=falls)
     np.copyto(best, t0 + eps.shape[0] - 1, where=falls)
     if falls.all():
-        return True, []
-    scanned = np.flatnonzero(below.any(axis=0) & ~falls).tolist()
-    for j in scanned:
+        return
+    for j in np.flatnonzero(below.any(axis=0) & ~falls).tolist():
         b, k, m = float(bar[j]), int(best[j]), float(mind[j])
         for it, e in enumerate(eps[:, j].tolist(), t0):
             if e < b:
                 b = e - m
                 k = it
         bar[j], best[j] = b, k
-    return falls, scanned
 
 
 def em_run(
@@ -273,14 +273,14 @@ def em_run(
     ``min_decrease`` is a scalar or one value per column. ``history``
     keeps the ε and log-likelihood of every iteration (memory
     O(max_iters·B)). The module docstring describes the two phases of
-    each chunk.
+    each chunk and the one stop block every column leaves through.
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape
     best_out = np.empty((n_cols, width))
-    best_iter_out = np.zeros(width, dtype=np.int64)
-    n_done_out = np.full(width, max_iters, dtype=np.int64)
-    status_out = np.full(width, STATUS_MAX_ITERS, dtype=np.int64)
+    best_iter_out = np.empty(width, dtype=np.int64)
+    n_done_out = np.empty(width, dtype=np.int64)
+    status_out = np.empty(width, dtype=np.int64)
     eps_hist = np.empty((max_iters, width)) if history else None
     ll_hist = np.empty((max_iters, width)) if history else None
 
@@ -297,7 +297,7 @@ def em_run(
     trio = None  # iterate buffers, allocated once per block width
     t0 = 0  # the iteration of the chunk's first iterate
     careful = False  # whether the last chunk had a non-positive g
-    while t0 < max_iters:
+    while True:  # every column stops by the last iteration of the budget
         if trio is None:
             span = min(chunk_length(n_rows, cols.size), max_iters)
             gbuf = np.empty((span, n_rows, cols.size))
@@ -322,7 +322,7 @@ def em_run(
         where = observed if careful else True
         _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
         careful = not gbuf[:n].min() > 0.0
-        degenerate = None
+        degenerate = np.zeros(cols.size, dtype=bool)
         if careful:
             if where is True:
                 where = observed
@@ -342,31 +342,22 @@ def em_run(
             ll_hist[t0:t0 + n, cols] = log_likelihood(
                 h, gbuf[:n], work[:n], ll_buf[:n])
 
-        # phase 2: the min_decrease rule along each column's ε, then the
-        # stop rules at the chunk's last iterate
+        # phase 2: the min_decrease rule along each column's ε, then every
+        # stop at the chunk's last iterate, in _em_run_loops's order
         last = t0 + n - 1
-        falls, scanned = _scan_best(eps, t0, bars, bests, minds)
-        stop = None
-        if last - bests.min() >= patience or degenerate is not None:
-            stop = last - bests >= patience
-            codes = np.where(stop, STATUS_MIN_EPSILON, STATUS_DEGENERATE)
-            if degenerate is not None:
-                stop |= degenerate
-        going_on = stop is None or not stop.any()
-        np.copyto(best_q, qs[n - 1], where=falls)
-        inside = []
-        for j in scanned:
-            k = int(bests[j]) - t0
-            if 0 < k < n - 1:
-                inside.append((k, j))
-            elif k >= 0:
-                best_q[:, j] = qs[k][:, j]
+        _scan_best(eps, t0, bars, bests, minds)
+        patient = last - bests >= patience
+        stop = patient | degenerate | (last == max_iters - 1)
+        going_on = not stop.any()
+        k = bests - t0  # each best iterate follows from its best iteration
+        np.copyto(best_q, qs[n - 1], where=k == n - 1)
+        inside = np.flatnonzero((k >= 0) & (k < n - 1))
         # run the chunk again for a best inside it, in the first array and
         # the one not read below (qs[n - 1] if the block goes on, else qs[n])
         spare, k0 = [qs[0], qs[n + going_on]] * n, 0
-        for k, j in sorted(inside):
-            _iterate(matrix, back, h, gs, spare, ratio, k0, k, where)
-            best_q[:, j], k0 = spare[k][:, j], k
+        for kj, j in sorted(zip(k[inside].tolist(), inside.tolist())):
+            _iterate(matrix, back, h, gs, spare, ratio, k0, kj, where)
+            best_q[:, j], k0 = spare[kj][:, j], kj
         t0 = last + 1
         if going_on:
             trio = [qs[n], qs[n + 1], qs[0]]  # the next iterate comes first
@@ -376,7 +367,9 @@ def em_run(
         best_out[:, idx] = best_q[:, stop]
         best_iter_out[idx] = bests[stop]
         n_done_out[idx] = t0
-        status_out[idx] = codes[stop]
+        status_out[idx] = np.select([patient, degenerate],
+                                    [STATUS_MIN_EPSILON, STATUS_DEGENERATE],
+                                    STATUS_MAX_ITERS)[stop]
         keep = np.flatnonzero(~stop)
         if not keep.size:
             break
@@ -389,9 +382,6 @@ def em_run(
         q = qs[n - 1].take(keep, axis=1)
         q *= back.dot(data_ratio(h, g))
         trio = None
-    else:
-        best_out[:, cols] = best_q
-        best_iter_out[cols] = bests
 
     return BlockResult(
         best_q=best_out,

@@ -148,6 +148,14 @@ def _load_json(path: Path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _check_seed(seed: int) -> int:
+    """Refuse a negative seed before any solve; numpy would refuse it
+    only where it seeds a generator, after earlier outputs are written."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 # --- simulate ------------------------------------------------------------
 
 
@@ -179,7 +187,7 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
         if key not in cfg:
             raise ConfigError(f"missing --{key.replace('_', '-')}")
     runs = cfg.get("runs", 100_000)
-    seed = cfg.get("seed", 0)
+    seed = _check_seed(cfg.get("seed", 0))
 
     try:
         state = state_from_json(state_doc)
@@ -251,12 +259,13 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
 
 
 def _reference_marginal(args, manifest,
-                        truncation) -> tuple[np.ndarray | None, dict | None]:
-    """The reference marginal (None without ``--reference``), and the
-    multithermal parameters it was built from (None for a state file)."""
+                        truncation) -> tuple[np.ndarray | None, dict]:
+    """The reference marginal (None without ``--reference``), and what the
+    run manifest records of it: the multithermal parameters it was built
+    from, or the state document read from a file."""
     ref = args.reference
     if ref is None:
-        return None, None
+        return None, {}
     if ref == "multithermal":
         params = {}
         if manifest and manifest.get("state", {}).get("kind") == "multithermal_split":
@@ -271,8 +280,8 @@ def _reference_marginal(args, manifest,
             )
         spec = ThermalSpec(_io.json_number("mean_photons", mean_photons),
                            _io.json_number("num_modes", num_modes))
-        return multithermal_marginal(spec, truncation), {
-            "mean_photons": spec.mean_photons, "num_modes": spec.num_modes}
+        return multithermal_marginal(spec, truncation), {"reference_params": {
+            "mean_photons": spec.mean_photons, "num_modes": spec.num_modes}}
     doc = _load_json(Path(ref))
     try:
         state = state_from_json(doc)
@@ -280,7 +289,7 @@ def _reference_marginal(args, manifest,
         raise ConfigError(f"{ref}: missing {exc}") from exc
     if state.truncation < truncation:
         raise ConfigError("reference state truncation below reconstruction")
-    return marginal(state, 0)[: truncation + 1], None
+    return marginal(state, 0)[: truncation + 1], {"reference_state": doc}
 
 
 def _parse_min_decrease(value) -> float | None:
@@ -315,6 +324,7 @@ def _check_bootstrap_reps(reps: int, zero_allowed: bool) -> None:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     _check_bootstrap_reps(args.bootstrap_reps, zero_allowed=True)
+    _check_seed(args.seed)
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
@@ -328,8 +338,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
     # resolved before the solve: a bad reference writes no file
-    reference, reference_params = _reference_marginal(args, manifest,
-                                                      truncation)
+    reference, reference_entries = _reference_marginal(args, manifest, truncation)
     # the replicate block runs in a child beside the point solve and its
     # writes; an error in the command, or its kill, ends the child too
     bootstrap = (
@@ -388,9 +397,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "reference": args.reference,
         "input_manifest": manifest,
+        **reference_entries,
     }
-    if reference_params is not None:
-        run_manifest["reference_params"] = reference_params
     _write_json(out_dir / "manifest.json", run_manifest)
     print(
         f"stopped after {trace.n_iterations} iterations ({trace.stop_reason}), "

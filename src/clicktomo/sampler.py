@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import fmt, write_csv, write_json
+from ._io import fmt, json_number, write_csv, write_json
 from .detection import ClickProbabilities, EfficiencyGrid, click_patterns
 
 __all__ = ["ClickRecord", "sample_clicks", "frequencies"]
@@ -87,10 +87,11 @@ class ClickRecord:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ClickRecord":
-        # float(True) is 1.0: a boolean is refused, as for counts and modes
-        if any(isinstance(e, bool) for e in doc["etas"]):
-            raise TypeError("etas must be numbers, not booleans")
-        grid = EfficiencyGrid(np.array([float(e) for e in doc["etas"]]))
+        # to_json_dict writes each efficiency as its float repr, a JSON
+        # string; any other eta must be a JSON number, a boolean not being one
+        grid = EfficiencyGrid(np.array([
+            float(e) if isinstance(e, str) else json_number("etas", e)
+            for e in doc["etas"]]))
         return ClickRecord(
             grid=grid,
             modes=doc["modes"],

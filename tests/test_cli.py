@@ -198,6 +198,30 @@ class TestReconstruct:
         summaries = [(out / "summary.json").read_bytes() for out in outs]
         assert summaries[2] == summaries[0] != summaries[1]
 
+    def test_manifest_records_the_reference_state(self, tmp_path):
+        # two reference documents at one path give different fidelities,
+        # so the manifest records the document read; a run from the
+        # recorded document gives the same summary
+        sim = simulate_small(tmp_path)
+        reference = tmp_path / "reference.json"
+        outs = [tmp_path / name for name in ("a", "b", "again")]
+
+        def solve(doc, out):
+            reference.write_text(json.dumps(doc))
+            assert run(["reconstruct", str(sim), "--max-iters", "300",
+                        "--reference", str(reference),
+                        "--out-dir", str(out)]) == EXIT_OK
+            return json.loads((out / "manifest.json").read_text())
+
+        manifests = [solve({"kind": "heralded", "tau": tau, "truncation": 3}, out)
+                     for tau, out in zip((0.5, 0.3), outs)]
+        assert manifests[0] != manifests[1]
+        assert manifests[0]["reference_state"] == {
+            "kind": "heralded", "tau": 0.5, "truncation": 3}
+        solve(manifests[0]["reference_state"], outs[2])
+        summaries = [(out / "summary.json").read_bytes() for out in outs]
+        assert summaries[2] == summaries[0] != summaries[1]
+
     @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
     def test_zero_reference_parameter_is_config_error(self, tmp_path, flag):
         # an explicit 0 is refused, not replaced by the manifest's value
@@ -276,7 +300,8 @@ class TestReconstruct:
     @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta",
                                         "zero runs", "zero modes",
                                         "fractional counts", "string count",
-                                        "float modes", "boolean eta"])
+                                        "float modes", "boolean eta",
+                                        "null eta"])
     def test_malformed_record_is_data_error(self, tmp_path, capsys, damage):
         sim = simulate_small(tmp_path)
         path = sim / "record.json"
@@ -304,6 +329,8 @@ class TestReconstruct:
         elif damage == "boolean eta":
             # float(True) is 1.0, the grid's largest allowed efficiency
             doc["etas"][-1] = True
+        elif damage == "null eta":
+            doc["etas"][0] = None
         text = json.dumps(doc)
         path.write_text(text[:-10] if damage == "invalid JSON" else text)
         assert run([
@@ -814,6 +841,31 @@ def test_mistyped_value_is_config_error(tmp_path, command, values):
         (sim / "manifest.json").write_text(json.dumps(manifest))
         argv = ["reconstruct", str(sim), "--max-iters", "50"]
     assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate config",
+                                     "reconstruct", "reproduce fig2",
+                                     "reproduce fig3"])
+def test_negative_seed_is_refused_before_any_solve(tmp_path, monkeypatch,
+                                                   capsys, command):
+    # numpy refuses a negative seed only where it seeds a generator: in
+    # reconstruct that is the bootstrap, after the point solve's writes
+    sim = simulate_small(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "heralded-balanced", "seed": -1}))
+    for name in ("sample_clicks", "reconstruct", "bootstrap_uncertainty"):
+        monkeypatch.setattr(cli, name, no_solve)
+    argv = {
+        "simulate": ["simulate", "--preset", "heralded-balanced", "--seed", "-1"],
+        "simulate config": ["simulate", "--config", str(config)],
+        "reconstruct": ["reconstruct", str(sim), "--bootstrap-reps", "2",
+                        "--seed", "-1"],
+        "reproduce fig2": ["reproduce", "fig2", "--seed", "-1"],
+        "reproduce fig3": ["reproduce", "fig3", "--seed", "-1"],
+    }[command]
+    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, or a script under ``benchmarks/``,
+imports is used in that module.
 
 No linter is installed, so this is the standard-library stand-in for
 pyflakes' F401: a deliberate re-export carries ``# noqa: F401``, and a
@@ -16,6 +17,7 @@ import pytest
 import clicktomo
 
 PACKAGE = Path(clicktomo.__file__).resolve().parent
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,8 +52,9 @@ def test_checker_flags_unused_and_honours_noqa():
     assert unused_imports(source) == ["e (line 4)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")) + sorted(BENCHMARKS.glob("*.py")),
+    ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -124,6 +124,20 @@ class TestRoundTrips:
         assert back.grid.matches(rec.grid)
         np.testing.assert_array_equal(back.grid.etas, rec.grid.etas)
 
+    def test_json_number_etas_read_like_their_strings(self, small_grid,
+                                                     balanced_state):
+        # to_json_dict writes each eta as its repr string; a JSON number
+        # reads the same, and a boolean is refused as no number
+        rec = sample_clicks(forward_click_probabilities(balanced_state,
+                                                        small_grid), 500, seed=1)
+        doc = rec.to_json_dict()
+        numbers = dict(doc, etas=[float(e) for e in doc["etas"]])
+        np.testing.assert_array_equal(
+            ClickRecord.from_json_dict(numbers).grid.etas, rec.grid.etas)
+        numbers["etas"][-1] = True
+        with pytest.raises(ValueError, match="etas must be a number"):
+            ClickRecord.from_json_dict(numbers)
+
     def test_csv_lossless(self, small_grid, balanced_state, tmp_path):
         probs = forward_click_probabilities(balanced_state, small_grid)
         rec = sample_clicks(probs, 9999, seed=13)

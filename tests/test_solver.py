@@ -622,6 +622,60 @@ class TestChunkBoundaries:
                 block.loglik[:, col], block.status[col],
             ))
 
+    def test_patience_stop_on_the_last_iteration_of_the_budget(
+            self, setup, small_grid, monkeypatch):
+        # the patience window of the first column expires on iteration
+        # max_iters - 1, where the budget ends too: patience comes first,
+        # as in the loop reference. The second column ends on the budget
+        # at the same iterate.
+        matrix, mt, inv, back = setup
+        hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+              for tau, runs, seed in ((0.5, 2000, 1), (0.4, 10**6, 2))]
+        q0 = np.full(16, 1.0 / 16)
+        free = _em_run_loops(matrix, mt, inv, hs[0], q0, 3000, 99, 1e-4)
+        assert free[6] == STATUS_MIN_EPSILON
+        max_iters, mind = free[3], np.array([1e-4, 0.0])
+        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                           np.stack([q0, q0], axis=1), max_iters, 99, mind,
+                           history=True)
+        assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
+        assert block.n_iterations.tolist() == [max_iters] * 2
+        for col, h in enumerate(hs):
+            ref = _em_run_loops(matrix, mt, inv, h, q0, max_iters, 99, mind[col])
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+
+    def test_degenerate_stop_on_the_last_iteration_of_the_budget(
+            self, setup, small_grid, monkeypatch):
+        # the data of test_degenerate_stop_inside_a_chunk, with a budget
+        # that ends on the iterate where the first column's click row
+        # underflows: that column ends degenerate, the heralded one on the
+        # budget, at the same iterate
+        matrix, mt, inv, back = setup
+        vac = np.zeros((4, 4))
+        vac[0, 0] = 1.0
+        h = forward_click_probabilities(
+            JointDistribution(vac), small_grid).explicit_vector()
+        h[5] = 5e-324
+        hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
+        q0 = np.full(16, 1.0 / 16)
+        args = (2084, 2500, 0.0)
+        with np.errstate(over="ignore"):
+            block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                               np.stack([q0, q0], axis=1), *args, history=True)
+            refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
+        assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
+        assert block.n_iterations.tolist() == [2084, 2084]
+        for col, ref in enumerate(refs):
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_replay_from_a_non_positive_iterate_inside_a_chunk(
             self, setup, small_grid, monkeypatch):
