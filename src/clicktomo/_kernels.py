@@ -31,21 +31,24 @@ loop for one distribution: the reference the tests compare
 
 The iterates take three arrays, the chunk's first and two that the
 update writes in turn, which end up holding its first, last and next
-iterates. A column's best iterate follows from its best iteration
-alone. One inside the chunk, or the iterate a degenerate column ends it
-at, is recomputed by running the chunk again from its first iterate:
-the same numpy calls on the same block give the same bits.
+iterates; the next chunk starts from the next, whether or not columns
+stop. A chunk that a degenerate column cuts short runs again to the
+update from its cut. A best inside the chunk is recomputed by running
+the chunk again from its first iterate, in the two arrays that do not
+hold the next: the same numpy calls on the same block give the same
+bits. A fourth array keeps each column's best until it stops; a copy
+into the outputs at every chunk made wide blocks 1-2% slower.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
 the earliest iteration at which the patience rule could fire, nor past
 the budget. One stop block takes each stop there as a mask, in
 ``_em_run_loops``'s order: patience, degenerate, the end of the budget.
-Every column that stops leaves the block the same way, before the next
-update, so the other columns see the same block widths, hence the same
-BLAS results, whatever the chunk length. The chunk length is the number
-of iterations whose model frequencies fit in ``CHUNK_BYTES``, counted
-for a block of at most ``CHUNK_WIDTH`` columns; it does not depend on
-the length of an iterate.
+The columns that stop leave the block after the loop's update from that
+iterate, so each update runs at the same block width, hence gives the
+same BLAS results, whatever the chunk length. The chunk length is the
+number of iterations whose model frequencies fit in ``CHUNK_BYTES``,
+counted for a block of at most ``CHUNK_WIDTH`` columns; it does not
+depend on the length of an iterate.
 
 The per-iteration log-likelihood is the scaled negative information
 divergence between the measured and modeled frequencies,
@@ -184,11 +187,6 @@ def log_likelihood(h, g, work=None, out=None):
     return ll
 
 
-def data_ratio(h, g):
-    """``h / g`` on the observed rows (``h > 0``), and 0 elsewhere."""
-    return np.divide(h, g, out=np.zeros_like(g), where=h > 0.0)
-
-
 def degenerate_columns(h, g):
     """Columns where an observed row has no positive model probability."""
     return np.any((h > 0.0) & ~(g > 0.0), axis=-2)
@@ -273,7 +271,8 @@ def em_run(
     ``min_decrease`` is a scalar or one value per column. ``history``
     keeps the ε and log-likelihood of every iteration (memory
     O(max_iters·B)). The module docstring describes the two phases of
-    each chunk and the one stop block every column leaves through.
+    each chunk, the three iterate arrays whose next iterate every chunk
+    starts from, and the one stop block every column leaves through.
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape
@@ -328,13 +327,14 @@ def em_run(
                 where = observed
                 _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
             # an observed row with no model probability ends the chunk at
-            # that iterate, which gets no update; the loop went past it
+            # that iterate; the loop went past it, so it runs again to the
+            # update from there, which only the other columns use
             hits = degenerate_columns(h, gbuf[:n])
             cut = np.flatnonzero(hits.any(axis=1))
             if cut.size:
                 n = int(cut[0]) + 1
                 degenerate = hits[n - 1]
-                _iterate(matrix, back, h, gs, qs, ratio, 0, n - 1, where)
+                _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
         if history:
@@ -348,18 +348,17 @@ def em_run(
         _scan_best(eps, t0, bars, bests, minds)
         patient = last - bests >= patience
         stop = patient | degenerate | (last == max_iters - 1)
-        going_on = not stop.any()
         k = bests - t0  # each best iterate follows from its best iteration
         np.copyto(best_q, qs[n - 1], where=k == n - 1)
         inside = np.flatnonzero((k >= 0) & (k < n - 1))
-        # run the chunk again for a best inside it, in the first array and
-        # the one not read below (qs[n - 1] if the block goes on, else qs[n])
-        spare, k0 = [qs[0], qs[n + going_on]] * n, 0
+        # run the chunk again for a best inside it, in the two arrays that
+        # do not hold the next iterate qs[n]
+        spare, k0 = [qs[0], qs[n + 1]] * n, 0
         for kj, j in sorted(zip(k[inside].tolist(), inside.tolist())):
             _iterate(matrix, back, h, gs, spare, ratio, k0, kj, where)
             best_q[:, j], k0 = spare[kj][:, j], kj
         t0 = last + 1
-        if going_on:
+        if not stop.any():
             trio = [qs[n], qs[n + 1], qs[0]]  # the next iterate comes first
             continue
 
@@ -373,14 +372,12 @@ def em_run(
         keep = np.flatnonzero(~stop)
         if not keep.size:
             break
-        # the update at the last iterate, on the columns that go on;
+        # the columns that go on start from the update the chunk wrote;
         # ``take``, unlike ``[:, keep]``, returns C-ordered blocks, the
         # layout every other update gives BLAS
         cols, bars, bests, minds = cols[keep], bars[keep], bests[keep], minds[keep]
         h, best_q = h.take(keep, axis=1), best_q.take(keep, axis=1)
-        g = gbuf[n - 1].take(keep, axis=1)
-        q = qs[n - 1].take(keep, axis=1)
-        q *= back.dot(data_ratio(h, g))
+        q = qs[n].take(keep, axis=1)
         trio = None
 
     return BlockResult(

@@ -23,11 +23,13 @@ from .detection import build_matrix, forward_click_probabilities, uniform_grid
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .metrics import bootstrap_uncertainty, fidelity, marginal
 from .sampler import RNG_ALGORITHM, ClickRecord, frequencies, sample_clicks
-from .solver import StoppingConfig, em_step, reconstruct
+from .solver import StoppingConfig, em_step, reconstruct, total_error
 from .states import (
     ThermalSpec,
+    heralded_split_state,
     multithermal_click_reference,
     multithermal_marginal,
+    split_on_beamsplitter,
     state_from_json,
 )
 
@@ -287,6 +289,8 @@ def _reference_marginal(args, manifest,
         state = state_from_json(doc)
     except KeyError as exc:
         raise ConfigError(f"{ref}: missing {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{ref}: {exc}") from exc
     if state.truncation < truncation:
         raise ConfigError("reference state truncation below reconstruction")
     return marginal(state, 0)[: truncation + 1], {"reference_state": doc}
@@ -515,10 +519,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Quick self-checks of the core invariants."""
-    from .detection import build_matrix
-    from .solver import em_step, total_error
-    from .states import heralded_split_state, split_on_beamsplitter
-
     checks = []
 
     def check(name, fn):

@@ -132,7 +132,9 @@ def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
             "model probability vanished on an observed pattern; "
             "restart from a strictly positive (e.g. uniform) start"
         )
-    return q * matrix.back.dot(_kernels.data_ratio(h, g))
+    # h/g on the observed rows, 0 elsewhere
+    ratio = np.divide(h, g, out=np.zeros_like(g), where=h > 0.0)
+    return q * matrix.back.dot(ratio)
 
 
 def total_error(q, matrix: DetectionMatrix, h) -> float:

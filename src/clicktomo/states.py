@@ -105,10 +105,11 @@ class ThermalSpec:
     num_modes: float = 1.0
 
     def __post_init__(self):
-        if not self.mean_photons > 0:
-            raise ValueError("mean_photons must be positive")
-        if not self.num_modes >= 1:
-            raise ValueError("num_modes must be >= 1")
+        # written so that NaN and infinity fail them
+        if not 0.0 < self.mean_photons < math.inf:
+            raise ValueError("mean_photons must be finite and positive")
+        if not 1.0 <= self.num_modes < math.inf:
+            raise ValueError("num_modes must be finite and >= 1")
 
 
 def heralded_split_state(tau: float, truncation: int) -> JointDistribution:
@@ -205,14 +206,18 @@ def multithermal_click_reference(
 
 
 def state_from_json(doc: dict) -> JointDistribution:
-    """Construct a state from its JSON description.
+    """Construct a state from its JSON description, a JSON object.
 
     Supported kinds: ``heralded`` (tau), ``multithermal_split``
     (tau, mean_photons, num_modes) and ``custom`` (modes, values,
     optional leakage). All kinds carry ``truncation``. ``truncation``
-    and ``modes`` must be integers and the other scalars numbers, a
-    boolean being neither; a value of another type raises ``ValueError``.
+    and ``modes`` must be integers, ``values`` a flat list of numbers in
+    the row-major order of :class:`JointDistribution`, and the other
+    scalars numbers, a boolean being neither; a document or value of
+    another type raises ``ValueError``.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a state must be a JSON object, not {doc!r}")
 
     def number(key, integer=False, default=None):
         value = doc[key] if default is None else doc.get(key, default)
@@ -228,7 +233,11 @@ def state_from_json(doc: dict) -> JointDistribution:
         marg = multithermal_marginal(spec, truncation)
         return split_on_beamsplitter(marg, number("tau"), truncation)
     if kind == "custom":
-        return JointDistribution.from_flat(doc["values"], number("modes", True),
+        values = doc["values"]
+        if not isinstance(values, list):
+            raise ValueError(f"values must be a number list, not {values!r}")
+        values = [json_number(f"values[{i}]", v) for i, v in enumerate(values)]
+        return JointDistribution.from_flat(values, number("modes", True),
                                            leakage=number("leakage", default=0.0))
     raise ValueError(f"unknown state kind {kind!r}")
 

@@ -236,6 +236,27 @@ class TestReconstruct:
             "--out-dir", str(tmp_path / "rec"),
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--num-modes", "inf", "num_modes must be finite and >= 1"),
+        ("--mean-photons", "inf", "mean_photons must be finite and positive"),
+        ("--mean-photons", "nan", "mean_photons must be finite and positive"),
+    ], ids=["inf num_modes", "inf mean_photons", "nan mean_photons"])
+    def test_non_finite_reference_parameter_is_refused_before_the_solve(
+            self, tmp_path, monkeypatch, capsys, flag, value, message):
+        out = tmp_path / "sim"
+        assert run([
+            "simulate", "--preset", "multithermal-split", "--grid-k", "4",
+            "--runs", "1000", "--truncation", "2", "--out-dir", str(out),
+        ]) == EXIT_OK
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+        assert run([
+            "reconstruct", str(out), "--max-iters", "50",
+            "--reference", "multithermal", flag, value,
+            "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
     @pytest.mark.parametrize("key, value", [("mean_photons", "0.15"),
                                             ("num_modes", True)])
     def test_mistyped_manifest_reference_is_config_error(self, tmp_path,
@@ -278,6 +299,26 @@ class TestReconstruct:
             "reconstruct", str(sim), "--max-iters", "50",
             "--reference", str(reference), "--out-dir", str(tmp_path / "rec"),
         ]) == EXIT_CONFIG
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "a state must be a JSON object, not [1, 2]"),
+        ({"kind": "custom", "modes": 2, "values": {"a": 1}},
+         "values must be a number list"),
+        ({"kind": "custom", "modes": 2, "values": [0.0] * 15 + [True]},
+         "values[15] must be a number, not True"),
+    ], ids=["list document", "object values", "boolean value"])
+    def test_mistyped_reference_state_is_refused_before_the_solve(
+            self, tmp_path, monkeypatch, capsys, doc, message):
+        sim = simulate_small(tmp_path)
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+        assert run([
+            "reconstruct", str(sim), "--max-iters", "50",
+            "--reference", str(reference), "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert f"{reference}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
     def test_zero_truncation_is_numerical_error(self, tmp_path, capsys):
@@ -820,10 +861,14 @@ class TestBootstrapBeside:
     ("simulate", {"state": 5}),
     ("simulate", {"state": {"kind": "heralded", "tau": 0.5, "truncation": 3.5}}),
     ("simulate", {"state": {"kind": "heralded", "tau": "0.5", "truncation": 3}}),
+    ("simulate", {"state": {"kind": "custom", "modes": 2,
+                            "values": [0, 0, 0, True]}}),
+    ("simulate", {"state": {"kind": "custom", "modes": 2, "values": {"a": 1}}}),
     ("reconstruct", {"truncation": 3.7}),
 ], ids=["fractional truncation", "string tau", "string grid_k", "boolean runs",
         "fractional runs and seed", "list preset", "number state",
         "fractional state truncation", "string state tau",
+        "boolean state value", "object state values",
         "fractional manifest truncation"])
 def test_mistyped_value_is_config_error(tmp_path, command, values):
     # config-file and manifest values must have the JSON type their flags imply

@@ -573,6 +573,46 @@ class TestChunkBoundaries:
                 block.loglik[:, col], block.status[col],
             ))
 
+    def test_best_inside_the_chunk_a_column_stops_on(self, setup, small_grid,
+                                                      monkeypatch):
+        # the first column stops by patience at iteration 1418, while the
+        # second, whose min_decrease moves its best every few iterations,
+        # goes on with its best strictly inside the chunk that ends there,
+        # at length 7 and at the default length. Replaying that best must
+        # leave the chunk's next iterate, which the second column goes on
+        # from, alone.
+        matrix, mt, inv, back = setup
+        hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+              for tau, runs, seed in ((0.5, 2000, 1), (0.4, 2 * 10**5, 2))]
+        mind = np.array([1e-4, 5e-6])
+        q0 = np.full(16, 1.0 / 16)
+        max_iters, patience = 3000, 100
+        scan = _kernels._scan_best
+        chunks = []  # (first iteration, length, bests) of every chunk
+
+        def spy(eps, t0, bar, best, mind):
+            scan(eps, t0, bar, best, mind)
+            chunks.append((t0, eps.shape[0], best.tolist()))
+
+        monkeypatch.setattr(_kernels, "_scan_best", spy)
+        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                           np.stack([q0, q0], axis=1), max_iters, patience,
+                           mind, history=True)
+        assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
+        assert block.n_iterations.tolist() == [1419, max_iters]
+        # one chunk per length ends on the stop: at 1, at 7, at the default
+        inside = [t0 < bests[1] < t0 + n - 1
+                  for t0, n, bests in chunks if t0 + n == 1419]
+        assert inside == [False, True, True]
+        for col, h in enumerate(hs):
+            ref = _em_run_loops(matrix, mt, inv, h, q0, max_iters, patience,
+                                mind[col])
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], block.epsilon[:, col],
+                block.loglik[:, col], block.status[col],
+            ))
+
     def test_chunk_length_ignores_the_iterate_length(self, monkeypatch):
         # 105 rows at 81 columns (N = 8) and at 14,641 (N = 120, the
         # factored pair): the first chunk of a 1-column block is as long

@@ -140,6 +140,15 @@ class TestMultithermalMarginal:
             rho, [float(r) for r in reference], rtol=1e-13, atol=0
         )
 
+    @pytest.mark.parametrize("args, key", [
+        ((math.inf,), "mean_photons"), ((math.nan,), "mean_photons"),
+        ((1.0, math.inf), "num_modes"), ((1.0, math.nan), "num_modes"),
+    ], ids=["inf mean_photons", "nan mean_photons", "inf num_modes",
+            "nan num_modes"])
+    def test_non_finite_parameters_are_rejected(self, args, key):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ThermalSpec(*args)
+
     def test_vacuum_below_double_range_is_rejected(self):
         with pytest.raises(ValueError, match="vacuum probability"):
             multithermal_marginal(ThermalSpec(2000.0, 1000.0), 4)
@@ -239,6 +248,10 @@ class TestStateJson:
         assert d.values[0, 1] == 0.7
         assert d.values[1, 0] == 0.3
 
+    def test_document_not_an_object(self):
+        with pytest.raises(ValueError, match="a state must be a JSON object"):
+            state_from_json([1, 2])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             state_from_json({"kind": "squeezed", "truncation": 2})
@@ -254,9 +267,11 @@ class TestStateJson:
         {"kind": "custom", "modes": 2.0, "values": [0.0, 0.6, 0.4, 0.0]},
         {"kind": "custom", "modes": 2, "values": [0.0, 0.6, 0.4, 0.0],
          "leakage": False},
+        {"kind": "custom", "modes": 2, "values": [0, 0, 0, True]},
+        {"kind": "custom", "modes": 2, "values": {"a": 1}},
     ], ids=["fractional truncation", "string tau", "boolean truncation",
             "string mean_photons", "null num_modes", "float modes",
-            "boolean leakage"])
+            "boolean leakage", "boolean value", "object values"])
     def test_mistyped_number(self, doc):
         with pytest.raises(ValueError, match="must be an? (integer|number)"):
             state_from_json(doc)
