@@ -15,11 +15,12 @@ from .detection import (
     no_click_coefficient,
     uniform_grid,
 )
-from .metrics import bootstrap_uncertainty, fidelity, marginal
+from .metrics import fidelity, marginal
 from .sampler import ClickRecord, frequencies, sample_clicks
 from .solver import (
     ReconstructionTrace,
     StoppingConfig,
+    bootstrap_uncertainty,
     em_step,
     log_likelihood,
     reconstruct,

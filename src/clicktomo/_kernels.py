@@ -98,6 +98,7 @@ def _em_run_loops(
     status = STATUS_MAX_ITERS
     n_done = 0
     ratio = np.empty(n_rows)
+    tiny = np.finfo(np.float64).tiny  # see log_likelihood
     for it in range(max_iters):
         g = np.dot(matrix, q)
         eps = 0.0
@@ -110,7 +111,7 @@ def _em_run_loops(
                 if g[mu] <= 0.0:
                     ll = -np.inf
                     break
-                ll += h[mu] * np.log(g[mu] / h[mu]) + h[mu] - g[mu]
+                ll += h[mu] * np.log(g[mu] / max(h[mu], tiny)) + h[mu] - g[mu]
             else:
                 ll -= g[mu]
         eps_hist[it] = eps
@@ -176,10 +177,13 @@ def log_likelihood(h, g, work=None, out=None):
     ll = np.add.reduce(work, axis=-2, out=out)
     # g/h on the observed rows, (g + 1)/1 elsewhere: a finite log there,
     # which the factor h = 0 zeroes. Plain ufunc loops over the chunk are
-    # about twice as fast as a masked divide after a fill.
+    # about twice as fast as a masked divide after a fill. A subnormal h
+    # divides as the smallest normal double, since g/h would overflow; the
+    # row's term h log(g/h) changes by less than that double.
     unobserved = ~(h > 0.0)
     np.add(g, unobserved, out=work)
-    np.divide(work, np.where(unobserved, 1.0, h), out=work)
+    divisor = np.maximum(h, np.finfo(np.float64).tiny)
+    np.divide(work, np.where(unobserved, 1.0, divisor), out=work)
     with np.errstate(divide="ignore"):
         np.log(work, out=work)
     work *= h
@@ -327,14 +331,15 @@ def em_run(
                 where = observed
                 _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
             # an observed row with no model probability ends the chunk at
-            # that iterate; the loop went past it, so it runs again to the
+            # that iterate; a loop that went past it runs again to the
             # update from there, which only the other columns use
             hits = degenerate_columns(h, gbuf[:n])
             cut = np.flatnonzero(hits.any(axis=1))
             if cut.size:
-                n = int(cut[0]) + 1
-                degenerate = hits[n - 1]
-                _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
+                degenerate = hits[cut[0]]
+                if cut[0] + 1 < n:
+                    n = int(cut[0]) + 1
+                    _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
         if history:

@@ -21,10 +21,17 @@ import numpy as np
 from . import __version__, _io
 from .detection import build_matrix, forward_click_probabilities, uniform_grid
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
-from .metrics import bootstrap_uncertainty, fidelity, marginal
+from .metrics import fidelity, marginal
 from .sampler import RNG_ALGORITHM, ClickRecord, frequencies, sample_clicks
-from .solver import StoppingConfig, em_step, reconstruct, total_error
+from .solver import (
+    StoppingConfig,
+    bootstrap_uncertainty,
+    em_step,
+    reconstruct,
+    total_error,
+)
 from .states import (
+    JointDistribution,
     ThermalSpec,
     heralded_split_state,
     multithermal_click_reference,
@@ -260,40 +267,45 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         ) from exc
 
 
-def _reference_marginal(args, manifest,
-                        truncation) -> tuple[np.ndarray | None, dict]:
-    """The reference marginal (None without ``--reference``), and what the
-    run manifest records of it: the multithermal parameters it was built
-    from, or the state document read from a file."""
+def _reference_state(args, manifest, modes,
+                     truncation) -> tuple[JointDistribution | None, dict]:
+    """The reference state (None without ``--reference``), and what the
+    run manifest records of it: the multithermal parameters applied to
+    the record's split, or the state document read from a file."""
     ref = args.reference
     if ref is None:
         return None, {}
     if ref == "multithermal":
-        params = {}
-        if manifest and manifest.get("state", {}).get("kind") == "multithermal_split":
-            params = manifest["state"]
-        mean_photons = (params.get("mean_photons")
-                        if args.mean_photons is None else args.mean_photons)
-        num_modes = (params.get("num_modes", 1.0)
-                     if args.num_modes is None else args.num_modes)
-        if mean_photons is None:
+        # the record's own split state, whose tau no flag sets
+        label = "--reference multithermal"
+        doc = (manifest or {}).get("state", {})
+        if doc.get("kind") != "multithermal_split":
             raise ConfigError(
-                "--reference multithermal needs --mean-photons (not in manifest)"
-            )
-        spec = ThermalSpec(_io.json_number("mean_photons", mean_photons),
-                           _io.json_number("num_modes", num_modes))
-        return multithermal_marginal(spec, truncation), {"reference_params": {
-            "mean_photons": spec.mean_photons, "num_modes": spec.num_modes}}
-    doc = _load_json(Path(ref))
+                f"{label} needs a record whose manifest holds a "
+                "multithermal split")
+        flags = {key: getattr(args, key) for key in ("mean_photons", "num_modes")
+                 if getattr(args, key) is not None}
+        doc = dict(doc, **flags, truncation=truncation)
+        entries = {"reference_params": {
+            "mean_photons": doc.get("mean_photons"),
+            "num_modes": doc.get("num_modes", 1.0)}}
+    else:
+        label = ref
+        doc = _load_json(Path(ref))
+        entries = {"reference_state": doc}
     try:
         state = state_from_json(doc)
     except KeyError as exc:
-        raise ConfigError(f"{ref}: missing {exc}") from exc
+        raise ConfigError(f"{label}: missing {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"{ref}: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
+    if state.modes != modes:
+        raise ConfigError(
+            f"{label}: reference state has {state.modes} modes, "
+            f"the record {modes}")
     if state.truncation < truncation:
         raise ConfigError("reference state truncation below reconstruction")
-    return marginal(state, 0)[: truncation + 1], {"reference_state": doc}
+    return state, entries
 
 
 def _parse_min_decrease(value) -> float | None:
@@ -342,7 +354,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
     # resolved before the solve: a bad reference writes no file
-    reference, reference_entries = _reference_marginal(args, manifest, truncation)
+    reference, reference_entries = _reference_state(args, manifest, record.modes,
+                                                    truncation)
     # the replicate block runs in a child beside the point solve and its
     # writes; an error in the command, or its kill, ends the child too
     bootstrap = (
@@ -388,7 +401,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             summary["sigma10"] = _fmt(boot.sigma[1, 0])
 
     if reference is not None:
-        fids = [fidelity(marginal(trace.final, m), reference)
+        fids = [fidelity(marginal(trace.final, m),
+                         marginal(reference, m)[: truncation + 1])
                 for m in range(trace.final.modes)]
         summary["reference_fidelities"] = [_fmt(f) for f in fids]
     _write_json(out_dir / "summary.json", summary)
@@ -463,7 +477,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         spec = ThermalSpec(state_doc["mean_photons"], state_doc["num_modes"])
         tau = state_doc["tau"]
         trace = reconstruct(record, truncation, options=options)
-        reference = multithermal_marginal(spec, truncation)
+        state = state_from_json(state_doc)
+        references = [marginal(state, m) for m in range(state.modes)]
         # the solve's iterates, replayed from its uniform start
         matrix = build_matrix(record.grid, record.modes, truncation)
         h = frequencies(record)
@@ -472,8 +487,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         for it in range(trace.n_iterations):
             dist = q.reshape(truncation + 1, truncation + 1)
             total = dist.sum()
-            f1 = fidelity(dist.sum(axis=1) / total, reference)
-            f2 = fidelity(dist.sum(axis=0) / total, reference)
+            f1 = fidelity(dist.sum(axis=1) / total, references[0])
+            f2 = fidelity(dist.sum(axis=0) / total, references[1])
             rows.append(
                 [it, _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
                  _fmt(trace.epsilon[it])]

@@ -4,7 +4,8 @@ The multiplicative update rescales each entry of the current iterate by
 the data/model frequency ratio back-projected through the detection
 matrix. Convergence is tracked by the mean absolute deviation between
 measured and modeled click frequencies; the iterate at the smallest
-deviation is returned.
+deviation is returned. A point solve is a block of one column with its
+history; the bootstrap is one block of all its resampled replicates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ __all__ = [
     "log_likelihood",
     "reconstruct",
     "reconstruct_exact",
-    "reconstruct_many",
+    "BootstrapResult",
+    "bootstrap_uncertainty",
 ]
 
 _STOP_REASONS = {
@@ -108,6 +110,20 @@ class ReconstructionTrace:
     def final_to_csv(self, path) -> None:
         header = [f"n{j + 1}" for j in range(self.final.modes)] + ["rho"]
         write_csv(path, header, tensor_rows(self.final.values))
+
+
+@dataclass
+class BootstrapResult:
+    """Entrywise spread of the reconstruction under data resampling."""
+
+    sigma: np.ndarray  # same shape as the distribution tensor
+    reps: int
+    failed: list[int]  # replicate indices whose reconstruction errored
+
+    def to_csv(self, path, point: JointDistribution) -> None:
+        """The point estimate and its sigma per photon-number index."""
+        header = [f"n{j + 1}" for j in range(self.sigma.ndim)] + ["rho", "sigma"]
+        write_csv(path, header, tensor_rows(point.values, self.sigma))
 
 
 def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]:
@@ -213,39 +229,57 @@ def reconstruct_exact(
     return _reconstruct_core(matrix, h, options, min_decrease)
 
 
-def reconstruct_many(
-    records: list[ClickRecord],
+def bootstrap_uncertainty(
+    record: ClickRecord,
     truncation: int,
+    reps: int = 100,
+    seed: int = 0,
     options: StoppingConfig | None = None,
-) -> list[JointDistribution | ClicktomoError]:
-    """Reconstruct several records on one efficiency grid in one block
-    EM run, each from the uniform start and with its own stopping state.
+) -> BootstrapResult:
+    """Nonparametric bootstrap: resample counts from the empirical pattern
+    frequencies, rerun the reconstruction, take entrywise standard
+    deviations across replicates.
 
-    Returns one entry per record: its final distribution (the iterate
-    with the smallest total error, renormalized), or the
-    :class:`ClicktomoError` its solve ended with. No per-iteration
-    history is kept.
+    Replicate ``r`` draws from a generator seeded by (seed, r), so
+    results are reproducible and independent of execution order. All
+    replicates are solved together in one block EM run. Replicates whose
+    reconstruction fails are reported, not dropped silently.
     """
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     if options is None:
         options = StoppingConfig()
-    grid, modes = records[0].grid, records[0].modes
-    matrix = build_matrix(grid, modes, truncation)
-    for record in records:
-        matrix.check_grid(record.grid)
-        if record.modes != modes:
-            raise ValueError("records must share the number of modes")
-    h = np.stack([frequencies(record) for record in records], axis=1)
+    freq = record.frequency_table()
+    resampled = []
+    for rep in range(reps):
+        rng = np.random.default_rng([seed, rep])
+        counts = np.empty_like(record.counts)
+        for nu in range(len(record.grid)):
+            counts[nu] = rng.multinomial(int(record.runs[nu]), freq[nu])
+        resampled.append(ClickRecord(
+            grid=record.grid, modes=record.modes,
+            counts=counts, runs=record.runs,
+        ))
+    matrix = build_matrix(record.grid, record.modes, truncation)
+    h = np.stack([frequencies(r) for r in resampled], axis=1)
     min_decrease = options.min_decrease
     if min_decrease is None:
-        min_decrease = np.array([_frequency_noise_floor(r) for r in records])
+        min_decrease = np.array([_frequency_noise_floor(r) for r in resampled])
     result = _em_block(matrix, h, options, min_decrease, history=False)
-    finals: list[JointDistribution | ClicktomoError] = []
-    for col, status in enumerate(result.status):
+    finals = []
+    failed = []
+    for rep, status in enumerate(result.status):
         try:
-            finals.append(_final_distribution(result.best_q[:, col], status, modes)[0])
-        except ClicktomoError as err:
-            finals.append(err)
-    return finals
+            finals.append(_final_distribution(
+                result.best_q[:, rep], status, record.modes)[0].values)
+        except ClicktomoError:
+            failed.append(rep)
+    if len(finals) < 2:
+        raise ClicktomoError(
+            f"only {len(finals)} of {reps} bootstrap replicates succeeded"
+        )
+    sigma = np.std(np.stack(finals), axis=0, ddof=1)
+    return BootstrapResult(sigma=sigma, reps=reps, failed=failed)
 
 
 def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,

@@ -70,7 +70,9 @@ def multithermal_trace():
     iterates = [np.full(81, 1.0 / 81)]
     for _ in range(trace.n_iterations - 1):
         iterates.append(em_step(iterates[-1], matrix, h))
-    return trace, marg, elapsed, iterates
+    # each split mode against its own marginal
+    references = [marginal(state, m) for m in (0, 1)]
+    return trace, references, elapsed, iterates
 
 
 def test_criterion_unbalanced_split_recovery():
@@ -101,9 +103,9 @@ def test_criterion_balanced_split_recovery():
 
 
 def test_criterion_multithermal_marginal_fidelity(multithermal_trace):
-    trace, reference, elapsed, _ = multithermal_trace
+    trace, references, elapsed, _ = multithermal_trace
     fids = [
-        fidelity(marginal(trace.final, m), reference)
+        fidelity(marginal(trace.final, m), references[m])
         for m in (0, 1)
     ]
     ok = min(fids) >= 0.99 and elapsed < 300.0
@@ -116,13 +118,13 @@ def test_criterion_multithermal_marginal_fidelity(multithermal_trace):
 
 
 def test_criterion_fidelity_peak_near_error_minimum(multithermal_trace):
-    trace, reference, _, iterates = multithermal_trace
+    trace, references, _, iterates = multithermal_trace
     fid = []
     for q in iterates:
         dist = q.reshape(9, 9)
         total = dist.sum()
-        f1 = fidelity(dist.sum(axis=1) / total, reference)
-        f2 = fidelity(dist.sum(axis=0) / total, reference)
+        f1 = fidelity(dist.sum(axis=1) / total, references[0])
+        f2 = fidelity(dist.sum(axis=0) / total, references[1])
         fid.append(0.5 * (f1 + f2))
     peak = int(np.argmax(fid))
     distance = abs(peak - trace.best_iteration)

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clicktomo
@@ -221,6 +222,66 @@ class TestReconstruct:
         solve(manifests[0]["reference_state"], outs[2])
         summaries = [(out / "summary.json").read_bytes() for out in outs]
         assert summaries[2] == summaries[0] != summaries[1]
+
+    @pytest.mark.parametrize("kind", ["file", "multithermal"])
+    def test_exact_state_scores_one_against_its_reference(
+            self, tmp_path, monkeypatch, kind):
+        # each mode of the exact state against that mode's reference
+        # marginal: an unbalanced heralded file, and the record's own split
+        if kind == "file":
+            sim = simulate_small(tmp_path, **{"--tau": 0.4})
+            reference = tmp_path / "reference.json"
+            reference.write_text(json.dumps(
+                {"kind": "heralded", "tau": 0.4, "truncation": 3}))
+            flags = ["--reference", str(reference)]
+        else:
+            sim = tmp_path / "sim"
+            assert run([
+                "simulate", "--preset", "multithermal-split", "--grid-k", "4",
+                "--runs", "1000", "--truncation", "4", "--out-dir", str(sim),
+            ]) == EXIT_OK
+            flags = ["--reference", "multithermal"]
+        doc = json.loads((sim / "manifest.json").read_text())["state"]
+        exact = clicktomo.state_from_json(doc)
+
+        def solve(record, truncation, options=None):
+            return clicktomo.ReconstructionTrace(
+                epsilon=np.zeros(1), loglik=np.zeros(1),
+                stop_reason="max-iters", best_iteration=0, n_iterations=1,
+                final=exact, renorm_correction=0.0)
+
+        monkeypatch.setattr(cli, "reconstruct", solve)
+        out = tmp_path / "rec"
+        assert run(["reconstruct", str(sim), *flags,
+                    "--out-dir", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        fids = [float(f) for f in summary["reference_fidelities"]]
+        assert fids == pytest.approx([1.0, 1.0], rel=0, abs=1e-12)
+
+    def test_multithermal_reference_needs_a_multithermal_record(
+            self, tmp_path, monkeypatch, capsys):
+        # a heralded record has no multithermal split to take tau from
+        sim = simulate_small(tmp_path)
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+        assert run([
+            "reconstruct", str(sim), "--reference", "multithermal",
+            "--mean-photons", "0.15", "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert "multithermal split" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
+    def test_reference_with_other_modes_is_config_error(self, tmp_path,
+                                                       monkeypatch):
+        sim = simulate_small(tmp_path)
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(
+            {"kind": "custom", "modes": 1, "values": [0.5, 0.5, 0.0, 0.0]}))
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+        assert run([
+            "reconstruct", str(sim), "--reference", str(reference),
+            "--out-dir", str(tmp_path / "rec"),
+        ]) == EXIT_CONFIG
+        assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
     def test_zero_reference_parameter_is_config_error(self, tmp_path, flag):

@@ -1,5 +1,6 @@
-"""Every name a module of the package, or a script under ``benchmarks/``,
-imports is used in that module, and only one import binds it.
+"""Every name a module of the package, a script under ``benchmarks/`` or
+a test module imports is used in that module, and only one import binds
+it.
 
 No linter is installed, so this is the standard-library stand-in for
 pyflakes' F401 and F811: a deliberate re-export carries ``# noqa: F401``,
@@ -17,7 +18,8 @@ import pytest
 import clicktomo
 
 PACKAGE = Path(clicktomo.__file__).resolve().parent
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+TESTS = Path(__file__).resolve().parent
+BENCHMARKS = TESTS.parent / "benchmarks"
 
 
 def import_faults(source: str) -> list[str]:
@@ -64,7 +66,8 @@ def test_checker_flags_unused_and_honours_noqa():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(PACKAGE.rglob("*.py")) + sorted(BENCHMARKS.glob("*.py")),
+    "path", sorted(PACKAGE.rglob("*.py")) + sorted(BENCHMARKS.glob("*.py"))
+    + sorted(TESTS.glob("*.py")),
     ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert import_faults(path.read_text(encoding="utf-8")) == []

@@ -20,7 +20,7 @@ from clicktomo import (
     uniform_grid,
 )
 from clicktomo.errors import NumericalError
-from clicktomo.metrics import BootstrapResult
+from clicktomo.solver import BootstrapResult
 
 
 class TestMarginal:

@@ -638,8 +638,7 @@ class TestChunkBoundaries:
         # subnormal frequency: its model frequency underflows to zero
         # after 2083 iterations, inside a chunk of 7 and of the default
         # length, and the column ends there. The heralded column goes on
-        # from the iterate at that cut, which the loop had passed. g/h
-        # overflows on that row in both log-likelihoods.
+        # from the iterate at that cut, which the loop had passed.
         matrix, mt, inv, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
@@ -649,10 +648,9 @@ class TestChunkBoundaries:
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
         args = (2500, 2500, 0.0)
-        with np.errstate(over="ignore"):
-            block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                               np.stack([q0, q0], axis=1), *args, history=True)
-            refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
+        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                           np.stack([q0, q0], axis=1), *args, history=True)
+        refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations[0] == 2084
         for col, ref in enumerate(refs):
@@ -703,10 +701,9 @@ class TestChunkBoundaries:
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
         args = (2084, 2500, 0.0)
-        with np.errstate(over="ignore"):
-            block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                               np.stack([q0, q0], axis=1), *args, history=True)
-            refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
+        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
+                           np.stack([q0, q0], axis=1), *args, history=True)
+        refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [2084, 2084]
         for col, ref in enumerate(refs):
@@ -715,6 +712,71 @@ class TestChunkBoundaries:
                 block.n_iterations[col], block.epsilon[:, col],
                 block.loglik[:, col], block.status[col],
             ))
+
+    def test_degenerate_cut_on_the_last_iterate_runs_the_chunk_twice(
+            self, setup, small_grid, monkeypatch):
+        # the data of test_degenerate_stop_on_the_last_iteration_of_the_budget:
+        # the last chunk fails its check and is replayed masked, and the
+        # degenerate iterate is its last, so the replay has already written
+        # the update from there; the chunk does not run a third time
+        matrix, _, _, back = setup
+        vac = np.zeros((4, 4))
+        vac[0, 0] = 1.0
+        h = forward_click_probabilities(
+            JointDistribution(vac), small_grid).explicit_vector()
+        h[5] = 5e-324
+        hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
+        q0 = np.full(16, 1.0 / 16)
+        iterate = _kernels._iterate
+        for length in CHUNKS:
+            calls = []
+
+            def spy(matrix, back, h, gs, qs, ratio, start, n, where):
+                calls.append((qs, where is not True))
+                return iterate(matrix, back, h, gs, qs, ratio, start, n, where)
+
+            with monkeypatch.context() as patch:
+                _force_chunk(patch, length, matrix, 2)
+                patch.setattr(_kernels, "_iterate", spy)
+                block = em_run(matrix, back, np.stack(hs, axis=1),
+                               np.stack([q0, q0], axis=1), 2084, 2500, 0.0)
+            assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
+            # the runs of one chunk share its list of iterate arrays, of odd
+            # length; a best's replay runs in a list of even length
+            chunks = []
+            for qs, masked in calls:
+                if len(qs) % 2 == 0:
+                    continue
+                if chunks and chunks[-1][0] is qs:
+                    chunks[-1][1].append(masked)
+                else:
+                    chunks.append((qs, [masked]))
+            masks = [runs for _, runs in chunks]
+            assert [False, True] in masks
+            assert all(runs in ([False], [True], [False, True]) for runs in masks)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_frequency_gives_a_finite_log_likelihood(
+            self, setup, small_grid):
+        # g/h overflows on a row whose frequency is the smallest subnormal;
+        # both log-likelihoods stay finite and agree, with no warning
+        matrix, mt, inv, back = setup
+        h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
+        h[0] = 5e-324
+        q0 = np.full(16, 1.0 / 16)
+        args = (300, 300, 0.0)
+        ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+        block = em_run(matrix, back, h[:, None], q0[:, None], *args,
+                       history=True)
+        _assert_kernel_outputs_match(ref, (
+            block.best_q[:, 0], None, block.best_iteration[0],
+            block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
+            block.status[0],
+        ))
+        n_done = ref[3]
+        assert np.all(np.isfinite(ref[5][:n_done]))
+        np.testing.assert_allclose(block.loglik[:n_done, 0], ref[5][:n_done],
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_replay_from_a_non_positive_iterate_inside_a_chunk(
