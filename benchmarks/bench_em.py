@@ -40,7 +40,8 @@ from clicktomo import (
     split_on_beamsplitter,
     uniform_grid,
 )
-from clicktomo._kernels import _em_run_loops, back_projector, chunk_length, em_run
+from clicktomo._kernels import _em_run_loops, chunk_length, em_run
+from clicktomo.detection import back_projector
 
 SIZES = {
     "heralded": lambda: (

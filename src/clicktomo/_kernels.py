@@ -146,21 +146,6 @@ def _em_run_loops(
 # several iterates along a leading axis.
 
 
-def inverse_column_sums(colsum):
-    """``1/colsum``, and 0 where the column sum vanishes."""
-    positive = colsum > 0.0
-    return np.where(positive, 1.0 / np.where(positive, colsum, 1.0), 0.0)
-
-
-def back_projector(matrix, colsum):
-    """P×R back-projection: ``matrix.T`` with row p scaled by
-    ``1/colsum[p]`` (0 where the column sum vanishes), so that one EM
-    update is ``q * back.dot(h/g)``. One copy, scaled in place."""
-    back = matrix.T.copy()
-    back *= inverse_column_sums(colsum)[:, None]
-    return back
-
-
 def mean_abs_deviation(h, g, work=None, out=None):
     """Total error ε per column: the mean over rows of ``|h - g|``."""
     work = np.subtract(h, g, out=work)
@@ -269,9 +254,10 @@ def em_run(
     """Iterate the P×B block ``q0`` against the R×B frequencies ``h``.
 
     ``matrix`` (R×P) and ``back`` (P×R) are the dense matrix and its
-    :func:`back_projector`, or any pair of operators with ``shape`` and
-    ``dot(x, out=None)`` on P×B and R×B blocks, such as the factored
-    two-mode pair of :class:`clicktomo.detection.DetectionMatrix`.
+    :func:`clicktomo.detection.back_projector`, or any pair of operators
+    with ``shape`` and ``dot(x, out=None)`` on P×B and R×B blocks, such
+    as the factored two-mode pair of
+    :class:`clicktomo.detection.DetectionMatrix`.
     ``min_decrease`` is a scalar or one value per column. ``history``
     keeps the ε and log-likelihood of every iteration (memory
     O(max_iters·B)). The module docstring describes the two phases of

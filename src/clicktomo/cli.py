@@ -31,7 +31,6 @@ from .solver import (
     total_error,
 )
 from .states import (
-    JointDistribution,
     ThermalSpec,
     heralded_split_state,
     multithermal_click_reference,
@@ -267,32 +266,22 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         ) from exc
 
 
-def _reference_state(args, manifest, modes,
-                     truncation) -> tuple[JointDistribution | None, dict]:
-    """The reference state (None without ``--reference``), and what the
-    run manifest records of it: the multithermal parameters applied to
-    the record's split, or the state document read from a file."""
-    ref = args.reference
-    if ref is None:
-        return None, {}
+def _reference(ref, manifest, modes, truncation) -> tuple[list, dict]:
+    """Each mode's marginal of the reference state, cut at the
+    reconstruction's truncation, and the state document: the one read
+    from the file ``ref``, or for ``multithermal`` the record manifest's
+    own split state (so tau comes with it) at that truncation."""
     if ref == "multithermal":
-        # the record's own split state, whose tau no flag sets
         label = "--reference multithermal"
         doc = (manifest or {}).get("state", {})
         if doc.get("kind") != "multithermal_split":
             raise ConfigError(
                 f"{label} needs a record whose manifest holds a "
                 "multithermal split")
-        flags = {key: getattr(args, key) for key in ("mean_photons", "num_modes")
-                 if getattr(args, key) is not None}
-        doc = dict(doc, **flags, truncation=truncation)
-        entries = {"reference_params": {
-            "mean_photons": doc.get("mean_photons"),
-            "num_modes": doc.get("num_modes", 1.0)}}
+        doc = dict(doc, truncation=truncation)
     else:
         label = ref
         doc = _load_json(Path(ref))
-        entries = {"reference_state": doc}
     try:
         state = state_from_json(doc)
     except KeyError as exc:
@@ -304,8 +293,34 @@ def _reference_state(args, manifest, modes,
             f"{label}: reference state has {state.modes} modes, "
             f"the record {modes}")
     if state.truncation < truncation:
-        raise ConfigError("reference state truncation below reconstruction")
-    return state, entries
+        raise ConfigError(
+            f"{label}: reference state truncation {state.truncation} "
+            f"below the reconstruction's {truncation}")
+    references = [marginal(state, m)[: truncation + 1] for m in range(modes)]
+    for m, ref_m in enumerate(references, 1):
+        if not ref_m.sum() > 0:
+            raise ConfigError(
+                f"{label}: mode {m} of the reference state has no mass up "
+                f"to the reconstruction's truncation {truncation}")
+    return references, doc
+
+
+def _fidelities(values: np.ndarray, references) -> list[float]:
+    """Each mode's marginal of the joint array ``values``, scored against
+    that mode's reference marginal by fidelity."""
+    return [fidelity(marginal(values, m), r) for m, r in enumerate(references)]
+
+
+@contextlib.contextmanager
+def _solve(record, truncation, options, reps, seed):
+    """Yield the point solve's trace and a wait for the bootstrap of
+    ``reps`` replicates that ``_in_background`` runs beside the solve and
+    the caller's block; with no replicates, the wait returns None."""
+    bootstrap = (_in_background(bootstrap_uncertainty, record, truncation,
+                                reps=reps, seed=seed, options=options)
+                 if reps else contextlib.nullcontext(lambda: None))
+    with bootstrap as wait_for_bootstrap:
+        yield reconstruct(record, truncation, options=options), wait_for_bootstrap
 
 
 def _parse_min_decrease(value) -> float | None:
@@ -354,24 +369,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         min_decrease=_parse_min_decrease(args.min_decrease),
     )
     # resolved before the solve: a bad reference writes no file
-    reference, reference_entries = _reference_state(args, manifest, record.modes,
-                                                    truncation)
-    # the replicate block runs in a child beside the point solve and its
-    # writes; an error in the command, or its kill, ends the child too
-    bootstrap = (
-        _in_background(bootstrap_uncertainty, record, truncation,
-                       reps=args.bootstrap_reps, seed=args.seed,
-                       options=options)
-        if args.bootstrap_reps else contextlib.nullcontext()
-    )
-    with bootstrap as wait_for_bootstrap:
-        trace = reconstruct(record, truncation, options=options)
+    references, reference_doc = (
+        _reference(args.reference, manifest, record.modes, truncation)
+        if args.reference is not None else (None, None))
+    with _solve(record, truncation, options, args.bootstrap_reps,
+                args.seed) as (trace, wait_for_bootstrap):
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         trace.to_csv(out_dir / "trace.csv")
         trace.final_to_json(out_dir / "distribution.json")
         trace.final_to_csv(out_dir / "distribution.csv")
-        boot = wait_for_bootstrap() if wait_for_bootstrap else None
+        boot = wait_for_bootstrap()
 
     summary = {
         "stop_reason": trace.stop_reason,
@@ -400,10 +408,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             summary["sigma01"] = _fmt(boot.sigma[0, 1])
             summary["sigma10"] = _fmt(boot.sigma[1, 0])
 
-    if reference is not None:
-        fids = [fidelity(marginal(trace.final, m),
-                         marginal(reference, m)[: truncation + 1])
-                for m in range(trace.final.modes)]
+    if references is not None:
+        fids = _fidelities(trace.final.values, references)
         summary["reference_fidelities"] = [_fmt(f) for f in fids]
     _write_json(out_dir / "summary.json", summary)
     run_manifest = {
@@ -415,7 +421,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "reference": args.reference,
         "input_manifest": manifest,
-        **reference_entries,
+        "reference_state": reference_doc,
     }
     _write_json(out_dir / "manifest.json", run_manifest)
     print(
@@ -431,7 +437,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             )
             line += f" +- {sigma_ratio:.4f}"
         print(line)
-    if reference is not None:
+    if references is not None:
         print("marginal fidelities vs reference: "
               + ", ".join(f"{f:.5f}" for f in fids))
     return EXIT_OK
@@ -457,10 +463,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 record, sim = _simulate("heralded-balanced", {},
                                         dict(tau=tau, runs=runs, seed=seed))
                 truncation = sim["state"]["truncation"]
-                with _in_background(bootstrap_uncertainty, record, truncation,
-                                    reps=args.bootstrap_reps, seed=seed,
-                                    options=options) as wait_for_bootstrap:
-                    trace = reconstruct(record, truncation, options=options)
+                with _solve(record, truncation, options, args.bootstrap_reps,
+                            seed) as (trace, wait_for_bootstrap):
                     boot = wait_for_bootstrap()
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
                 tables[name] = (["n", "k", "rho", "sigma"],
@@ -476,19 +480,17 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         truncation = state_doc["truncation"]
         spec = ThermalSpec(state_doc["mean_photons"], state_doc["num_modes"])
         tau = state_doc["tau"]
+        references, _ = _reference("multithermal", sim, record.modes,
+                                   truncation)
         trace = reconstruct(record, truncation, options=options)
-        state = state_from_json(state_doc)
-        references = [marginal(state, m) for m in range(state.modes)]
         # the solve's iterates, replayed from its uniform start
         matrix = build_matrix(record.grid, record.modes, truncation)
         h = frequencies(record)
         q = np.full(matrix.shape[1], 1.0 / matrix.shape[1])
         rows = []
         for it in range(trace.n_iterations):
-            dist = q.reshape(truncation + 1, truncation + 1)
-            total = dist.sum()
-            f1 = fidelity(dist.sum(axis=1) / total, references[0])
-            f2 = fidelity(dist.sum(axis=0) / total, references[1])
+            f1, f2 = _fidelities(q.reshape(truncation + 1, truncation + 1),
+                                 references)
             rows.append(
                 [it, _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
                  _fmt(trace.epsilon[it])]
@@ -626,8 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "number, or 'auto' to estimate from sampling noise")
     rec.add_argument("--reference",
                      help="'multithermal' or a state JSON file")
-    rec.add_argument("--mean-photons", type=float)
-    rec.add_argument("--num-modes", type=float)
     rec.add_argument("--bootstrap-reps", type=int, default=0)
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--out-dir", required=True)

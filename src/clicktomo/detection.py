@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import back_projector, inverse_column_sums
 from .errors import GridMismatchError, ResourceLimitError
 from .states import JointDistribution
 
@@ -164,6 +163,21 @@ class TwoModeMatrix:
         np.dot(self._ac.T, wv.reshape(2 * k, side * width),
                out=out.reshape(side, side * width))
         return out
+
+
+def inverse_column_sums(colsum):
+    """``1/colsum``, and 0 where the column sum vanishes."""
+    positive = colsum > 0.0
+    return np.where(positive, 1.0 / np.where(positive, colsum, 1.0), 0.0)
+
+
+def back_projector(matrix, colsum):
+    """P×R back-projection: ``matrix.T`` with row p scaled by
+    ``1/colsum[p]`` (0 where the column sum vanishes), so that one EM
+    update is ``q * back.dot(h/g)``. One copy, scaled in place."""
+    back = matrix.T.copy()
+    back *= inverse_column_sums(colsum)[:, None]
+    return back
 
 
 class ScaledTranspose:

@@ -15,12 +15,15 @@ __all__ = [
 ]
 
 
-def marginal(dist: JointDistribution, mode: int) -> np.ndarray:
-    """Photon-number distribution of one mode, all others traced out."""
-    if not 0 <= mode < dist.modes:
-        raise IndexError(f"mode {mode} out of range for {dist.modes} modes")
-    axes = tuple(j for j in range(dist.modes) if j != mode)
-    return dist.values.sum(axis=axes) if axes else dist.values.copy()
+def marginal(dist: JointDistribution | np.ndarray, mode: int) -> np.ndarray:
+    """Photon-number distribution of one mode, all others traced out, of
+    a joint distribution or of its joint array (one axis per mode), which
+    need not have unit mass."""
+    values = dist.values if isinstance(dist, JointDistribution) else np.asarray(dist)
+    if not 0 <= mode < values.ndim:
+        raise IndexError(f"mode {mode} out of range for {values.ndim} modes")
+    axes = tuple(j for j in range(values.ndim) if j != mode)
+    return values.sum(axis=axes) if axes else values.copy()
 
 
 def fidelity(p, q) -> float:

@@ -127,15 +127,16 @@ class BootstrapResult:
 
 
 def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]:
+    """``q`` and ``h`` as float arrays of the matrix's column and row
+    counts, each entry finite and nonnegative (NaN fails)."""
     n_rows, n_cols = matrix.shape
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (n_cols,):
-        raise ValueError(f"q must have length {n_cols}, got {q.shape}")
-    if np.any(q < 0):
-        raise ValueError("q entries must be nonnegative")
     h = np.asarray(h, dtype=np.float64)
-    if h.shape != (n_rows,):
-        raise ValueError(f"h must have length {n_rows}, got {h.shape}")
+    for name, v, size in (("q", q, n_cols), ("h", h, n_rows)):
+        if v.shape != (size,):
+            raise ValueError(f"{name} must have length {size}, got {v.shape}")
+        if not np.all(np.isfinite(v) & (v >= 0.0)):
+            raise ValueError(f"{name} entries must be finite and nonnegative")
     return q, h
 
 
@@ -172,9 +173,9 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
     observed pattern has zero model probability.
     """
     matrix.check_grid(record.grid)
-    g = matrix.forward.dot(np.asarray(q, dtype=np.float64))[:, None]
-    h = frequencies(record)[:, None]
-    return float(_kernels.log_likelihood(h, g)[0])
+    q, h = _validate_qh(q, matrix, frequencies(record))
+    g = matrix.forward.dot(q)
+    return float(_kernels.log_likelihood(h[:, None], g[:, None])[0])
 
 
 NOISE_FLOOR_FACTOR = 0.5

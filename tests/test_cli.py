@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -99,6 +101,17 @@ class TestSimulate:
             "--eta-max", "0.4", "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_CONFIG
 
+    def test_state_file_without_grid_is_config_error(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"kind": "heralded", "tau": 0.5,
+                                     "truncation": 3}))
+        assert run([
+            "simulate", "--state", str(state), "--eta-min", "0.1",
+            "--eta-max", "0.4", "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_CONFIG
+        assert "missing --grid-k" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_is_data_error(self, tmp_path):
         assert run([
             "simulate", "--preset", "heralded-balanced",
@@ -172,32 +185,41 @@ class TestReconstruct:
         assert len(fids) == 2
         assert all(0.9 < f <= 1.0 + 1e-12 for f in fids)
 
-    def test_manifest_records_the_reference_parameters(self, tmp_path):
-        # the overrides change the fidelities, so the manifest records
-        # them; a run from the recorded values gives the same summary
+    def test_multithermal_reference_state_reruns_from_a_file(self, tmp_path):
+        # the manifest records the record's split state at the
+        # reconstruction's truncation; a run from a file holding that
+        # document gives the same summary
         sim = tmp_path / "sim"
         assert run([
             "simulate", "--preset", "multithermal-split", "--grid-k", "6",
-            "--runs", "20000", "--truncation", "3", "--out-dir", str(sim),
+            "--runs", "20000", "--truncation", "4", "--out-dir", str(sim),
         ]) == EXIT_OK
+        state = json.loads((sim / "manifest.json").read_text())["state"]
         base = ["reconstruct", str(sim), "--max-iters", "300",
-                "--reference", "multithermal", "--num-modes", "2"]
-        outs = [tmp_path / name for name in ("a", "b", "again")]
-        for out, mean in zip(outs, ("0.3", "0.2")):
-            assert run(base + ["--mean-photons", mean,
-                               "--out-dir", str(out)]) == EXIT_OK
-        manifests = [json.loads((out / "manifest.json").read_text())
-                     for out in outs[:2]]
-        assert manifests[0] != manifests[1]
-        params = manifests[0]["reference_params"]
-        assert params == {"mean_photons": 0.3, "num_modes": 2.0}
-        assert run(["reconstruct", str(sim), "--max-iters", "300",
-                    "--reference", "multithermal",
-                    "--mean-photons", repr(params["mean_photons"]),
-                    "--num-modes", repr(params["num_modes"]),
-                    "--out-dir", str(outs[2])]) == EXIT_OK
-        summaries = [(out / "summary.json").read_bytes() for out in outs]
-        assert summaries[2] == summaries[0] != summaries[1]
+                "--truncation", "3"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(base + ["--reference", "multithermal",
+                           "--out-dir", str(first)]) == EXIT_OK
+        resolved = json.loads((first / "manifest.json").read_text())[
+            "reference_state"]
+        assert resolved == dict(state, truncation=3)
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(resolved))
+        assert run(base + ["--reference", str(reference),
+                           "--out-dir", str(again)]) == EXIT_OK
+        assert ((again / "summary.json").read_bytes()
+                == (first / "summary.json").read_bytes())
+
+    @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
+    def test_reference_override_flags_are_gone(self, tmp_path, capsys, flag):
+        # a multithermal reference with other values is a --reference FILE
+        sim = simulate_small(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", str(sim), "--reference", "multithermal",
+                 flag, "0.3", "--out-dir", str(tmp_path / "rec")])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     def test_manifest_records_the_reference_state(self, tmp_path):
         # two reference documents at one path give different fidelities,
@@ -265,7 +287,7 @@ class TestReconstruct:
         monkeypatch.setattr(cli, "reconstruct", no_solve)
         assert run([
             "reconstruct", str(sim), "--reference", "multithermal",
-            "--mean-photons", "0.15", "--out-dir", str(tmp_path / "rec"),
+            "--out-dir", str(tmp_path / "rec"),
         ]) == EXIT_CONFIG
         assert "multithermal split" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
@@ -283,39 +305,24 @@ class TestReconstruct:
         ]) == EXIT_CONFIG
         assert not (tmp_path / "rec").exists()
 
-    @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
-    def test_zero_reference_parameter_is_config_error(self, tmp_path, flag):
-        # an explicit 0 is refused, not replaced by the manifest's value
-        out = tmp_path / "sim"
-        assert run([
-            "simulate", "--preset", "multithermal-split", "--grid-k", "4",
-            "--runs", "1000", "--truncation", "2", "--out-dir", str(out),
-        ]) == EXIT_OK
-        assert run([
-            "reconstruct", str(out), "--max-iters", "50",
-            "--reference", "multithermal", flag, "0",
-            "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--num-modes", "inf", "num_modes must be finite and >= 1"),
-        ("--mean-photons", "inf", "mean_photons must be finite and positive"),
-        ("--mean-photons", "nan", "mean_photons must be finite and positive"),
-    ], ids=["inf num_modes", "inf mean_photons", "nan mean_photons"])
-    def test_non_finite_reference_parameter_is_refused_before_the_solve(
-            self, tmp_path, monkeypatch, capsys, flag, value, message):
-        out = tmp_path / "sim"
-        assert run([
-            "simulate", "--preset", "multithermal-split", "--grid-k", "4",
-            "--runs", "1000", "--truncation", "2", "--out-dir", str(out),
-        ]) == EXIT_OK
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "heralded", "tau": 0.5, "truncation": 2},
+         "reference state truncation 2 below the reconstruction's 3"),
+        ({"kind": "custom", "modes": 2, "values": [0.0] * 24 + [1.0]},
+         "mode 1 of the reference state has no mass up to the "
+         "reconstruction's truncation 3"),
+    ], ids=["truncation below", "no mass within the truncation"])
+    def test_reference_that_cannot_score_is_refused_before_the_solve(
+            self, tmp_path, monkeypatch, capsys, doc, message):
+        sim = simulate_small(tmp_path)
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(doc))
         monkeypatch.setattr(cli, "reconstruct", no_solve)
         assert run([
-            "reconstruct", str(out), "--max-iters", "50",
-            "--reference", "multithermal", flag, value,
+            "reconstruct", str(sim), "--reference", str(reference),
             "--out-dir", str(tmp_path / "rec"),
         ]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert f"{reference}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("key, value", [("mean_photons", "0.15"),
@@ -987,6 +994,29 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of the README's flag table names exactly the options of
+    # that command's parser, and every command has a row
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    if not readme.is_file():
+        pytest.skip("no README.md in this checkout")
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        row = re.fullmatch(r"\| `clicktomo( \w+)?` \| (.*) \|", line)
+        if row:
+            rows[(row[1] or "").strip()] = set(re.findall(r"`(--[\w-]+)`", row[2]))
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    parsers = {"": parser, **commands.choices}
+    assert sorted(rows) == sorted(parsers)
+    for command, sub in parsers.items():
+        options = {flag for action in sub._actions
+                   for flag in action.option_strings
+                   if flag not in ("-h", "--help")}
+        assert rows[command] == options, command or "clicktomo"
 
 
 def test_cli_import_loads_no_scipy():

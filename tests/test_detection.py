@@ -17,8 +17,14 @@ from clicktomo import (
     uniform_grid,
 )
 from clicktomo import detection
-from clicktomo._kernels import back_projector, degenerate_columns, inverse_column_sums
-from clicktomo.detection import ScaledTranspose, TwoModeMatrix, click_patterns
+from clicktomo._kernels import degenerate_columns
+from clicktomo.detection import (
+    ScaledTranspose,
+    TwoModeMatrix,
+    back_projector,
+    click_patterns,
+    inverse_column_sums,
+)
 from clicktomo.errors import ResourceLimitError
 
 

@@ -19,7 +19,7 @@ from clicktomo import (
     sample_clicks,
     uniform_grid,
 )
-from clicktomo.errors import NumericalError
+from clicktomo.errors import ClicktomoError, NumericalError
 from clicktomo.solver import BootstrapResult
 
 
@@ -45,6 +45,17 @@ class TestMarginal:
         v /= v.sum()
         d = JointDistribution(v)
         np.testing.assert_allclose(marginal(d, 1), v.sum(axis=(0, 2)), atol=1e-14)
+
+    def test_joint_array_of_any_mass(self, rng):
+        # a joint array, such as an EM iterate, need not have unit mass
+        v = rng.random((4, 4))
+        d = JointDistribution(v / v.sum())
+        for mode in (0, 1):
+            np.testing.assert_array_equal(marginal(v / v.sum(), mode),
+                                          marginal(d, mode))
+        np.testing.assert_array_equal(marginal(v, 1), v.sum(axis=0))
+        with pytest.raises(IndexError):
+            marginal(v, 2)
 
     def test_mode_out_of_range(self, balanced_state):
         with pytest.raises(IndexError):
@@ -176,6 +187,16 @@ class TestBootstrap:
         serial = np.std(np.stack(finals), axis=0, ddof=1)
         assert serial.max() > 0.1
         np.testing.assert_allclose(res.sigma, serial, rtol=0, atol=1e-13)
+
+    def test_every_replicate_failing_is_an_error(self):
+        # at N = 0 the model never clicks, so every replicate of a
+        # clicking record ends degenerate
+        grid = uniform_grid(4, 0.1, 0.4)
+        probs = forward_click_probabilities(heralded_split_state(0.5, 2), grid)
+        rec = sample_clicks(probs, 1000, seed=3)
+        with pytest.raises(ClicktomoError, match=(
+                "^only 0 of 2 bootstrap replicates succeeded$")):
+            bootstrap_uncertainty(rec, 0, reps=2, seed=0)
 
     def test_csv_output(self, tmp_path):
         grid = uniform_grid(4, 0.1, 0.4)

@@ -27,13 +27,16 @@ from clicktomo._kernels import (
     STATUS_MAX_ITERS,
     STATUS_MIN_EPSILON,
     _em_run_loops,
-    back_projector,
     chunk_length,
     em_run,
-    inverse_column_sums,
 )
 from clicktomo import detection
-from clicktomo.detection import ScaledTranspose, TwoModeMatrix
+from clicktomo.detection import (
+    ScaledTranspose,
+    TwoModeMatrix,
+    back_projector,
+    inverse_column_sums,
+)
 from clicktomo.errors import DegenerateSupportError, GridMismatchError
 from clicktomo.solver import _CSV_BLOCK_ROWS, _frequency_noise_floor
 
@@ -117,6 +120,39 @@ class TestEmStep:
             [total_error(q, m, h) for q in iterates], trace.epsilon)
         best = iterates[trace.best_iteration]
         np.testing.assert_array_equal(best / best.sum(), trace.final.flat())
+
+
+BAD_Q = {
+    "NaN q": np.r_[np.nan, np.full(15, 1.0 / 15)],
+    "infinite q": np.r_[np.inf, np.full(15, 1.0 / 15)],
+    "negative q": np.r_[-0.1, np.full(15, 1.1 / 15)],
+    "15-entry q": np.full(15, 1.0 / 15),
+}
+BAD_H = {"NaN h": np.nan, "infinite h": np.inf, "negative h": -0.01}
+
+
+@pytest.mark.parametrize("function, bad", [
+    *((f, bad) for f in ("em_step", "total_error", "log_likelihood")
+      for bad in BAD_Q),
+    *((f, bad) for f in ("em_step", "total_error") for bad in BAD_H),
+])
+def test_one_step_functions_refuse_a_bad_input(small_grid, function, bad):
+    # a non-finite or negative entry, or a wrong length, fails the input
+    # check by name rather than some later step
+    rec = heralded_record(small_grid)
+    m = build_matrix(small_grid, 2, 3)
+    q, h = np.full(16, 1.0 / 16), frequencies(rec)
+    if bad in BAD_Q:
+        q = BAD_Q[bad]
+    else:
+        h = h.copy()
+        h[3] = BAD_H[bad]
+    name = bad.split()[-1]
+    call = {"em_step": lambda: em_step(q, m, h),
+            "total_error": lambda: total_error(q, m, h),
+            "log_likelihood": lambda: log_likelihood(q, m, rec)}[function]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
 
 
 class TestTotalError:
