@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _io
+from ._io import fmt
 from .detection import build_matrix, forward_click_probabilities, uniform_grid
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .metrics import fidelity, marginal
@@ -76,7 +77,6 @@ PRESETS = {
 # the two writers by name to time the summary, manifest and figure writes.
 _write_json = _io.write_json
 _write_csv = _io.write_csv
-_fmt = _io.fmt
 
 
 @contextlib.contextmanager
@@ -218,7 +218,7 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
         },
         "runs": runs,
         "seed": seed,
-        "state_leakage": _fmt(state.leakage),
+        "state_leakage": fmt(state.leakage),
     }
     return record, manifest
 
@@ -385,32 +385,32 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "stop_reason": trace.stop_reason,
         "best_iteration": trace.best_iteration,
         "n_iterations": trace.n_iterations,
-        "epsilon_min": _fmt(trace.epsilon[trace.best_iteration]),
-        "renorm_correction": _fmt(trace.renorm_correction),
+        "epsilon_min": fmt(trace.epsilon[trace.best_iteration]),
+        "renorm_correction": fmt(trace.renorm_correction),
         "marginals": [
-            [_fmt(v) for v in marginal(trace.final, m)]
+            [fmt(v) for v in marginal(trace.final, m)]
             for m in range(trace.final.modes)
         ],
     }
     if trace.final.modes == 2:
         rho01 = float(trace.final.values[0, 1])
         rho10 = float(trace.final.values[1, 0])
-        summary["rho01"] = _fmt(rho01)
-        summary["rho10"] = _fmt(rho10)
+        summary["rho01"] = fmt(rho01)
+        summary["rho10"] = fmt(rho10)
         if rho10 > 0:
-            summary["ratio_01_10"] = _fmt(rho01 / rho10)
+            summary["ratio_01_10"] = fmt(rho01 / rho10)
 
     if boot is not None:
         boot.to_csv(out_dir / "uncertainty.csv", point=trace.final)
         summary["bootstrap_reps"] = boot.reps
         summary["bootstrap_failed"] = boot.failed
         if trace.final.modes == 2:
-            summary["sigma01"] = _fmt(boot.sigma[0, 1])
-            summary["sigma10"] = _fmt(boot.sigma[1, 0])
+            summary["sigma01"] = fmt(boot.sigma[0, 1])
+            summary["sigma10"] = fmt(boot.sigma[1, 0])
 
     if references is not None:
         fids = _fidelities(trace.final.values, references)
-        summary["reference_fidelities"] = [_fmt(f) for f in fids]
+        summary["reference_fidelities"] = [fmt(f) for f in fids]
     _write_json(out_dir / "summary.json", summary)
     run_manifest = {
         "command": "reconstruct",
@@ -492,8 +492,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             f1, f2 = _fidelities(q.reshape(truncation + 1, truncation + 1),
                                  references)
             rows.append(
-                [it, _fmt(0.5 * (f1 + f2)), _fmt(f1), _fmt(f2),
-                 _fmt(trace.epsilon[it])]
+                [it, fmt(0.5 * (f1 + f2)), fmt(f1), fmt(f2),
+                 fmt(trace.epsilon[it])]
             )
             q = em_step(q, matrix, h)
         tables["fidelity_curve.csv"] = (
@@ -506,8 +506,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         for nu, eta in enumerate(record.grid.etas):
             p00, p01, p10, _ = multithermal_click_reference(spec, tau, float(eta))
             overlay.append(
-                [_fmt(eta), _fmt(freq[nu, 0]), _fmt(freq[nu, 1]), _fmt(freq[nu, 2]),
-                 _fmt(p00), _fmt(p01), _fmt(p10), int(record.runs[nu])]
+                [fmt(eta), fmt(freq[nu, 0]), fmt(freq[nu, 1]), fmt(freq[nu, 2]),
+                 fmt(p00), fmt(p01), fmt(p10), int(record.runs[nu])]
             )
         tables["frequency_overlay.csv"] = (
             ["eta", "f00", "f01", "f10", "p00_ref", "p01_ref", "p10_ref", "runs"],

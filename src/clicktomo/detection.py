@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, ResourceLimitError
+from .errors import ResourceLimitError
 from .states import JointDistribution
 
 __all__ = [
@@ -60,11 +60,6 @@ class EfficiencyGrid:
 
     def __len__(self) -> int:
         return self.etas.size
-
-    def matches(self, other: "EfficiencyGrid") -> bool:
-        return len(self) == len(other) and bool(
-            np.all(np.abs(self.etas - other.etas) <= 1e-12)
-        )
 
 
 def uniform_grid(k: int, eta_min: float, eta_max: float) -> EfficiencyGrid:
@@ -286,12 +281,6 @@ class DetectionMatrix:
             return self.forward.rdot(np.ones(self.shape[0]))
         return self.rows.sum(axis=0)
 
-    def check_grid(self, grid: EfficiencyGrid) -> None:
-        if not self.grid.matches(grid):
-            raise GridMismatchError(
-                "efficiency grid does not match the detection matrix grid"
-            )
-
 
 def build_matrix(grid: EfficiencyGrid, modes: int, truncation: int) -> DetectionMatrix:
     """The click-pattern matrix for M modes on a truncated space, every
@@ -328,7 +317,14 @@ class ClickProbabilities:
 
     def explicit_vector(self) -> np.ndarray:
         """Pattern-block layout over efficiencies, all-click omitted."""
-        return self.table[:, :-1].T.reshape(-1)
+        return explicit_rows(self.table)
+
+
+def explicit_rows(table) -> np.ndarray:
+    """The R-vector of a (K, 2^M) pattern table in the detection matrix's
+    row order: one block of K efficiencies per pattern, the all-click
+    column dropped. :func:`forward_click_probabilities` inverts it."""
+    return table[:, :-1].T.reshape(-1)
 
 
 def forward_click_probabilities(

@@ -14,10 +14,6 @@ class ResourceLimitError(ClicktomoError, ValueError):
     (``detection.COLUMN_CAP`` or ``detection.MATRIX_BYTES_CAP``)."""
 
 
-class GridMismatchError(ClicktomoError, ValueError):
-    """Efficiency grids of two objects do not agree."""
-
-
 class DegenerateSupportError(ClicktomoError, ArithmeticError):
     """EM update hit a pattern with zero model probability but nonzero data.
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import fmt, json_number, write_csv, write_json
-from .detection import ClickProbabilities, EfficiencyGrid, click_patterns
+from .detection import (
+    ClickProbabilities,
+    EfficiencyGrid,
+    click_patterns,
+    explicit_rows,
+)
 
 __all__ = ["ClickRecord", "sample_clicks", "frequencies"]
 
@@ -167,6 +172,5 @@ def sample_clicks(
 def frequencies(record: ClickRecord) -> np.ndarray:
     """Measured frequency vector in pattern-block layout over efficiencies,
     the all-click pattern omitted (same row order as the detection matrix)."""
-    table = record.frequency_table()
-    return table[:, :-1].T.reshape(-1)
+    return explicit_rows(record.frequency_table())
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import _kernels
 from ._io import fmt, tensor_rows, write_csv, write_json
-from .detection import DetectionMatrix, build_matrix
+from .detection import DetectionMatrix, build_matrix, explicit_rows
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
-from .sampler import ClickRecord, frequencies
+from .sampler import ClickRecord
 from .states import JointDistribution
 
 __all__ = [
@@ -161,9 +161,9 @@ def total_error(q, matrix: DetectionMatrix, h) -> float:
     return float(_kernels.mean_abs_deviation(h[:, None], g[:, None])[0])
 
 
-def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
-    """Log-likelihood of the measured frequencies under the model at ``q``,
-    up to a data-dependent constant.
+def log_likelihood(q, matrix: DetectionMatrix, h) -> float:
+    """Log-likelihood of the measured frequencies ``h`` under the model at
+    ``q``, up to a data-dependent constant.
 
     Computed as the scaled negative information divergence
     ``sum_mu h log(g/h) + h - g`` over the explicit rows: zero when the
@@ -172,8 +172,7 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
     (it is the objective the update maximizes). Returns ``-inf`` when an
     observed pattern has zero model probability.
     """
-    matrix.check_grid(record.grid)
-    q, h = _validate_qh(q, matrix, frequencies(record))
+    q, h = _validate_qh(q, matrix, h)
     g = matrix.forward.dot(q)
     return float(_kernels.log_likelihood(h[:, None], g[:, None])[0])
 
@@ -181,11 +180,12 @@ def log_likelihood(q, matrix: DetectionMatrix, record: ClickRecord) -> float:
 NOISE_FLOOR_FACTOR = 0.5
 
 
-def _frequency_noise_floor(record: ClickRecord) -> float:
-    """Mean binomial standard error of the explicit pattern frequencies,
-    the natural scale below which error improvements are noise."""
-    freq = record.frequency_table()[:, :-1]
-    sigma = np.sqrt(freq * (1.0 - freq) / record.runs[:, None])
+def _frequency_noise_floor(table, runs) -> float:
+    """Mean binomial standard error of the explicit pattern frequencies of
+    a (K, 2^M) frequency table with ``runs`` trials per efficiency, the
+    natural scale below which error improvements are noise."""
+    freq = table[:, :-1]
+    sigma = np.sqrt(freq * (1.0 - freq) / runs[:, None])
     return NOISE_FLOOR_FACTOR * float(sigma.mean())
 
 
@@ -203,10 +203,11 @@ def reconstruct(
     if options is None:
         options = StoppingConfig()
     matrix = build_matrix(record.grid, record.modes, truncation)
-    h = frequencies(record)
+    table = record.frequency_table()
+    h = explicit_rows(table)
     min_decrease = options.min_decrease
     if min_decrease is None:
-        min_decrease = _frequency_noise_floor(record)
+        min_decrease = _frequency_noise_floor(table, record.runs)
     return _reconstruct_core(matrix, h, options, min_decrease)
 
 
@@ -251,21 +252,18 @@ def bootstrap_uncertainty(
     if options is None:
         options = StoppingConfig()
     freq = record.frequency_table()
-    resampled = []
+    counts = np.empty((reps,) + record.counts.shape, dtype=np.int64)
     for rep in range(reps):
         rng = np.random.default_rng([seed, rep])
-        counts = np.empty_like(record.counts)
         for nu in range(len(record.grid)):
-            counts[nu] = rng.multinomial(int(record.runs[nu]), freq[nu])
-        resampled.append(ClickRecord(
-            grid=record.grid, modes=record.modes,
-            counts=counts, runs=record.runs,
-        ))
+            counts[rep, nu] = rng.multinomial(int(record.runs[nu]), freq[nu])
+    tables = counts / record.runs[:, None]
     matrix = build_matrix(record.grid, record.modes, truncation)
-    h = np.stack([frequencies(r) for r in resampled], axis=1)
+    h = np.stack([explicit_rows(t) for t in tables], axis=1)
     min_decrease = options.min_decrease
     if min_decrease is None:
-        min_decrease = np.array([_frequency_noise_floor(r) for r in resampled])
+        min_decrease = np.array([_frequency_noise_floor(t, record.runs)
+                                 for t in tables])
     result = _em_block(matrix, h, options, min_decrease, history=False)
     finals = []
     failed = []
