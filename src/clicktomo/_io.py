@@ -38,6 +38,28 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+# Rows of trace.csv formatted per write: the text of a 100,000-iteration
+# trace held whole would add about 20 MB to the peak RSS.
+TRACE_BLOCK_ROWS = 4096
+
+
+def write_trace_csv(fh, blocks) -> None:
+    """Write ``trace.csv`` to the text file ``fh``, opened with
+    ``newline=""``: the header, then one row per iteration, numbered from
+    0, of ``blocks``, an iterable of (ε, log-likelihood) array pairs in
+    iteration order. The bytes are those :mod:`csv` writes, as floats
+    never need quoting; each block is written with one call."""
+    fh.write("iteration,epsilon,loglik\r\n")
+    start = 0
+    for eps, ll in blocks:
+        stop = start + len(eps)
+        fh.write("".join(
+            f"{i},{e!r},{l!r}\r\n"
+            for i, e, l in zip(range(start, stop), eps.tolist(), ll.tolist())
+        ))
+        start = stop
+
+
 def tensor_rows(*tensors):
     """One row per photon-number index of equally shaped tensors, mode 1
     slowest: the index, then each tensor's entry."""

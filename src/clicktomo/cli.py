@@ -12,8 +12,10 @@ import ctypes
 import json
 import os
 import pickle
+import shutil
 import signal
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +92,7 @@ def _in_background(fn, *args, **kwargs):
     Linux it also dies with the parent. With one usable CPU, or no
     ``fork``, ``fn`` runs inline at the wait, as a serial call would.
     """
-    # a platform without the affinity call (macOS) runs inline
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    if cpus < 2 or not hasattr(os, "fork"):
+    if not _forks():
         yield lambda: fn(*args, **kwargs)
         return
     parent = os.getpid()
@@ -136,6 +135,74 @@ def _in_background(fn, *args, **kwargs):
             if not reaped:  # once reaped, the pid may name another process
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _forks() -> bool:
+    """Whether work may run beside the caller: ``os.fork`` exists and the
+    process may use two or more CPUs. A platform without the affinity
+    call (macOS) counts as one CPU."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    return cpus >= 2 and hasattr(os, "fork")
+
+
+@contextlib.contextmanager
+def _trace_beside(max_rows: int):
+    """Format ``trace.csv`` beside the point solve, a trace of at most
+    ``max_rows`` rows; yields ``send`` and ``write``.
+
+    ``send(eps, ll)`` is the solve's per-chunk callback. It writes the
+    chunk's rows as raw float64 (ε, log-likelihood) pairs into a pipe. A
+    child that ``_in_background`` forks formats them, a block of rows at
+    a time, into an unlinked temporary file while the solve runs.
+    ``write(trace, path)`` closes the pipe, waits for the child and
+    copies its file to ``path``; a child that failed raises there, or at
+    the next ``send``, before ``path`` is opened. With one usable CPU, or
+    no ``fork``, or a trace of at most one block, ``send`` is None and
+    ``write`` formats ``trace`` at the call, in the same bytes: the child
+    would format a single block only after the solve, so it would save
+    nothing and cost the fork, the pipe and the copy.
+
+    A child forked inside the block holds the pipe open, so the formatter
+    would see its end only when that child ends: fork it first.
+    """
+    if not _forks() or max_rows <= _io.TRACE_BLOCK_ROWS:
+        yield None, lambda trace, path: trace.to_csv(path)
+        return
+    read_end, write_end = os.pipe()
+    with (open(read_end, "rb") as rows,
+          open(write_end, "wb", buffering=0) as sink,
+          tempfile.TemporaryFile() as text):
+
+        def format_rows():  # in the child, which must not hold the sink
+            sink.close()
+            size = 16 * _io.TRACE_BLOCK_ROWS  # bytes of a block of rows
+            blocks = iter(lambda: rows.read(size), b"")
+            with open(text.fileno(), "w", newline="", encoding="utf-8",
+                      closefd=False) as out:
+                _io.write_trace_csv(out, (np.frombuffer(b).reshape(-1, 2).T
+                                          for b in blocks))
+
+        with _in_background(format_rows) as wait:
+            rows.close()
+
+            def send(eps, ll):
+                data = memoryview(np.hstack((eps, ll))).cast("B")
+                try:
+                    while data:
+                        data = data[sink.write(data):]
+                except BrokenPipeError:
+                    wait()  # the formatter ended early: its error comes first
+                    raise
+
+            def write(trace, path):
+                sink.close()
+                wait()
+                text.seek(0)
+                with open(path, "wb") as out:
+                    shutil.copyfileobj(text, out)
+
+            yield send, write
 
 
 def _die_with(parent: int) -> None:
@@ -311,16 +378,14 @@ def _fidelities(values: np.ndarray, references) -> list[float]:
     return [fidelity(marginal(values, m), r) for m, r in enumerate(references)]
 
 
-@contextlib.contextmanager
-def _solve(record, truncation, options, reps, seed):
-    """Yield the point solve's trace and a wait for the bootstrap of
-    ``reps`` replicates that ``_in_background`` runs beside the solve and
-    the caller's block; with no replicates, the wait returns None."""
-    bootstrap = (_in_background(bootstrap_uncertainty, record, truncation,
-                                reps=reps, seed=seed, options=options)
-                 if reps else contextlib.nullcontext(lambda: None))
-    with bootstrap as wait_for_bootstrap:
-        yield reconstruct(record, truncation, options=options), wait_for_bootstrap
+def _bootstrap_beside(record, truncation, options, reps, seed):
+    """A context that runs the bootstrap of ``reps`` replicates beside its
+    block (``_in_background``) and yields the wait for it; with no
+    replicates, the wait returns None."""
+    if not reps:
+        return contextlib.nullcontext(lambda: None)
+    return _in_background(bootstrap_uncertainty, record, truncation,
+                          reps=reps, seed=seed, options=options)
 
 
 def _parse_min_decrease(value) -> float | None:
@@ -372,11 +437,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     references, reference_doc = (
         _reference(args.reference, manifest, record.modes, truncation)
         if args.reference is not None else (None, None))
-    with _solve(record, truncation, options, args.bootstrap_reps,
-                args.seed) as (trace, wait_for_bootstrap):
+    # the bootstrap child is forked first, so that it does not hold the
+    # formatter's pipe open
+    with (_bootstrap_beside(record, truncation, options, args.bootstrap_reps,
+                            args.seed) as wait_for_bootstrap,
+          _trace_beside(options.max_iters) as (send, write_trace)):
+        trace = reconstruct(record, truncation, options=options, on_chunk=send)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        trace.to_csv(out_dir / "trace.csv")
+        write_trace(trace, out_dir / "trace.csv")
         trace.final_to_json(out_dir / "distribution.json")
         trace.final_to_csv(out_dir / "distribution.csv")
         boot = wait_for_bootstrap()
@@ -463,8 +532,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 record, sim = _simulate("heralded-balanced", {},
                                         dict(tau=tau, runs=runs, seed=seed))
                 truncation = sim["state"]["truncation"]
-                with _solve(record, truncation, options, args.bootstrap_reps,
-                            seed) as (trace, wait_for_bootstrap):
+                with _bootstrap_beside(record, truncation, options,
+                                       args.bootstrap_reps,
+                                       seed) as wait_for_bootstrap:
+                    trace = reconstruct(record, truncation, options=options)
                     boot = wait_for_bootstrap()
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
                 tables[name] = (["n", "k", "rho", "sigma"],

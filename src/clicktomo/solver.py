@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._io import fmt, tensor_rows, write_csv, write_json
+from ._io import (
+    TRACE_BLOCK_ROWS,
+    fmt,
+    tensor_rows,
+    write_csv,
+    write_json,
+    write_trace_csv,
+)
 from .detection import DetectionMatrix, build_matrix, explicit_rows
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .sampler import ClickRecord
@@ -37,8 +44,6 @@ _STOP_REASONS = {
     _kernels.STATUS_MAX_ITERS: "max-iters",
     _kernels.STATUS_MIN_EPSILON: "min-epsilon",
 }
-
-_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,20 +86,10 @@ class ReconstructionTrace:
     renorm_correction: float
 
     def to_csv(self, path) -> None:
-        # The bytes csv.writer emits (floats never need quoting), written a
-        # block of rows at a time: the text of a 100,000-iteration trace
-        # held whole would add about 20 MB to the peak RSS.
-        n = self.n_iterations
+        step = TRACE_BLOCK_ROWS
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("iteration,epsilon,loglik\r\n")
-            for start in range(0, n, _CSV_BLOCK_ROWS):
-                stop = min(start + _CSV_BLOCK_ROWS, n)
-                fh.write("".join(
-                    f"{i},{e!r},{l!r}\r\n"
-                    for i, e, l in zip(range(start, stop),
-                                       self.epsilon[start:stop].tolist(),
-                                       self.loglik[start:stop].tolist())
-                ))
+            write_trace_csv(fh, ((self.epsilon[i:i + step], self.loglik[i:i + step])
+                                 for i in range(0, self.n_iterations, step)))
 
     def final_to_json(self, path) -> None:
         write_json(path, {
@@ -193,12 +188,17 @@ def reconstruct(
     record: ClickRecord,
     truncation: int,
     options: StoppingConfig | None = None,
+    on_chunk=None,
 ) -> ReconstructionTrace:
     """Run the EM iteration on a click record.
 
     Starts from the uniform distribution, stops per ``options``, and
     returns the iterate with the smallest total error, renormalized to
     unit mass (the applied correction is kept in the trace).
+    ``on_chunk(eps, ll)``, if given, receives the trace's ε and
+    log-likelihood while the solve runs, as the kernel's per-chunk
+    callback (:func:`clicktomo._kernels.em_run`): n×1 arrays, chunk by
+    chunk in iteration order, which the next chunk overwrites.
     """
     if options is None:
         options = StoppingConfig()
@@ -208,7 +208,7 @@ def reconstruct(
     min_decrease = options.min_decrease
     if min_decrease is None:
         min_decrease = _frequency_noise_floor(table, record.runs)
-    return _reconstruct_core(matrix, h, options, min_decrease)
+    return _reconstruct_core(matrix, h, options, min_decrease, on_chunk)
 
 
 def reconstruct_exact(
@@ -282,14 +282,16 @@ def bootstrap_uncertainty(
 
 
 def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,
-              min_decrease, history: bool) -> _kernels.BlockResult:
+              min_decrease, history: bool,
+              on_chunk=None) -> _kernels.BlockResult:
     """One kernel run, every column from the uniform start; ``history``
-    keeps the per-iteration ε and log-likelihood."""
+    keeps the per-iteration ε and log-likelihood, which ``on_chunk``
+    receives chunk by chunk."""
     n_cols = matrix.shape[1]
     q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
     return _kernels.em_run(
         matrix.forward, matrix.back, h, q0, options.max_iters, options.patience,
-        min_decrease, history=history,
+        min_decrease, history=history, on_chunk=on_chunk,
     )
 
 
@@ -311,8 +313,10 @@ def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float
 
 def _reconstruct_core(
     matrix: DetectionMatrix, h, options: StoppingConfig, min_decrease,
+    on_chunk=None,
 ) -> ReconstructionTrace:
-    result = _em_block(matrix, h[:, None], options, min_decrease, history=True)
+    result = _em_block(matrix, h[:, None], options, min_decrease, history=True,
+                       on_chunk=on_chunk)
     n_done = int(result.n_iterations[0])
     epsilon = result.epsilon[:n_done, 0]
     loglik = result.loglik[:n_done, 0]

@@ -266,7 +266,7 @@ class TestReconstruct:
         doc = json.loads((sim / "manifest.json").read_text())["state"]
         exact = clicktomo.state_from_json(doc)
 
-        def solve(record, truncation, options=None):
+        def solve(record, truncation, options=None, on_chunk=None):
             return clicktomo.ReconstructionTrace(
                 epsilon=np.zeros(1), loglik=np.zeros(1),
                 stop_reason="max-iters", best_iteration=0, n_iterations=1,
@@ -916,6 +916,135 @@ class TestBootstrapBeside:
         for name in names:
             assert ((outs["background"] / name).read_bytes()
                     == (outs["inline"] / name).read_bytes()), name
+        assert_no_child_process()
+
+
+class TestTraceBeside:
+    """``reconstruct`` formats ``trace.csv`` in a forked child while the
+    point solve runs; where it is formatted must change no byte and no
+    exit code, and leave no process."""
+
+    def reconstruct(self, sim, out, reps, *flags):
+        # 5000 iterations: more rows than one block of the formatter
+        return run(["reconstruct", str(sim), "--max-iters", "5000",
+                    "--patience", "5000", "--bootstrap-reps", str(reps),
+                    "--seed", "5", "--out-dir", str(out), *flags])
+
+    @pytest.mark.parametrize("reps", [0, 2])
+    def test_paths_write_the_bytes_of_to_csv(self, tmp_path, monkeypatch,
+                                             bootstrap_path, reps):
+        sim = simulate_small(tmp_path)
+        to_csv = clicktomo.ReconstructionTrace.to_csv
+        calls = []
+        monkeypatch.setattr(clicktomo.ReconstructionTrace, "to_csv",
+                            lambda *args: calls.append(args) or to_csv(*args))
+        out = tmp_path / "rec"
+        assert self.reconstruct(sim, out, reps) == EXIT_OK
+        assert bool(calls) == (bootstrap_path == "inline")
+        record = clicktomo.ClickRecord.from_json(sim / "record.json")
+        options = clicktomo.StoppingConfig(max_iters=5000, patience=5000)
+        to_csv(clicktomo.reconstruct(record, 3, options=options),
+               tmp_path / "trace.csv")
+        expected = (tmp_path / "trace.csv").read_bytes()
+        assert expected.count(b"\n") == 5001
+        assert (out / "trace.csv").read_bytes() == expected
+        assert_no_child_process()
+
+    def test_a_trace_of_one_block_is_formatted_inline(self, tmp_path,
+                                                      monkeypatch):
+        # a formatter would read a single block only after the solve
+        def forks():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", forks)
+        sim = simulate_small(tmp_path)
+        out = tmp_path / "rec"
+        assert run(["reconstruct", str(sim), "--max-iters", "4096",
+                    "--patience", "4096", "--out-dir", str(out)]) == EXIT_OK
+        record = clicktomo.ClickRecord.from_json(sim / "record.json")
+        options = clicktomo.StoppingConfig(max_iters=4096, patience=4096)
+        clicktomo.reconstruct(record, 3, options=options).to_csv(
+            tmp_path / "trace.csv")
+        assert ((out / "trace.csv").read_bytes()
+                == (tmp_path / "trace.csv").read_bytes())
+
+    def test_degenerate_point_solve_leaves_nothing(self, tmp_path, capsys,
+                                                   bootstrap_path):
+        sim = simulate_small(tmp_path)
+        out = tmp_path / "x"
+        assert self.reconstruct(sim, out, 0, "--truncation", "0") == EXIT_NUMERICAL
+        assert "truncation may be too small" in capsys.readouterr().err
+        assert not out.exists()
+        assert_no_child_process()
+
+    def test_interrupt_during_the_solve_leaves_no_process(
+            self, tmp_path, monkeypatch, bootstrap_path):
+        # the first chunk's rows reach the formatter, then the interrupt
+        solve = cli.reconstruct
+
+        def interrupted(*args, on_chunk=None, **kwargs):
+            def chunk(eps, ll):
+                if on_chunk is not None:
+                    on_chunk(eps, ll)
+                raise KeyboardInterrupt
+            return solve(*args, on_chunk=chunk, **kwargs)
+
+        monkeypatch.setattr(cli, "reconstruct", interrupted)
+        sim = simulate_small(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            self.reconstruct(sim, tmp_path / "x", 0)
+        assert not (tmp_path / "x").exists()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("failure, message", [
+        ("dies", "exited with code 9 and no result"),
+        ("raises", "No space left on device"),
+    ])
+    def test_formatter_failure_writes_no_trace(self, tmp_path, monkeypatch,
+                                               capsys, failure, message):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def fails(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("the trace was formatted inline")
+            if failure == "dies":
+                os._exit(9)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli._io, "write_trace_csv", fails)
+        sim = simulate_small(tmp_path)
+        out = tmp_path / "rec"
+        assert self.reconstruct(sim, out, 0) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+        assert_no_child_process()
+
+    def test_formatter_ends_while_the_bootstrap_runs(self, tmp_path,
+                                                     monkeypatch):
+        # the bootstrap child is forked before the formatter's pipe
+        # exists, so it cannot hold the pipe open: trace.csv is written
+        # while the bootstrap still waits for it
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "rec"
+        bootstrap = cli.bootstrap_uncertainty
+
+        def waits_for_the_trace(*args, **kwargs):
+            deadline = time.monotonic() + 20
+            while not (out / "trace.csv").exists():
+                if time.monotonic() > deadline:
+                    raise AssertionError("no trace.csv while the bootstrap ran")
+                time.sleep(0.01)
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bootstrap_uncertainty", waits_for_the_trace)
+        sim = simulate_small(tmp_path)
+        assert self.reconstruct(sim, out, 2) == EXIT_OK
         assert_no_child_process()
 
 

@@ -39,8 +39,9 @@ from clicktomo.detection import (
     back_projector,
     inverse_column_sums,
 )
+from clicktomo._io import TRACE_BLOCK_ROWS
 from clicktomo.errors import DegenerateSupportError
-from clicktomo.solver import _CSV_BLOCK_ROWS, _frequency_noise_floor
+from clicktomo.solver import _frequency_noise_floor
 
 
 def heralded_record(grid, tau=0.5, truncation=3, runs=100_000, seed=5):
@@ -271,7 +272,7 @@ class TestReconstruct:
         # the rows are written in blocks; the run spans more than one
         rec = heralded_record(small_grid)
         trace = reconstruct(rec, 3, StoppingConfig(max_iters=5000, patience=5000))
-        assert trace.n_iterations > _CSV_BLOCK_ROWS
+        assert trace.n_iterations > TRACE_BLOCK_ROWS
         trace.to_csv(tmp_path / "trace.csv")
         with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -444,6 +445,22 @@ class TestFactoredOperator:
         assert log_likelihood(q, m, hr) == pytest.approx(
             np.sum(hr * np.log(g / hr, where=hr > 0, out=np.zeros_like(g))
                    + hr - g), rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 25, 100])
+def test_row_sums_are_the_reduce_bit_for_bit(monkeypatch, rng, width):
+    # at widths above 1 the kernel sums rows with einsum; it must give the
+    # bits np.add.reduce gives, for one iterate and for a chunk of them
+    h = rng.random((102, width)) * (rng.random((102, width)) < 0.8)
+    g = rng.random((7, 102, width)) * np.logspace(-6, 0, 102)[:, None]
+    cases = [(h, g[0]), (h, g)]
+    got = [(_kernels.mean_abs_deviation(h, g), _kernels.log_likelihood(h, g))
+           for h, g in cases]
+    monkeypatch.setattr(_kernels, "_sum_rows",
+                        lambda x, out=None: np.add.reduce(x, axis=-2, out=out))
+    for (h, g), (eps, ll) in zip(cases, got):
+        np.testing.assert_array_equal(eps, _kernels.mean_abs_deviation(h, g))
+        np.testing.assert_array_equal(ll, _kernels.log_likelihood(h, g))
 
 
 def _force_chunk(monkeypatch, length, matrix, width):
@@ -691,6 +708,30 @@ class TestChunkBoundaries:
                 block.n_iterations[col], block.epsilon[:, col],
                 block.loglik[:, col], block.status[col],
             ))
+
+    @pytest.mark.parametrize("length", CHUNKS)
+    def test_chunk_callback_streams_the_history(self, setup, small_grid,
+                                                monkeypatch, length):
+        # the callback's rows, chunk after chunk, are the history: of a
+        # column run to the budget, and of one that a degenerate cut ends
+        # inside a chunk (exact vacuum but for one subnormal click row)
+        matrix, _, _, back = setup
+        vac = np.zeros((4, 4))
+        vac[0, 0] = 1.0
+        degenerate = forward_click_probabilities(
+            JointDistribution(vac), small_grid).explicit_vector()
+        degenerate[5] = 5e-324
+        heralded = frequencies(heralded_record(small_grid, runs=2000, seed=1))
+        _force_chunk(monkeypatch, length, matrix, 1)
+        for h in (heralded, degenerate):
+            rows = []
+            block = em_run(matrix, back, h[:, None], np.full((16, 1), 1.0 / 16),
+                           2500, 2500, 0.0, history=True,
+                           on_chunk=lambda eps, ll: rows.append(np.hstack((eps, ll))))
+            n_done = block.n_iterations[0]
+            assert n_done == (2500 if h is heralded else 2084)
+            np.testing.assert_array_equal(np.concatenate(rows), np.stack(
+                [block.epsilon[:n_done, 0], block.loglik[:n_done, 0]], axis=1))
 
     def test_patience_stop_on_the_last_iteration_of_the_budget(
             self, setup, small_grid, monkeypatch):
