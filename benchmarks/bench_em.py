@@ -5,9 +5,9 @@ multithermal preset (105 rows x 81 columns), and the multithermal state
 at the wide truncation N = 120 (105 rows x 14,641 columns). Each column
 of a block is the state resampled with its own seed; patience equals the
 budget, so every column runs all iterations. Width 1 is timed twice:
-with the ε and log-likelihood histories a point solve keeps, and without
-them, as a bootstrap replicate runs. Each row prints the chunk length
-the kernel uses at that width.
+with a chunk callback that collects the ε and log-likelihood histories,
+as a point solve does, and without one, as a bootstrap replicate runs.
+Each row prints the chunk length the kernel uses at that width.
 
 Each size is timed on the operator pair the solver uses for it. Where
 that is the factored two-mode pair (``detection.TwoModeMatrix``, from
@@ -122,18 +122,19 @@ def _check_against_loops(matrix, operators, h, iters=500):
     for label, (forward, back) in operators.items():
         for block_h in (h[:, :1], h):
             width = block_h.shape[1]
+            collect, epsilon, loglik = _collector(iters, width)
             got = em_run(forward, back, block_h,
                          np.tile(q0[:, None], (1, width)),
-                         iters, iters, 0.0, history=True)
+                         iters, iters, 0.0, on_chunk=collect)
             for col, ref in enumerate(refs[:width]):
                 agree = (
                     np.allclose(got.best_q[:, col], ref[0], rtol=0, atol=1e-13)
                     and got.best_iteration[col] == ref[2]
                     and got.n_iterations[col] == ref[3]
                     and got.status[col] == ref[6]
-                    and np.allclose(got.epsilon[:, col], ref[4], rtol=0,
+                    and np.allclose(epsilon[:, col], ref[4], rtol=0,
                                     atol=1e-14)
-                    and np.allclose(got.loglik[:, col], ref[5], rtol=0,
+                    and np.allclose(loglik[:, col], ref[5], rtol=0,
                                     atol=1e-12)
                 )
                 if not agree:
@@ -143,9 +144,22 @@ def _check_against_loops(matrix, operators, h, iters=500):
                         f"{width}; nothing timed")
 
 
+def _collector(iters, width):
+    """A chunk callback that puts the ε and log-likelihood rows of each
+    column into two iters×width arrays, and the two arrays."""
+    epsilon, loglik = np.empty((iters, width)), np.empty((iters, width))
+
+    def collect(t0, cols, eps, ll):
+        epsilon[t0:t0 + len(eps), cols] = eps
+        loglik[t0:t0 + len(ll), cols] = ll
+
+    return collect, epsilon, loglik
+
+
 def _timed(matrix, back, h, q0, iters, history):
     start = time.perf_counter()
-    em_run(matrix, back, h, q0, iters, iters, 0.0, history=history)
+    collect = _collector(iters, q0.shape[1])[0] if history else None
+    em_run(matrix, back, h, q0, iters, iters, 0.0, on_chunk=collect)
     return time.perf_counter() - start
 
 

@@ -43,21 +43,24 @@ def write_csv(path, header, rows) -> None:
 TRACE_BLOCK_ROWS = 4096
 
 
-def write_trace_csv(fh, blocks) -> None:
+def write_trace_csv(fh, pairs) -> None:
     """Write ``trace.csv`` to the text file ``fh``, opened with
     ``newline=""``: the header, then one row per iteration, numbered from
-    0, of ``blocks``, an iterable of (ε, log-likelihood) array pairs in
+    0, of ``pairs``, an iterable of (ε, log-likelihood) array pairs in
     iteration order. The bytes are those :mod:`csv` writes, as floats
-    never need quoting; each block is written with one call."""
+    never need quoting. Each pair is cut into blocks of at most
+    ``TRACE_BLOCK_ROWS`` rows, each formatted and written with one call."""
     fh.write("iteration,epsilon,loglik\r\n")
     start = 0
-    for eps, ll in blocks:
-        stop = start + len(eps)
-        fh.write("".join(
-            f"{i},{e!r},{l!r}\r\n"
-            for i, e, l in zip(range(start, stop), eps.tolist(), ll.tolist())
-        ))
-        start = stop
+    for eps, ll in pairs:
+        for i in range(0, len(eps), TRACE_BLOCK_ROWS):
+            block = slice(i, i + TRACE_BLOCK_ROWS)
+            fh.write("".join(
+                f"{k},{e!r},{l!r}\r\n"
+                for k, e, l in zip(range(start + i, start + block.stop),
+                                   eps[block].tolist(), ll[block].tolist())
+            ))
+        start += len(eps)
 
 
 def tensor_rows(*tensors):

@@ -23,11 +23,13 @@ loop for one distribution: the reference the tests compare
    from its start. In either case one pass over the chunk's g then
    finds the first iterate where an observed row has no model
    probability (a degenerate column): the chunk ends there.
-2. Once per chunk, vectorised passes over the buffers give the ε and
-   log-likelihood of every iterate, and a scan over each column's ε
-   list moves its best iteration (the ``min_decrease`` rule). Vectorised
-   checks settle the columns whose ε falls at every step or never
-   undercuts the best; the others are scanned in plain Python.
+2. Once per chunk, a vectorised pass over the buffers gives the ε of
+   every iterate, and a scan over each column's ε list moves its best
+   iteration (the ``min_decrease`` rule). Vectorised checks settle the
+   columns whose ε falls at every step or never undercuts the best; the
+   others are scanned in plain Python. A per-chunk callback, the one way
+   per-iteration values leave the kernel, gets the chunk's ε and the
+   log-likelihoods of a pass that runs only for it.
 
 The iterates take three arrays, the chunk's first and two that the
 update writes in turn, which end up holding its first, last and next
@@ -203,8 +205,6 @@ class BlockResult:
     best_iteration: np.ndarray  # B
     n_iterations: np.ndarray  # B
     status: np.ndarray  # B
-    epsilon: np.ndarray | None  # max_iters×B; rows past a column's end unspecified
-    loglik: np.ndarray | None
 
 
 def chunk_length(n_rows, width):
@@ -260,8 +260,7 @@ def _scan_best(eps, t0, bar, best, mind):
 
 
 def em_run(
-    matrix, back, h, q0, max_iters, patience, min_decrease, history=False,
-    on_chunk=None,
+    matrix, back, h, q0, max_iters, patience, min_decrease, on_chunk=None,
 ) -> BlockResult:
     """Iterate the P×B block ``q0`` against the R×B frequencies ``h``.
 
@@ -270,20 +269,20 @@ def em_run(
     with ``shape`` and ``dot(x, out=None)`` on P×B and R×B blocks, such
     as the factored two-mode pair of
     :class:`clicktomo.detection.DetectionMatrix`.
-    ``min_decrease`` is a scalar or one value per column. ``history``
-    keeps the ε and log-likelihood of every iteration (memory
-    O(max_iters·B)). The module docstring describes the two phases of
-    each chunk, the three iterate arrays whose next iterate every chunk
-    starts from, and the one stop block every column leaves through.
+    ``min_decrease`` is a scalar or one value per column. The module
+    docstring describes the two phases of each chunk, the three iterate
+    arrays whose next iterate every chunk starts from, and the one stop
+    block every column leaves through.
 
-    With ``history``, ``on_chunk(eps, ll)``, if given, is called once per
-    chunk, after the chunk's ε and log-likelihood passes, so that a
-    caller can use the history while the run goes on. ``eps`` and ``ll``
-    hold one row per iteration of the chunk, in iteration order, and one
-    column per column still in the block; over the whole run a column
-    gets one row per iteration it ran. Both are buffers that the next
-    chunk overwrites, so the callback copies what it keeps. An exception
-    it raises ends the run.
+    ``on_chunk(t0, cols, eps, ll)``, if given, is called once per chunk,
+    after its ε pass and a log-likelihood pass that runs only for it, so
+    that a caller can use the rows while the run goes on. ``eps`` and
+    ``ll`` hold one row per iteration of the chunk, from iteration ``t0``
+    on, and one column per column still in the block; ``cols`` holds
+    those columns' indices in ``q0``. Over the whole run a column gets
+    one row per iteration it ran. The three arrays are the kernel's, and
+    the next chunk overwrites ``eps`` and ``ll``: the callback changes
+    none and copies what it keeps. An exception it raises ends the run.
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape
@@ -291,8 +290,6 @@ def em_run(
     best_iter_out = np.empty(width, dtype=np.int64)
     n_done_out = np.empty(width, dtype=np.int64)
     status_out = np.empty(width, dtype=np.int64)
-    eps_hist = np.empty((max_iters, width)) if history else None
-    ll_hist = np.empty((max_iters, width)) if history else None
 
     # per active column: its index in the outputs, its best ε so far
     # minus its min_decrease, and its best iteration
@@ -349,12 +346,9 @@ def em_run(
                     _iterate(matrix, back, h, gs, qs, ratio, 0, n, where)
 
         eps = mean_abs_deviation(h, gbuf[:n], work[:n], eps_buf[:n])
-        if history:
-            ll = log_likelihood(h, gbuf[:n], work[:n], ll_buf[:n])
-            eps_hist[t0:t0 + n, cols] = eps
-            ll_hist[t0:t0 + n, cols] = ll
-            if on_chunk is not None:
-                on_chunk(eps, ll)
+        if on_chunk is not None:
+            on_chunk(t0, cols, eps,
+                     log_likelihood(h, gbuf[:n], work[:n], ll_buf[:n]))
 
         # phase 2: the min_decrease rule along each column's ε, then every
         # stop at the chunk's last iterate, in _em_run_loops's order
@@ -399,6 +393,4 @@ def em_run(
         best_iteration=best_iter_out,
         n_iterations=n_done_out,
         status=status_out,
-        epsilon=eps_hist,
-        loglik=ll_hist,
     )

@@ -262,6 +262,8 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
         if key not in cfg:
             raise ConfigError(f"missing --{key.replace('_', '-')}")
     runs = cfg.get("runs", 100_000)
+    if runs < 1:
+        raise ConfigError(f"--runs must be a positive integer, got {runs}")
     seed = _check_seed(cfg.get("seed", 0))
 
     try:

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._io import (
-    TRACE_BLOCK_ROWS,
-    fmt,
-    tensor_rows,
-    write_csv,
-    write_json,
-    write_trace_csv,
-)
+from ._io import fmt, tensor_rows, write_csv, write_json, write_trace_csv
 from .detection import DetectionMatrix, build_matrix, explicit_rows
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .sampler import ClickRecord
@@ -86,10 +79,8 @@ class ReconstructionTrace:
     renorm_correction: float
 
     def to_csv(self, path) -> None:
-        step = TRACE_BLOCK_ROWS
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_trace_csv(fh, ((self.epsilon[i:i + step], self.loglik[i:i + step])
-                                 for i in range(0, self.n_iterations, step)))
+            write_trace_csv(fh, [(self.epsilon, self.loglik)])
 
     def final_to_json(self, path) -> None:
         write_json(path, {
@@ -264,7 +255,7 @@ def bootstrap_uncertainty(
     if min_decrease is None:
         min_decrease = np.array([_frequency_noise_floor(t, record.runs)
                                  for t in tables])
-    result = _em_block(matrix, h, options, min_decrease, history=False)
+    result = _em_block(matrix, h, options, min_decrease)
     finals = []
     failed = []
     for rep, status in enumerate(result.status):
@@ -282,16 +273,15 @@ def bootstrap_uncertainty(
 
 
 def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,
-              min_decrease, history: bool,
-              on_chunk=None) -> _kernels.BlockResult:
-    """One kernel run, every column from the uniform start; ``history``
-    keeps the per-iteration ε and log-likelihood, which ``on_chunk``
-    receives chunk by chunk."""
+              min_decrease, on_chunk=None) -> _kernels.BlockResult:
+    """One kernel run, every column from the uniform start; ``on_chunk``,
+    the kernel's per-chunk callback, receives the per-iteration ε and
+    log-likelihood, which the run computes only for it."""
     n_cols = matrix.shape[1]
     q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
     return _kernels.em_run(
         matrix.forward, matrix.back, h, q0, options.max_iters, options.patience,
-        min_decrease, history=history, on_chunk=on_chunk,
+        min_decrease, on_chunk=on_chunk,
     )
 
 
@@ -315,17 +305,23 @@ def _reconstruct_core(
     matrix: DetectionMatrix, h, options: StoppingConfig, min_decrease,
     on_chunk=None,
 ) -> ReconstructionTrace:
-    result = _em_block(matrix, h[:, None], options, min_decrease, history=True,
-                       on_chunk=on_chunk)
+    # each chunk's rows go into the trace, then on to ``on_chunk``
+    epsilon, loglik = np.empty(options.max_iters), np.empty(options.max_iters)
+
+    def collect(t0, cols, eps, ll):
+        epsilon[t0:t0 + len(eps)] = eps[:, 0]
+        loglik[t0:t0 + len(ll)] = ll[:, 0]
+        if on_chunk is not None:
+            on_chunk(eps, ll)
+
+    result = _em_block(matrix, h[:, None], options, min_decrease, collect)
     n_done = int(result.n_iterations[0])
-    epsilon = result.epsilon[:n_done, 0]
-    loglik = result.loglik[:n_done, 0]
     final, total = _final_distribution(
         result.best_q[:, 0], result.status[0], matrix.modes
     )
     return ReconstructionTrace(
-        epsilon=epsilon,
-        loglik=loglik,
+        epsilon=epsilon[:n_done],
+        loglik=loglik[:n_done],
         stop_reason=_STOP_REASONS[int(result.status[0])],
         best_iteration=int(result.best_iteration[0]),
         n_iterations=n_done,

@@ -1111,6 +1111,28 @@ def test_negative_seed_is_refused_before_any_solve(tmp_path, monkeypatch,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, runs", [("simulate", 0),
+                                           ("simulate config", -3),
+                                           ("reproduce fig2", 0)])
+def test_runs_below_one_are_refused_before_the_state_is_built(
+        tmp_path, monkeypatch, capsys, command, runs):
+    # the sampler would refuse them too, under its own parameter name and
+    # only after the state and the forward model are built
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "heralded-balanced", "runs": runs}))
+    for name in ("state_from_json", "forward_click_probabilities",
+                 "sample_clicks", "reconstruct", "bootstrap_uncertainty"):
+        monkeypatch.setattr(cli, name, no_solve)
+    argv = {
+        "simulate": ["simulate", "--preset", "heralded-balanced", "--runs", "0"],
+        "simulate config": ["simulate", "--config", str(config)],
+        "reproduce fig2": ["reproduce", "fig2", "--runs", "0"],
+    }[command]
+    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert f"--runs must be a positive integer, got {runs}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 class TestValidate:
     def test_all_checks_pass(self, capsys):
         assert run(["validate"]) == EXIT_OK

@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ class TestReconstruct:
         assert trace.stop_reason == "min-epsilon"
         assert trace.n_iterations - trace.best_iteration >= 100
 
+    @pytest.mark.parametrize("runs, options, stop", [
+        (100_000, StoppingConfig(max_iters=5000, patience=5000), "max-iters"),
+        (2000, StoppingConfig(patience=100, min_decrease=None), "min-epsilon"),
+    ])
+    def test_on_chunk_rows_are_the_trace(self, small_grid, runs, options, stop):
+        # the rows reconstruct hands out, n×1 chunk after chunk, are the
+        # trace's ε and log-likelihood bit for bit, over several chunks
+        rows = []
+        trace = reconstruct(heralded_record(small_grid, runs=runs), 3, options,
+                            on_chunk=lambda eps, ll: rows.append(np.hstack((eps, ll))))
+        assert trace.stop_reason == stop
+        assert len(rows) > 1
+        np.testing.assert_array_equal(np.concatenate(rows), np.stack(
+            [trace.epsilon, trace.loglik], axis=1))
+
     def test_degenerate_start_raises(self, small_grid):
         # at N = 0 the model holds only the vacuum and never clicks, so
         # the uniform start already gives the observed clicks no probability
@@ -327,11 +343,26 @@ def _assert_kernel_outputs_match(out_loop, out_np):
     assert out_loop[6] == out_np[6]  # status
 
 
+def _em_run_history(matrix, back, h, q0, max_iters, *stop_args):
+    """``em_run`` with a chunk callback that puts every column's ε and
+    log-likelihood rows into max_iters×B arrays: the block's fields plus
+    ``epsilon`` and ``loglik``, NaN past a column's last iteration."""
+    epsilon = np.full((max_iters, q0.shape[1]), np.nan)
+    loglik = np.full_like(epsilon, np.nan)
+
+    def collect(t0, cols, eps, ll):
+        epsilon[t0:t0 + len(eps), cols] = eps
+        loglik[t0:t0 + len(ll), cols] = ll
+
+    block = em_run(matrix, back, h, q0, max_iters, *stop_args, on_chunk=collect)
+    return SimpleNamespace(**vars(block), epsilon=epsilon, loglik=loglik)
+
+
 def _em_run_block_of_one(matrix, matrix_t, inv_colsum, h, q0, *stop_args):
     """``em_run`` on a block of width 1, in the reference kernel's
     calling convention and output tuple (without the unused final iterate)."""
     back = matrix_t * inv_colsum[:, None]
-    r = em_run(matrix, back, h[:, None], q0[:, None], *stop_args, history=True)
+    r = _em_run_history(matrix, back, h[:, None], q0[:, None], *stop_args)
     return (r.best_q[:, 0], None, r.best_iteration[0],
             r.n_iterations[0], r.epsilon[:, 0], r.loglik[:, 0], r.status[0])
 
@@ -344,7 +375,7 @@ class TestBlockKernelAgainstLoopReference:
             _em_run_loops(*args), _em_run_block_of_one(*args)
         )
 
-    def test_block_columns_match_serial_runs(self, small_grid):
+    def test_block_columns_match_serial_runs(self, small_grid, monkeypatch):
         # three different data sets whose patience stops fall at different
         # iterations, one min_decrease per column, and a degenerate column
         m = build_matrix(small_grid, 2, 3)
@@ -361,8 +392,13 @@ class TestBlockKernelAgainstLoopReference:
         h = np.stack(hs + [hs[0]], axis=1)
         q0 = np.stack([uniform] * 3 + [vacuum], axis=1)
         max_iters, patience = 3000, 100
+        # without a chunk callback no log-likelihood is computed
+        passes = []
+        monkeypatch.setattr(_kernels, "log_likelihood",
+                            lambda *args, **kwargs: passes.append(args))
         block = em_run(m.rows, back_projector(m.rows, m.column_sums()), h, q0,
                        max_iters, patience, np.append(mind, 0.0))
+        assert passes == []
         stops = set()
         for col in range(3):
             ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
@@ -378,7 +414,6 @@ class TestBlockKernelAgainstLoopReference:
         assert block.status[3] == STATUS_DEGENERATE
         assert block.n_iterations[3] == 1
         np.testing.assert_array_equal(block.best_q[:, 3], vacuum)
-        assert block.epsilon is None and block.loglik is None
 
 
 class TestFactoredOperator:
@@ -404,9 +439,9 @@ class TestFactoredOperator:
         mind = np.array([1e-4, 3e-4, 1e-4])[:width]
         uniform = np.full(16, 1.0 / 16)
         max_iters, patience = 3000, 100
-        block = em_run(op, back, np.stack(hs, axis=1),
-                       np.stack([uniform] * width, axis=1), max_iters,
-                       patience, mind, history=True)
+        block = _em_run_history(op, back, np.stack(hs, axis=1),
+                                np.stack([uniform] * width, axis=1),
+                                max_iters, patience, mind)
         for col in range(width):
             ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
                                 patience, mind[col])
@@ -476,12 +511,11 @@ def _force_chunk(monkeypatch, length, matrix, width):
 def _assert_same_block(a, b):
     for field in ("best_q", "best_iteration", "n_iterations", "status"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-    if a.epsilon is not None:
-        for col, n_done in enumerate(a.n_iterations):
-            np.testing.assert_array_equal(a.epsilon[:n_done, col],
-                                          b.epsilon[:n_done, col])
-            np.testing.assert_array_equal(a.loglik[:n_done, col],
-                                          b.loglik[:n_done, col])
+    for col, n_done in enumerate(a.n_iterations):
+        np.testing.assert_array_equal(a.epsilon[:n_done, col],
+                                      b.epsilon[:n_done, col])
+        np.testing.assert_array_equal(a.loglik[:n_done, col],
+                                      b.loglik[:n_done, col])
 
 
 CHUNKS = (1, 7, None)
@@ -489,8 +523,8 @@ CHUNKS = (1, 7, None)
 
 class TestChunkBoundaries:
     """``em_run`` at chunk lengths 1, 7 and the default, against the loop
-    reference and against each other. ``max_iters`` is never a multiple
-    of 7."""
+    reference and against each other, ε and log-likelihood included.
+    ``max_iters`` is never a multiple of 7."""
 
     @pytest.fixture
     def setup(self, small_grid):
@@ -499,12 +533,12 @@ class TestChunkBoundaries:
         inv = 1.0 / m.column_sums()
         return m.rows, mt, inv, back_projector(m.rows, m.column_sums())
 
-    def _runs(self, monkeypatch, matrix, back, h, q0, *stop_args, **kwargs):
+    def _runs(self, monkeypatch, matrix, back, h, q0, *stop_args):
         runs = []
         for length in CHUNKS:
             with monkeypatch.context() as patch:
                 _force_chunk(patch, length, matrix, q0.shape[1])
-                runs.append(em_run(matrix, back, h, q0, *stop_args, **kwargs))
+                runs.append(_em_run_history(matrix, back, h, q0, *stop_args))
         for other in runs[1:]:
             _assert_same_block(runs[0], other)
         return runs[0]
@@ -521,7 +555,7 @@ class TestChunkBoundaries:
         ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
         assert ref[6] == STATUS_MIN_EPSILON and (ref[3] - 1) % 7 == position
         block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
-                           *args, history=True)
+                           *args)
         _assert_kernel_outputs_match(ref, (
             block.best_q[:, 0], None, block.best_iteration[0],
             block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
@@ -563,7 +597,7 @@ class TestChunkBoundaries:
         q0 = np.stack([np.full(16, 1.0 / 16)] * 2 + [vacuum], axis=1)
         block = self._runs(monkeypatch, matrix, back,
                            np.stack(hs + [hs[0]], axis=1), q0, 3000, 100,
-                           np.array([1e-4, 3e-4, 0.0]), history=True)
+                           np.array([1e-4, 3e-4, 0.0]))
         assert block.status.tolist() == [STATUS_MIN_EPSILON] * 2 + [STATUS_DEGENERATE]
         assert block.n_iterations[0] != block.n_iterations[1]
         assert block.n_iterations[2] == 1
@@ -582,7 +616,7 @@ class TestChunkBoundaries:
         args = (1500, 100, 0.0)
         ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
         block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
-                           *args, history=True)
+                           *args)
         _assert_kernel_outputs_match(ref, (
             block.best_q[:, 0], None, block.best_iteration[0],
             block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
@@ -607,7 +641,7 @@ class TestChunkBoundaries:
         max_iters = 3000
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
                            np.stack([q0] * 3, axis=1), max_iters, max_iters,
-                           mind, history=True)
+                           mind)
         span = chunk_length(matrix.shape[0], 3)
         last_start = (max_iters - 1) // span * span
         bests = block.best_iteration.tolist()
@@ -646,7 +680,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(_kernels, "_scan_best", spy)
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
                            np.stack([q0, q0], axis=1), max_iters, patience,
-                           mind, history=True)
+                           mind)
         assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [1419, max_iters]
         # one chunk per length ends on the stop: at 1, at 7, at the default
@@ -698,7 +732,7 @@ class TestChunkBoundaries:
         q0 = np.full(16, 1.0 / 16)
         args = (2500, 2500, 0.0)
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), *args, history=True)
+                           np.stack([q0, q0], axis=1), *args)
         refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations[0] == 2084
@@ -712,26 +746,60 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("length", CHUNKS)
     def test_chunk_callback_streams_the_history(self, setup, small_grid,
                                                 monkeypatch, length):
-        # the callback's rows, chunk after chunk, are the history: of a
-        # column run to the budget, and of one that a degenerate cut ends
-        # inside a chunk (exact vacuum but for one subnormal click row)
-        matrix, _, _, back = setup
+        # the callback's rows, chunk after chunk, are the history of a
+        # block whose columns leave at four different chunks: two by
+        # patience, one that a degenerate cut ends inside a chunk (exact
+        # vacuum but for one subnormal click row), one on the budget. Each
+        # t0 follows on from the last chunk, cols names the columns still
+        # in the block, and the rows they put back, each exactly once,
+        # are the loop reference's
+        matrix, mt, inv, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
         degenerate = forward_click_probabilities(
             JointDistribution(vac), small_grid).explicit_vector()
         degenerate[5] = 5e-324
-        heralded = frequencies(heralded_record(small_grid, runs=2000, seed=1))
-        _force_chunk(monkeypatch, length, matrix, 1)
-        for h in (heralded, degenerate):
-            rows = []
-            block = em_run(matrix, back, h[:, None], np.full((16, 1), 1.0 / 16),
-                           2500, 2500, 0.0, history=True,
-                           on_chunk=lambda eps, ll: rows.append(np.hstack((eps, ll))))
-            n_done = block.n_iterations[0]
-            assert n_done == (2500 if h is heralded else 2084)
-            np.testing.assert_array_equal(np.concatenate(rows), np.stack(
-                [block.epsilon[:n_done, 0], block.loglik[:n_done, 0]], axis=1))
+        hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
+              for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.5, 10**6, 1))]
+        hs.insert(2, degenerate)
+        mind = np.array([1e-4, 3e-4, 0.0, 0.0])
+        q0 = np.full(16, 1.0 / 16)
+        max_iters, patience = 2500, 100
+        chunks = []
+        _force_chunk(monkeypatch, length, matrix, 4)
+        block = em_run(matrix, back, np.stack(hs, axis=1),
+                       np.stack([q0] * 4, axis=1), max_iters, patience, mind,
+                       on_chunk=lambda *args: chunks.append(
+                           [np.copy(a) for a in args]))
+        assert block.status.tolist() == [STATUS_MIN_EPSILON] * 2 + [
+            STATUS_DEGENERATE, STATUS_MAX_ITERS]
+        assert block.n_iterations.tolist() == [1419, 919, 2084, max_iters]
+        epsilon = np.full((max_iters, 4), np.nan)
+        loglik = np.full_like(epsilon, np.nan)
+        t = 0
+        for t0, cols, eps, ll in chunks:
+            assert t0 == t
+            assert cols.tolist() == np.flatnonzero(block.n_iterations > t0).tolist()
+            assert eps.shape == ll.shape == (eps.shape[0], cols.size)
+            rows = (slice(t0, t0 + eps.shape[0]), cols)
+            assert np.isnan(epsilon[rows]).all()
+            epsilon[rows], loglik[rows] = eps, ll
+            t = t0 + eps.shape[0]
+        assert t == max_iters
+        assert len({cols.size for _, cols, _, _ in chunks}) == 4
+        for col, h in enumerate(hs):
+            ref = _em_run_loops(matrix, mt, inv, h, q0, max_iters, patience,
+                                mind[col])
+            n_done = ref[3]
+            assert not np.isnan(epsilon[:n_done, col]).any()
+            assert np.isnan(epsilon[n_done:, col]).all()
+            _assert_kernel_outputs_match(ref, (
+                block.best_q[:, col], None, block.best_iteration[col],
+                block.n_iterations[col], epsilon[:, col], loglik[:, col],
+                block.status[col],
+            ))
+            np.testing.assert_allclose(loglik[:n_done, col], ref[5][:n_done],
+                                       rtol=1e-12, atol=1e-14)
 
     def test_patience_stop_on_the_last_iteration_of_the_budget(
             self, setup, small_grid, monkeypatch):
@@ -747,8 +815,7 @@ class TestChunkBoundaries:
         assert free[6] == STATUS_MIN_EPSILON
         max_iters, mind = free[3], np.array([1e-4, 0.0])
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), max_iters, 99, mind,
-                           history=True)
+                           np.stack([q0, q0], axis=1), max_iters, 99, mind)
         assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [max_iters] * 2
         for col, h in enumerate(hs):
@@ -775,7 +842,7 @@ class TestChunkBoundaries:
         q0 = np.full(16, 1.0 / 16)
         args = (2084, 2500, 0.0)
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), *args, history=True)
+                           np.stack([q0, q0], axis=1), *args)
         refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [2084, 2084]
@@ -839,8 +906,7 @@ class TestChunkBoundaries:
         q0 = np.full(16, 1.0 / 16)
         args = (300, 300, 0.0)
         ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
-        block = em_run(matrix, back, h[:, None], q0[:, None], *args,
-                       history=True)
+        block = _em_run_history(matrix, back, h[:, None], q0[:, None], *args)
         _assert_kernel_outputs_match(ref, (
             block.best_q[:, 0], None, block.best_iteration[0],
             block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
@@ -880,9 +946,8 @@ class TestChunkBoundaries:
             with monkeypatch.context() as patch:
                 _force_chunk(patch, length, matrix, 2)
                 patch.setattr(_kernels, "_iterate", spy)
-                runs.append(em_run(matrix, back, np.stack(hs, axis=1),
-                                   np.stack([q0, q0], axis=1), *args,
-                                   history=True))
+                runs.append(_em_run_history(matrix, back, np.stack(hs, axis=1),
+                                            np.stack([q0, q0], axis=1), *args))
             starts = [start for masked, start in calls if masked]
             assert starts, "no chunk took the masked path"
             # an unmasked run followed by a masked one: the one chunk that
