@@ -15,17 +15,19 @@ that is the factored two-mode pair (``detection.TwoModeMatrix``, from
 are timed beside it.
 
 Before timing a size, every operator pair it times is checked against
-the loop reference ``_em_run_loops`` on a short run, on a block of 1
-column and on a block of 3, each column against its own reference run,
-so that no number comes from a kernel, a block path or an operator that
-computes something else.
+the loop reference ``_em_run_loops`` of ``tests/em_reference.py`` on a
+short run, on a block of 1 column and on a block of 3, each column
+against its own reference run, so that no number comes from a kernel, a
+block path or an operator that computes something else.
 
 Usage: python benchmarks/bench_em.py [--iters N] [--widths 1 2 25 100]
            [--sizes heralded multithermal wide]
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +42,12 @@ from clicktomo import (
     split_on_beamsplitter,
     uniform_grid,
 )
-from clicktomo._kernels import _em_run_loops, chunk_length, em_run
+from clicktomo._kernels import chunk_length, em_run
 from clicktomo.detection import back_projector
+
+# the loop reference is kept beside the tests, not in the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from em_reference import _em_run_loops  # noqa: E402
 
 SIZES = {
     "heralded": lambda: (

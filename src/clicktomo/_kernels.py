@@ -4,9 +4,9 @@
 is an independent solve, with its own frequencies, stopping state and
 status, and a column that stops leaves the block. A single
 reconstruction is a block of width 1; a bootstrap is one block of all
-its replicates. ``_em_run_loops`` is the same iteration written loop by
-loop for one distribution: the reference the tests compare
-``em_run`` against.
+its replicates. The tests check ``em_run`` against the same iteration
+written loop by loop for one distribution, ``_em_run_loops`` in
+``tests/em_reference.py``.
 
 ``em_run`` works in chunks of iterations, in two phases:
 
@@ -43,8 +43,8 @@ into the outputs at every chunk made wide blocks 1-2% slower.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
 the earliest iteration at which the patience rule could fire, nor past
-the budget. One stop block takes each stop there as a mask, in
-``_em_run_loops``'s order: patience, degenerate, the end of the budget.
+the budget. One stop block takes each stop there as a mask, in the loop
+reference's order: patience, degenerate, the end of the budget.
 The columns that stop leave the block after the loop's update from that
 iterate, so each update runs at the same block width, hence gives the
 same BLAS results, whatever the chunk length. The chunk length is the
@@ -84,62 +84,6 @@ CHUNK_BYTES = 256 * 1024
 # the budget alone leaves 1-2 iterations per chunk, which made the block
 # about 10% slower than bookkeeping every iteration.
 CHUNK_WIDTH = 25
-
-
-def _em_run_loops(
-    matrix, matrix_t, inv_colsum, h,
-    q0, max_iters, patience, min_decrease,
-):
-    n_rows = matrix.shape[0]
-    q = q0.copy()
-    eps_hist = np.empty(max_iters)
-    ll_hist = np.empty(max_iters)
-    best_q = q.copy()
-    best_eps = np.inf
-    best_iter = 0
-    status = STATUS_MAX_ITERS
-    n_done = 0
-    ratio = np.empty(n_rows)
-    tiny = np.finfo(np.float64).tiny  # see log_likelihood
-    for it in range(max_iters):
-        g = np.dot(matrix, q)
-        eps = 0.0
-        for mu in range(n_rows):
-            eps += abs(h[mu] - g[mu])
-        eps /= n_rows
-        ll = 0.0
-        for mu in range(n_rows):
-            if h[mu] > 0.0:
-                if g[mu] <= 0.0:
-                    ll = -np.inf
-                    break
-                ll += h[mu] * np.log(g[mu] / max(h[mu], tiny)) + h[mu] - g[mu]
-            else:
-                ll -= g[mu]
-        eps_hist[it] = eps
-        ll_hist[it] = ll
-        n_done = it + 1
-        if eps < best_eps - min_decrease:
-            best_eps = eps
-            best_iter = it
-            best_q[:] = q
-        if it - best_iter >= patience:
-            status = STATUS_MIN_EPSILON
-            break
-        degenerate = False
-        for mu in range(n_rows):
-            if g[mu] > 0.0:
-                ratio[mu] = h[mu] / g[mu]
-            elif h[mu] > 0.0:
-                degenerate = True
-                break
-            else:
-                ratio[mu] = 0.0
-        if degenerate:
-            status = STATUS_DEGENERATE
-            break
-        q = q * np.dot(matrix_t, ratio) * inv_colsum
-    return best_q, q, best_iter, n_done, eps_hist, ll_hist, status
 
 
 # --- pieces shared by the kernel and the public one-step functions ---------
@@ -241,8 +185,8 @@ def _scan_best(eps, t0, bar, best, mind):
     A column whose ε falls by more than ``mind`` from each iterate to
     the next ends the chunk with its last iterate as the best, and one
     whose ε never goes below ``bar`` keeps its best; neither needs the
-    scan. The others are scanned in plain Python, as ``_em_run_loops``
-    writes the rule.
+    scan. The others are scanned in plain Python, as the loop reference
+    (``tests/em_reference.py``) writes the rule.
     """
     below = eps < bar
     falls = below[0] & (eps[1:] < eps[:-1] - mind).all(axis=0)
@@ -351,7 +295,7 @@ def em_run(
                      log_likelihood(h, gbuf[:n], work[:n], ll_buf[:n]))
 
         # phase 2: the min_decrease rule along each column's ε, then every
-        # stop at the chunk's last iterate, in _em_run_loops's order
+        # stop at the chunk's last iterate, in the loop reference's order
         last = t0 + n - 1
         _scan_best(eps, t0, bars, bests, minds)
         patient = last - bests >= patience

@@ -22,8 +22,18 @@ import numpy as np
 
 from . import __version__, _io
 from ._io import fmt
-from .detection import build_matrix, forward_click_probabilities, uniform_grid
-from .errors import ClicktomoError, DegenerateSupportError, NumericalError
+from .detection import (
+    build_matrix,
+    check_size,
+    forward_click_probabilities,
+    uniform_grid,
+)
+from .errors import (
+    ClicktomoError,
+    DegenerateSupportError,
+    NumericalError,
+    ResourceLimitError,
+)
 from .metrics import fidelity, marginal
 from .sampler import RNG_ALGORITHM, ClickRecord, frequencies, sample_clicks
 from .solver import (
@@ -35,6 +45,7 @@ from .solver import (
 )
 from .states import (
     ThermalSpec,
+    declared_shape,
     heralded_split_state,
     multithermal_click_reference,
     multithermal_marginal,
@@ -264,14 +275,20 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
     runs = cfg.get("runs", 100_000)
     if runs < 1:
         raise ConfigError(f"--runs must be a positive integer, got {runs}")
+    if runs > np.iinfo(np.int64).max:  # the sampler draws int64 counts
+        raise ConfigError(
+            f"--runs must be at most {np.iinfo(np.int64).max}, got {runs}")
     seed = _check_seed(cfg.get("seed", 0))
 
     try:
+        # both caps, on (K, M, N), before the state or the grid is built
+        check_size(cfg["grid_k"], *declared_shape(state_doc))
         state = state_from_json(state_doc)
         grid = uniform_grid(cfg["grid_k"], cfg["eta_min"], cfg["eta_max"])
+    except ResourceLimitError:
+        raise  # a data error, not a configuration one
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
-    # outside the try: a matrix over the byte cap is a data error
     record = sample_clicks(forward_click_probabilities(state, grid), runs, seed)
     manifest = {
         "command": "simulate",
@@ -335,11 +352,13 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         ) from exc
 
 
-def _reference(ref, manifest, modes, truncation) -> tuple[list, dict]:
+def _reference(ref, manifest, record, truncation) -> tuple[list, dict]:
     """Each mode's marginal of the reference state, cut at the
     reconstruction's truncation, and the state document: the one read
     from the file ``ref``, or for ``multithermal`` the record manifest's
-    own split state (so tau comes with it) at that truncation."""
+    own split state (so tau comes with it) at that truncation. A state
+    that a simulate on the record's grid would refuse as too large is
+    refused before it is built."""
     if ref == "multithermal":
         label = "--reference multithermal"
         doc = (manifest or {}).get("state", {})
@@ -352,11 +371,15 @@ def _reference(ref, manifest, modes, truncation) -> tuple[list, dict]:
         label = ref
         doc = _load_json(Path(ref))
     try:
+        check_size(len(record.grid), *declared_shape(doc))
         state = state_from_json(doc)
+    except ResourceLimitError:
+        raise  # a data error, not a configuration one
     except KeyError as exc:
         raise ConfigError(f"{label}: missing {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
+    modes = record.modes
     if state.modes != modes:
         raise ConfigError(
             f"{label}: reference state has {state.modes} modes, "
@@ -437,7 +460,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     )
     # resolved before the solve: a bad reference writes no file
     references, reference_doc = (
-        _reference(args.reference, manifest, record.modes, truncation)
+        _reference(args.reference, manifest, record, truncation)
         if args.reference is not None else (None, None))
     # the bootstrap child is forked first, so that it does not hold the
     # formatter's pipe open
@@ -553,8 +576,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         truncation = state_doc["truncation"]
         spec = ThermalSpec(state_doc["mean_photons"], state_doc["num_modes"])
         tau = state_doc["tau"]
-        references, _ = _reference("multithermal", sim, record.modes,
-                                   truncation)
+        references, _ = _reference("multithermal", sim, record, truncation)
         trace = reconstruct(record, truncation, options=options)
         # the solve's iterates, replayed from its uniform start
         matrix = build_matrix(record.grid, record.modes, truncation)
@@ -728,7 +750,8 @@ def main(argv=None) -> int:
     except (DegenerateSupportError, NumericalError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ClicktomoError, OSError) as exc:
+    except (ClicktomoError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the bytes it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:  # ConfigError included

@@ -160,6 +160,26 @@ class TwoModeMatrix:
         return out
 
 
+def check_size(k: int, modes: int, truncation: int) -> None:
+    """Raise :class:`ResourceLimitError` if the detection matrix of ``k``
+    efficiencies, ``modes`` modes and truncation ``truncation`` would
+    exceed ``COLUMN_CAP`` or ``MATRIX_BYTES_CAP``. It reads the sizes
+    alone, so a state or a grid can be refused before it is built."""
+    n_rows, n_cols = (2**modes - 1) * k, (truncation + 1) ** modes
+    if n_cols > COLUMN_CAP:
+        raise ResourceLimitError(
+            f"(1+N)^M = {n_cols} columns exceeds the cap of {COLUMN_CAP}"
+        )
+    # the dense equivalent, whichever operator the solve uses
+    matrix_bytes = 2 * 8 * n_rows * n_cols
+    if matrix_bytes > MATRIX_BYTES_CAP:
+        raise ResourceLimitError(
+            f"the {n_rows} x {n_cols} matrix and its back-projector need "
+            f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
+            f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
+        )
+
+
 def inverse_column_sums(colsum):
     """``1/colsum``, and 0 where the column sum vanishes."""
     positive = colsum > 0.0
@@ -218,19 +238,7 @@ class DetectionMatrix:
             raise ValueError("modes must be >= 1")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
-        n_rows, n_cols = self.shape
-        if n_cols > COLUMN_CAP:
-            raise ResourceLimitError(
-                f"(1+N)^M = {n_cols} columns exceeds the cap of {COLUMN_CAP}"
-            )
-        # the dense equivalent, whichever operator the solve uses
-        matrix_bytes = 2 * 8 * n_rows * n_cols
-        if matrix_bytes > MATRIX_BYTES_CAP:
-            raise ResourceLimitError(
-                f"the {n_rows} x {n_cols} matrix and its back-projector need "
-                f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
-                f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
-            )
+        check_size(len(self.grid), self.modes, self.truncation)
 
     @property
     def shape(self) -> tuple[int, int]:

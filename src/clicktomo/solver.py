@@ -4,8 +4,8 @@ The multiplicative update rescales each entry of the current iterate by
 the data/model frequency ratio back-projected through the detection
 matrix. Convergence is tracked by the mean absolute deviation between
 measured and modeled click frequencies; the iterate at the smallest
-deviation is returned. A point solve is a block of one column with its
-history; the bootstrap is one block of all its resampled replicates.
+deviation is returned. A point solve is a block of one column; the
+bootstrap is one block of all its resampled replicates.
 """
 
 from __future__ import annotations
@@ -242,6 +242,8 @@ def bootstrap_uncertainty(
         raise ValueError("reps must be >= 2")
     if options is None:
         options = StoppingConfig()
+    # first: it checks the size caps and allocates nothing
+    matrix = build_matrix(record.grid, record.modes, truncation)
     freq = record.frequency_table()
     counts = np.empty((reps,) + record.counts.shape, dtype=np.int64)
     for rep in range(reps):
@@ -249,7 +251,6 @@ def bootstrap_uncertainty(
         for nu in range(len(record.grid)):
             counts[rep, nu] = rng.multinomial(int(record.runs[nu]), freq[nu])
     tables = counts / record.runs[:, None]
-    matrix = build_matrix(record.grid, record.modes, truncation)
     h = np.stack([explicit_rows(t) for t in tables], axis=1)
     min_decrease = options.min_decrease
     if min_decrease is None:

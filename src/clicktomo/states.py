@@ -241,3 +241,15 @@ def state_from_json(doc: dict) -> JointDistribution:
                                            leakage=number("leakage", default=0.0))
     raise ValueError(f"unknown state kind {kind!r}")
 
+
+def declared_shape(doc) -> tuple[int, int]:
+    """The mode count and truncation of the state ``doc`` describes. The
+    two split kinds are read off the document, so that a size cap can
+    refuse one before its (N+1)^2 tensor is built; any other document is
+    built by :func:`state_from_json`, as a custom one already lists
+    every entry. Raises as that function does on a bad truncation."""
+    if isinstance(doc, dict) and doc.get("kind") in ("heralded",
+                                                      "multithermal_split"):
+        return 2, json_number("truncation", doc["truncation"], True)
+    state = state_from_json(doc)
+    return state.modes, state.truncation

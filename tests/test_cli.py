@@ -1133,6 +1133,110 @@ def test_runs_below_one_are_refused_before_the_state_is_built(
     assert not (tmp_path / "x").exists()
 
 
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate config",
+                                     "reproduce fig2"])
+def test_runs_beyond_int64_are_refused_before_the_state_is_built(
+        tmp_path, monkeypatch, capsys, command):
+    # the sampler would stop on them with an OverflowError
+    runs = INT64_MAX + 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "heralded-balanced", "runs": runs}))
+    for name in ("state_from_json", "forward_click_probabilities",
+                 "sample_clicks", "reconstruct", "bootstrap_uncertainty"):
+        monkeypatch.setattr(cli, name, no_solve)
+    argv = {
+        "simulate": ["simulate", "--preset", "heralded-unbalanced",
+                     "--runs", str(runs)],
+        "simulate config": ["simulate", "--config", str(config)],
+        "reproduce fig2": ["reproduce", "fig2", "--runs", str(runs)],
+    }[command]
+    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --runs must be at most {INT64_MAX}, got {runs}\n")
+    assert not (tmp_path / "x").exists()
+
+
+class TestOversizedInputs:
+    """An input whose detection matrix would pass a size cap is refused
+    before its state or grid is built, and an allocation that fails is a
+    data error: one line, exit code 3, no output and no child left. The
+    builders fail the test if they are called, and each allocation asked
+    for here, hundreds of PiB, exceeds any 64-bit address space, so it
+    fails at once."""
+
+    def refused(self, capsys, tmp_path, argv, message):
+        assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not (tmp_path / "x").exists()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("preset", ["heralded-unbalanced",
+                                        "multithermal-split"])
+    def test_simulate_state_over_the_column_cap(self, tmp_path, monkeypatch,
+                                                capsys, preset):
+        for name in ("state_from_json", "uniform_grid"):
+            monkeypatch.setattr(cli, name, no_solve)
+        self.refused(capsys, tmp_path, [
+            "simulate", "--preset", preset, "--truncation", "100000"],
+            "10000200001 columns exceeds the cap")
+
+    def test_simulate_grid_over_the_byte_cap(self, tmp_path, monkeypatch,
+                                             capsys):
+        for name in ("state_from_json", "uniform_grid"):
+            monkeypatch.setattr(cli, name, no_solve)
+        self.refused(capsys, tmp_path, [
+            "simulate", "--preset", "heralded-unbalanced",
+            "--grid-k", "1000000000"],
+            "the 3000000000 x 16 matrix and its back-projector need")
+
+    @pytest.mark.parametrize("reference", ["multithermal", "file"])
+    def test_reference_state_over_the_column_cap(self, tmp_path, monkeypatch,
+                                                 capsys, reference):
+        sim = simulate_small(tmp_path)
+        if reference == "multithermal":
+            assert run(["simulate", "--preset", "multithermal-split",
+                        "--grid-k", "6", "--runs", "2000",
+                        "--out-dir", str(sim)]) == EXIT_OK
+            flags = ["--truncation", "100000"]
+        else:  # a reference above the reconstruction's truncation
+            ref = tmp_path / "ref.json"
+            ref.write_text(json.dumps(
+                {"kind": "heralded", "tau": 0.5, "truncation": 100000}))
+            reference, flags = str(ref), []
+        for name in ("state_from_json", "reconstruct", "bootstrap_uncertainty"):
+            monkeypatch.setattr(cli, name, no_solve)
+        self.refused(capsys, tmp_path, [
+            "reconstruct", str(sim), "--reference", reference, *flags],
+            "10000200001 columns exceeds the cap")
+
+    def test_trace_that_cannot_be_allocated(self, tmp_path, monkeypatch,
+                                            capsys):
+        # two usable CPUs: the trace formatter is forked before the solve
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        sim = simulate_small(tmp_path)
+        self.refused(capsys, tmp_path, [
+            "reconstruct", str(sim), "--max-iters", str(10**17)],
+            "error: Unable to allocate")
+
+    def test_bootstrap_that_cannot_be_allocated(self, tmp_path, capsys,
+                                                bootstrap_path):
+        # its error reaches the parent after the point outputs are written
+        sim = simulate_small(tmp_path)
+        out = tmp_path / "out"
+        assert run(["reconstruct", str(sim), "--max-iters", "50",
+                    "--bootstrap-reps", str(10**15),
+                    "--out-dir", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (out / "summary.json").exists()
+        assert_no_child_process()
+
+
 class TestValidate:
     def test_all_checks_pass(self, capsys):
         assert run(["validate"]) == EXIT_OK

@@ -29,7 +29,6 @@ from clicktomo._kernels import (
     STATUS_DEGENERATE,
     STATUS_MAX_ITERS,
     STATUS_MIN_EPSILON,
-    _em_run_loops,
     chunk_length,
     em_run,
 )
@@ -41,8 +40,9 @@ from clicktomo.detection import (
     inverse_column_sums,
 )
 from clicktomo._io import TRACE_BLOCK_ROWS
-from clicktomo.errors import DegenerateSupportError
+from clicktomo.errors import DegenerateSupportError, ResourceLimitError
 from clicktomo.solver import _frequency_noise_floor
+from em_reference import _em_run_loops
 
 
 def heralded_record(grid, tau=0.5, truncation=3, runs=100_000, seed=5):
@@ -969,6 +969,14 @@ class TestChunkBoundaries:
                 np.testing.assert_allclose(block.loglik[:, 0], ref[5],
                                            rtol=0, atol=1e-14)
         assert block.status.tolist() == [STATUS_MAX_ITERS] * 2
+
+
+def test_bootstrap_checks_the_caps_before_it_resamples(small_grid):
+    # the counts of 10^15 replicates (170 PiB) could not be allocated:
+    # the matrix's column cap must refuse the truncation first
+    rec = heralded_record(small_grid, runs=5000)
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        bootstrap_uncertainty(rec, 100_000, reps=10**15)
 
 
 @pytest.mark.parametrize("min_decrease", [0.0, None])
