@@ -24,6 +24,7 @@ from . import __version__, _io
 from ._io import fmt
 from .detection import (
     build_matrix,
+    check_replicate_size,
     check_size,
     forward_click_probabilities,
     uniform_grid,
@@ -406,9 +407,11 @@ def _fidelities(values: np.ndarray, references) -> list[float]:
 def _bootstrap_beside(record, truncation, options, reps, seed):
     """A context that runs the bootstrap of ``reps`` replicates beside its
     block (``_in_background``) and yields the wait for it; with no
-    replicates, the wait returns None."""
+    replicates, the wait returns None. A bootstrap too large to hold is
+    refused here, before the fork and before the block writes anything."""
     if not reps:
         return contextlib.nullcontext(lambda: None)
+    check_replicate_size(len(record.grid), record.modes, truncation, reps)
     return _in_background(bootstrap_uncertainty, record, truncation,
                           reps=reps, seed=seed, options=options)
 

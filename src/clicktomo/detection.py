@@ -32,6 +32,9 @@ COLUMN_CAP = 10**6
 # its scaled transpose: rows x columns x 8 B each. Counted on the dense
 # size also where the solve runs on the factored pair.
 MATRIX_BYTES_CAP = 2**30
+# Bytes a bootstrap may spend on its replicates: per replicate, one
+# (K, 2^M) frequency table and one iterate of (1+N)^M entries, 8 B each.
+REPLICATE_BYTES_CAP = 2**30
 # Two-mode matrices from this truncation on run the forward model and the
 # EM update on the factored pair (TwoModeMatrix) instead of the dense
 # matrix: the crossover of one forward plus back-projection, measured with
@@ -177,6 +180,20 @@ def check_size(k: int, modes: int, truncation: int) -> None:
             f"the {n_rows} x {n_cols} matrix and its back-projector need "
             f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
             f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
+        )
+
+
+def check_replicate_size(k: int, modes: int, truncation: int, reps: int) -> None:
+    """Raise :class:`ResourceLimitError` if a bootstrap of ``reps``
+    replicates of a record of ``k`` efficiencies and ``modes`` modes, at
+    truncation ``truncation``, would exceed ``REPLICATE_BYTES_CAP``. It
+    reads the sizes alone, so a run can be refused before it resamples."""
+    replicate_bytes = 8 * reps * (k * 2**modes + (truncation + 1) ** modes)
+    if replicate_bytes > REPLICATE_BYTES_CAP:
+        raise ResourceLimitError(
+            f"Unable to allocate {replicate_bytes} bytes of frequency tables "
+            f"and iterates for {reps} bootstrap replicates, more than the cap "
+            f"of {REPLICATE_BYTES_CAP} bytes ({REPLICATE_BYTES_CAP / 2**30:g} GiB)"
         )
 
 
@@ -331,8 +348,9 @@ class ClickProbabilities:
 def explicit_rows(table) -> np.ndarray:
     """The R-vector of a (K, 2^M) pattern table in the detection matrix's
     row order: one block of K efficiencies per pattern, the all-click
-    column dropped. :func:`forward_click_probabilities` inverts it."""
-    return table[:, :-1].T.reshape(-1)
+    column dropped. :func:`forward_click_probabilities` inverts it. A
+    (B, K, 2^M) stack of tables gives the R×B block of their vectors."""
+    return table[..., :-1].T.reshape((-1,) + table.shape[:-2])
 
 
 def forward_click_probabilities(

@@ -10,8 +10,9 @@ class TruncationError(ClicktomoError, ValueError):
 
 
 class ResourceLimitError(ClicktomoError, ValueError):
-    """A requested matrix would exceed a size cap set by a module constant
-    (``detection.COLUMN_CAP`` or ``detection.MATRIX_BYTES_CAP``)."""
+    """A requested matrix or bootstrap would exceed a size cap set by a
+    module constant (``detection.COLUMN_CAP``,
+    ``detection.MATRIX_BYTES_CAP`` or ``detection.REPLICATE_BYTES_CAP``)."""
 
 
 class DegenerateSupportError(ClicktomoError, ArithmeticError):

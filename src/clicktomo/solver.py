@@ -4,19 +4,23 @@ The multiplicative update rescales each entry of the current iterate by
 the data/model frequency ratio back-projected through the detection
 matrix. Convergence is tracked by the mean absolute deviation between
 measured and modeled click frequencies; the iterate at the smallest
-deviation is returned. A point solve is a block of one column; the
-bootstrap is one block of all its resampled replicates.
+deviation is returned. Every solve is one block over a stack of
+frequency tables (``_solve``): a point solve is a stack of one table,
+the bootstrap the stack of its resampled replicates. :func:`em_step`
+runs one update of the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from ._io import fmt, tensor_rows, write_csv, write_json, write_trace_csv
-from .detection import DetectionMatrix, build_matrix, explicit_rows
+from .detection import (DetectionMatrix, build_matrix, check_replicate_size,
+                        explicit_rows)
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .sampler import ClickRecord
 from .states import JointDistribution
@@ -112,9 +116,10 @@ class BootstrapResult:
         write_csv(path, header, tensor_rows(point.values, self.sigma))
 
 
-def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]:
-    """``q`` and ``h`` as float arrays of the matrix's column and row
-    counts, each entry finite and nonnegative (NaN fails)."""
+def _model(q, matrix: DetectionMatrix, h):
+    """``q``, ``h`` and the model frequencies ``g = A q`` as one-column
+    blocks; ``q`` and ``h`` must have the matrix's column and row counts,
+    each entry finite and nonnegative (NaN fails)."""
     n_rows, n_cols = matrix.shape
     q = np.asarray(q, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -123,28 +128,28 @@ def _validate_qh(q, matrix: DetectionMatrix, h) -> tuple[np.ndarray, np.ndarray]
             raise ValueError(f"{name} must have length {size}, got {v.shape}")
         if not np.all(np.isfinite(v) & (v >= 0.0)):
             raise ValueError(f"{name} entries must be finite and nonnegative")
-    return q, h
+    return q[:, None], h[:, None], matrix.forward.dot(q[:, None])
 
 
 def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
-    """One multiplicative update of the flattened distribution."""
-    q, h = _validate_qh(q, matrix, h)
-    g = matrix.forward.dot(q)
-    if _kernels.degenerate_columns(h[:, None], g[:, None])[0]:
+    """One multiplicative update of the flattened distribution, as the
+    solve's kernel runs it on a one-column block."""
+    q, h, g = _model(q, matrix, h)
+    if _kernels.degenerate_columns(h, g)[0]:
         raise DegenerateSupportError(
             "model probability vanished on an observed pattern; "
             "restart from a strictly positive (e.g. uniform) start"
         )
-    # h/g on the observed rows, 0 elsewhere
-    ratio = np.divide(h, g, out=np.zeros_like(g), where=h > 0.0)
-    return q * matrix.back.dot(ratio)
+    qs = [q, np.empty_like(q)]  # masked: an unobserved row adds 0, even at g = 0
+    _kernels._iterate(matrix.forward, matrix.back, h, [g], qs,
+                      np.empty_like(h), 0, 1, h > 0.0)
+    return qs[1][:, 0]
 
 
 def total_error(q, matrix: DetectionMatrix, h) -> float:
     """Mean absolute deviation between measured and modeled frequencies."""
-    q, h = _validate_qh(q, matrix, h)
-    g = matrix.forward.dot(q)
-    return float(_kernels.mean_abs_deviation(h[:, None], g[:, None])[0])
+    q, h, g = _model(q, matrix, h)
+    return float(_kernels.mean_abs_deviation(h, g)[0])
 
 
 def log_likelihood(q, matrix: DetectionMatrix, h) -> float:
@@ -158,21 +163,20 @@ def log_likelihood(q, matrix: DetectionMatrix, h) -> float:
     (it is the objective the update maximizes). Returns ``-inf`` when an
     observed pattern has zero model probability.
     """
-    q, h = _validate_qh(q, matrix, h)
-    g = matrix.forward.dot(q)
-    return float(_kernels.log_likelihood(h[:, None], g[:, None])[0])
+    q, h, g = _model(q, matrix, h)
+    return float(_kernels.log_likelihood(h, g)[0])
 
 
 NOISE_FLOOR_FACTOR = 0.5
 
 
-def _frequency_noise_floor(table, runs) -> float:
+def _frequency_noise_floor(table, runs):
     """Mean binomial standard error of the explicit pattern frequencies of
-    a (K, 2^M) frequency table with ``runs`` trials per efficiency, the
-    natural scale below which error improvements are noise."""
-    freq = table[:, :-1]
+    a (K, 2^M) table, or per table of a (B, K, 2^M) stack, at ``runs``
+    trials per efficiency: the scale below which error improvements are noise."""
+    freq = table[..., :-1]
     sigma = np.sqrt(freq * (1.0 - freq) / runs[:, None])
-    return NOISE_FLOOR_FACTOR * float(sigma.mean())
+    return NOISE_FLOOR_FACTOR * sigma.mean(axis=(-2, -1))
 
 
 def reconstruct(
@@ -191,15 +195,9 @@ def reconstruct(
     callback (:func:`clicktomo._kernels.em_run`): n×1 arrays, chunk by
     chunk in iteration order, which the next chunk overwrites.
     """
-    if options is None:
-        options = StoppingConfig()
     matrix = build_matrix(record.grid, record.modes, truncation)
-    table = record.frequency_table()
-    h = explicit_rows(table)
-    min_decrease = options.min_decrease
-    if min_decrease is None:
-        min_decrease = _frequency_noise_floor(table, record.runs)
-    return _reconstruct_core(matrix, h, options, min_decrease, on_chunk)
+    return _reconstruct_core(matrix, record.frequency_table(), record.runs,
+                             options, on_chunk)
 
 
 def reconstruct_exact(
@@ -214,12 +212,8 @@ def reconstruct_exact(
     start is uniform; ``min_decrease=None`` means 0, as exact data have
     no sampling noise to estimate a floor from.
     """
-    if options is None:
-        options = StoppingConfig()
     matrix = build_matrix(probs.grid, probs.modes, truncation)
-    h = probs.explicit_vector()
-    min_decrease = 0.0 if options.min_decrease is None else options.min_decrease
-    return _reconstruct_core(matrix, h, options, min_decrease)
+    return _reconstruct_core(matrix, probs.table, None, options)
 
 
 def bootstrap_uncertainty(
@@ -235,28 +229,20 @@ def bootstrap_uncertainty(
 
     Replicate ``r`` draws from a generator seeded by (seed, r), so
     results are reproducible and independent of execution order. All
-    replicates are solved together in one block EM run. Replicates whose
+    replicates are solved together in one block solve. Replicates whose
     reconstruction fails are reported, not dropped silently.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    if options is None:
-        options = StoppingConfig()
-    # first: it checks the size caps and allocates nothing
+    # first: they check the size caps and allocate nothing
     matrix = build_matrix(record.grid, record.modes, truncation)
+    check_replicate_size(len(record.grid), record.modes, truncation, reps)
     freq = record.frequency_table()
     counts = np.empty((reps,) + record.counts.shape, dtype=np.int64)
     for rep in range(reps):
         rng = np.random.default_rng([seed, rep])
-        for nu in range(len(record.grid)):
-            counts[rep, nu] = rng.multinomial(int(record.runs[nu]), freq[nu])
-    tables = counts / record.runs[:, None]
-    h = np.stack([explicit_rows(t) for t in tables], axis=1)
-    min_decrease = options.min_decrease
-    if min_decrease is None:
-        min_decrease = np.array([_frequency_noise_floor(t, record.runs)
-                                 for t in tables])
-    result = _em_block(matrix, h, options, min_decrease)
+        counts[rep] = [rng.multinomial(int(n), f) for n, f in zip(record.runs, freq)]
+    result = _solve(matrix, counts / record.runs[:, None], record.runs, options)
     finals = []
     failed = []
     for rep, status in enumerate(result.status):
@@ -273,16 +259,26 @@ def bootstrap_uncertainty(
     return BootstrapResult(sigma=sigma, reps=reps, failed=failed)
 
 
-def _em_block(matrix: DetectionMatrix, h, options: StoppingConfig,
-              min_decrease, on_chunk=None) -> _kernels.BlockResult:
-    """One kernel run, every column from the uniform start; ``on_chunk``,
-    the kernel's per-chunk callback, receives the per-iteration ε and
-    log-likelihood, which the run computes only for it."""
+def _solve(matrix: DetectionMatrix, tables, runs,
+           options: StoppingConfig | None,
+           on_chunk=None) -> _kernels.BlockResult:
+    """The one EM solve: a kernel column per table of the (B, K, 2^M)
+    stack ``tables``, each from the uniform start. ``min_decrease=None``
+    means each table's noise floor at ``runs`` trials per efficiency, or
+    0 for exact data (``runs=None``). ``on_chunk``, if given, is the
+    kernel's per-chunk callback with the iteration budget put in front."""
+    if options is None:
+        options = StoppingConfig()
+    min_decrease = options.min_decrease
+    if min_decrease is None:
+        min_decrease = 0.0 if runs is None else _frequency_noise_floor(tables, runs)
     n_cols = matrix.shape[1]
-    q0 = np.full((n_cols, h.shape[1]), 1.0 / n_cols)
+    q0 = np.full((n_cols, len(tables)), 1.0 / n_cols)
+    if on_chunk is not None:
+        on_chunk = functools.partial(on_chunk, options.max_iters)
     return _kernels.em_run(
-        matrix.forward, matrix.back, h, q0, options.max_iters, options.patience,
-        min_decrease, on_chunk=on_chunk,
+        matrix.forward, matrix.back, explicit_rows(tables), q0, options.max_iters,
+        options.patience, min_decrease, on_chunk=on_chunk,
     )
 
 
@@ -303,26 +299,26 @@ def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float
 
 
 def _reconstruct_core(
-    matrix: DetectionMatrix, h, options: StoppingConfig, min_decrease,
+    matrix: DetectionMatrix, table, runs, options: StoppingConfig | None,
     on_chunk=None,
 ) -> ReconstructionTrace:
-    # each chunk's rows go into the trace, then on to ``on_chunk``
-    epsilon, loglik = np.empty(options.max_iters), np.empty(options.max_iters)
+    rows = []  # the trace's ε and log-likelihood; each chunk's go on to on_chunk
 
-    def collect(t0, cols, eps, ll):
-        epsilon[t0:t0 + len(eps)] = eps[:, 0]
-        loglik[t0:t0 + len(ll)] = ll[:, 0]
+    def collect(max_iters, t0, cols, eps, ll):
+        if not rows:
+            rows.append(np.empty((2, max_iters)))
+        rows[0][:, t0:t0 + len(eps)] = eps[:, 0], ll[:, 0]
         if on_chunk is not None:
             on_chunk(eps, ll)
 
-    result = _em_block(matrix, h[:, None], options, min_decrease, collect)
+    result = _solve(matrix, table[None], runs, options, collect)
     n_done = int(result.n_iterations[0])
     final, total = _final_distribution(
         result.best_q[:, 0], result.status[0], matrix.modes
     )
     return ReconstructionTrace(
-        epsilon=epsilon[:n_done],
-        loglik=loglik[:n_done],
+        epsilon=rows[0][0, :n_done],
+        loglik=rows[0][1, :n_done],
         stop_reason=_STOP_REASONS[int(result.status[0])],
         best_iteration=int(result.best_iteration[0]),
         n_iterations=n_done,

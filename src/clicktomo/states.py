@@ -87,6 +87,8 @@ class JointDistribution:
 
     @staticmethod
     def from_flat(flat, modes: int, leakage: float = 0.0) -> "JointDistribution":
+        if modes < 1:
+            raise ValueError(f"modes must be >= 1, got {modes}")
         flat = np.asarray(flat, dtype=np.float64)
         per_mode = round(flat.size ** (1.0 / modes))
         if per_mode**modes != flat.size:

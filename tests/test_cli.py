@@ -1086,6 +1086,31 @@ def test_mistyped_value_is_config_error(tmp_path, command, values):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("modes, values", [(0, [1.0]), (-2, [0.25] * 4)],
+                         ids=["modes 0", "modes -2"])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_custom_state_with_modes_below_one_is_config_error(
+        tmp_path, monkeypatch, capsys, command, modes, values):
+    # a state of fewer than one mode is refused by name, as simulate's
+    # --state and reconstruct's --reference read it
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"kind": "custom", "modes": modes,
+                                 "values": values}))
+    if command == "simulate":
+        argv = ["simulate", "--state", str(state), "--grid-k", "5",
+                "--eta-min", "0.1", "--eta-max", "0.3"]
+    else:
+        argv = ["reconstruct", str(simulate_small(tmp_path)),
+                "--reference", str(state)]
+        monkeypatch.setattr(cli, "reconstruct", no_solve)
+    capsys.readouterr()
+    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"modes must be >= 1, got {modes}" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate config",
                                      "reconstruct", "reproduce fig2",
                                      "reproduce fig3"])
@@ -1236,6 +1261,22 @@ class TestOversizedInputs:
         assert not (out / "summary.json").exists()
         assert_no_child_process()
 
+    def test_bootstrap_over_the_replicate_cap(self, tmp_path, monkeypatch,
+                                              capsys, bootstrap_path):
+        # the replicates' bytes are known from the sizes alone, so the
+        # run is refused before the point solve writes anything
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--preset", "heralded-unbalanced", "--seed",
+                    "2", "--out-dir", str(sim)]) == EXIT_OK
+        capsys.readouterr()
+        for name in ("reconstruct", "bootstrap_uncertainty"):
+            monkeypatch.setattr(cli, name, no_solve)
+        self.refused(capsys, tmp_path, [
+            "reconstruct", str(sim), "--max-iters", "50",
+            "--bootstrap-reps", str(10**9)],
+            "for 1000000000 bootstrap replicates, more than the cap of "
+            "1073741824 bytes")
+
 
 class TestValidate:
     def test_all_checks_pass(self, capsys):
@@ -1249,6 +1290,19 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_version_is_written_once():
+    # pyproject.toml reads the version from the package's __version__
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml in this checkout")
+    doc = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "clicktomo.__version__"}
 
 
 def test_readme_flag_table_matches_the_parser():

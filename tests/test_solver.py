@@ -24,7 +24,7 @@ from clicktomo import (
     total_error,
     uniform_grid,
 )
-from clicktomo import _kernels
+from clicktomo import _kernels, cli
 from clicktomo._kernels import (
     STATUS_DEGENERATE,
     STATUS_MAX_ITERS,
@@ -37,6 +37,7 @@ from clicktomo.detection import (
     ScaledTranspose,
     TwoModeMatrix,
     back_projector,
+    explicit_rows,
     inverse_column_sums,
 )
 from clicktomo._io import TRACE_BLOCK_ROWS
@@ -1016,6 +1017,44 @@ def test_bootstrap_sigma_is_the_block_solve_of_resampled_records(
     assert sigma.max() > 0.0
     boot = bootstrap_uncertainty(rec, 3, reps=reps, seed=seed, options=opts)
     np.testing.assert_array_equal(boot.sigma, sigma)
+
+
+def test_bootstrap_over_the_replicate_cap_is_refused_before_resampling(
+        small_grid, monkeypatch):
+    rec = heralded_record(small_grid)
+    monkeypatch.setattr(np.random, "default_rng", None)  # no resampling
+    with pytest.raises(ResourceLimitError, match="bootstrap replicates"):
+        bootstrap_uncertainty(rec, 3, reps=10**9)
+
+
+@pytest.mark.parametrize("seed", [2, 29])
+@pytest.mark.parametrize("preset", ["heralded-unbalanced", "multithermal-split"])
+def test_stacked_tables_lay_out_as_each_table(preset, seed):
+    # the rows and the noise floor of a (B, K, 2^M) stack are each
+    # table's, bit for bit: the bootstrap hands its replicates over as one
+    # stack, and a point solve its record as a stack of one
+    record, _ = cli._simulate(preset, {}, {"seed": seed})
+    freq = record.frequency_table()
+    counts = np.empty((100,) + freq.shape, dtype=np.int64)
+    for rep in range(100):
+        rng = np.random.default_rng([seed, rep])
+        counts[rep] = [rng.multinomial(int(n), f)
+                       for n, f in zip(record.runs, freq)]
+    tables = counts / record.runs[:, None]
+    rows = explicit_rows(tables)
+    floors = _frequency_noise_floor(tables, record.runs)
+    assert rows.shape == ((2**record.modes - 1) * len(record.grid), 100)
+    assert floors.shape == (100,)
+    np.testing.assert_array_equal(explicit_rows(freq[None])[:, 0],
+                                  explicit_rows(freq))
+    assert (_frequency_noise_floor(freq[None], record.runs)[0]
+            == _frequency_noise_floor(freq, record.runs))
+    for b, table in enumerate(tables):
+        np.testing.assert_array_equal(rows[:, b], explicit_rows(table))
+        explicit = table[:, :-1]
+        floor = 0.5 * float(np.sqrt(
+            explicit * (1.0 - explicit) / record.runs[:, None]).mean())
+        assert floors[b] == _frequency_noise_floor(table, record.runs) == floor
 
 
 class TestNoiseFloor:
