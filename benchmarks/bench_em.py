@@ -1,7 +1,8 @@
 """Time the block EM kernel per replicate-iteration at several block widths.
 
-Three problem sizes: the heralded presets (102 rows x 16 columns), the
-multithermal preset (105 rows x 81 columns), and the multithermal state
+Three problem sizes, each a ``clicktomo.cli.PRESETS`` entry's state,
+grid and runs: the heralded-unbalanced preset (102 rows x 16 columns),
+the multithermal-split preset (105 rows x 81 columns), and that preset
 at the wide truncation N = 120 (105 rows x 14,641 columns). Each column
 of a block is the state resampled with its own seed; patience equals the
 budget, so every column runs all iterations. Width 1 is timed twice:
@@ -32,34 +33,35 @@ from pathlib import Path
 import numpy as np
 
 from clicktomo import (
-    ThermalSpec,
     build_matrix,
     forward_click_probabilities,
     frequencies,
-    heralded_split_state,
-    multithermal_marginal,
     sample_clicks,
-    split_on_beamsplitter,
+    state_from_json,
     uniform_grid,
 )
 from clicktomo._kernels import chunk_length, em_run
+from clicktomo.cli import PRESETS
 from clicktomo.detection import back_projector
 
 # the loop reference is kept beside the tests, not in the package
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from em_reference import _em_run_loops  # noqa: E402
 
+
+def _preset(name, **state):
+    """The state, grid and runs of the preset ``name``, with ``state``
+    overriding keys of its state document."""
+    preset = PRESETS[name]
+    return (state_from_json(dict(preset["state"], **state)),
+            uniform_grid(preset["grid_k"], preset["eta_min"], preset["eta_max"]),
+            preset["runs"])
+
+
 SIZES = {
-    "heralded": lambda: (
-        heralded_split_state(0.4, 3), uniform_grid(34, 0.015, 0.325), 100_000),
-    "multithermal": lambda: (
-        split_on_beamsplitter(
-            multithermal_marginal(ThermalSpec(0.15, 1000.0), 8), 0.5, 8),
-        uniform_grid(35, 0.05, 0.25), 1_000_000),
-    "wide": lambda: (
-        split_on_beamsplitter(
-            multithermal_marginal(ThermalSpec(0.15, 1000.0), 120), 0.5, 120),
-        uniform_grid(35, 0.05, 0.25), 1_000_000),
+    "heralded": lambda: _preset("heralded-unbalanced"),
+    "multithermal": lambda: _preset("multithermal-split"),
+    "wide": lambda: _preset("multithermal-split", truncation=120),
 }
 # Iterations timed per size unless --iters is given: the wide size costs
 # about a millisecond per iteration on the dense matrix.

@@ -39,7 +39,7 @@ update from its cut. A best inside the chunk is recomputed by running
 the chunk again from its first iterate, in the two arrays that do not
 hold the next: the same numpy calls on the same block give the same
 bits. A fourth array keeps each column's best until it stops; a copy
-into the outputs at every chunk made wide blocks 1-2% slower.
+into the result at every chunk made wide blocks 1-2% slower.
 
 Every stop falls on a chunk's last iterate: a chunk ends no later than
 the earliest iteration at which the patience rule could fire, nor past
@@ -216,7 +216,8 @@ def em_run(
     ``min_decrease`` is a scalar or one value per column. The module
     docstring describes the two phases of each chunk, the three iterate
     arrays whose next iterate every chunk starts from, and the one stop
-    block every column leaves through.
+    block every column leaves through, which writes the column's entries
+    into the :class:`BlockResult` allocated before the first chunk.
 
     ``on_chunk(t0, cols, eps, ll)``, if given, is called once per chunk,
     after its ε pass and a log-likelihood pass that runs only for it, so
@@ -230,12 +231,14 @@ def em_run(
     """
     n_rows = matrix.shape[0]
     n_cols, width = q0.shape
-    best_out = np.empty((n_cols, width))
-    best_iter_out = np.empty(width, dtype=np.int64)
-    n_done_out = np.empty(width, dtype=np.int64)
-    status_out = np.empty(width, dtype=np.int64)
+    out = BlockResult(
+        best_q=np.empty((n_cols, width)),
+        best_iteration=np.empty(width, dtype=np.int64),
+        n_iterations=np.empty(width, dtype=np.int64),
+        status=np.empty(width, dtype=np.int64),
+    )
 
-    # per active column: its index in the outputs, its best ε so far
+    # per active column: its index in ``out``, its best ε so far
     # minus its min_decrease, and its best iteration
     cols = np.arange(width)
     bars = np.full(width, np.inf)
@@ -315,15 +318,15 @@ def em_run(
             continue
 
         idx = cols[stop]
-        best_out[:, idx] = best_q[:, stop]
-        best_iter_out[idx] = bests[stop]
-        n_done_out[idx] = t0
-        status_out[idx] = np.select([patient, degenerate],
+        out.best_q[:, idx] = best_q[:, stop]
+        out.best_iteration[idx] = bests[stop]
+        out.n_iterations[idx] = t0
+        out.status[idx] = np.select([patient, degenerate],
                                     [STATUS_MIN_EPSILON, STATUS_DEGENERATE],
                                     STATUS_MAX_ITERS)[stop]
         keep = np.flatnonzero(~stop)
         if not keep.size:
-            break
+            return out
         # the columns that go on start from the update the chunk wrote;
         # ``take``, unlike ``[:, keep]``, returns C-ordered blocks, the
         # layout every other update gives BLAS
@@ -331,10 +334,3 @@ def em_run(
         h, best_q = h.take(keep, axis=1), best_q.take(keep, axis=1)
         q = qs[n].take(keep, axis=1)
         trio = None
-
-    return BlockResult(
-        best_q=best_out,
-        best_iteration=best_iter_out,
-        n_iterations=n_done_out,
-        status=status_out,
-    )

@@ -33,7 +33,6 @@ from .errors import (
     ClicktomoError,
     DegenerateSupportError,
     NumericalError,
-    ResourceLimitError,
 )
 from .metrics import fidelity, marginal
 from .sampler import RNG_ALGORITHM, ClickRecord, frequencies, sample_clicks
@@ -286,8 +285,6 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
         check_size(cfg["grid_k"], *declared_shape(state_doc))
         state = state_from_json(state_doc)
         grid = uniform_grid(cfg["grid_k"], cfg["eta_min"], cfg["eta_max"])
-    except ResourceLimitError:
-        raise  # a data error, not a configuration one
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
     record = sample_clicks(forward_click_probabilities(state, grid), runs, seed)
@@ -353,6 +350,17 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         ) from exc
 
 
+@contextlib.contextmanager
+def _state_errors(label):
+    """A malformed state document as a configuration error of one line."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{label}: missing {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def _reference(ref, manifest, record, truncation) -> tuple[list, dict]:
     """Each mode's marginal of the reference state, cut at the
     reconstruction's truncation, and the state document: the one read
@@ -371,15 +379,9 @@ def _reference(ref, manifest, record, truncation) -> tuple[list, dict]:
     else:
         label = ref
         doc = _load_json(Path(ref))
-    try:
+    with _state_errors(label):
         check_size(len(record.grid), *declared_shape(doc))
         state = state_from_json(doc)
-    except ResourceLimitError:
-        raise  # a data error, not a configuration one
-    except KeyError as exc:
-        raise ConfigError(f"{label}: missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
     modes = record.modes
     if state.modes != modes:
         raise ConfigError(
@@ -452,7 +454,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
-        truncation = manifest.get("state", {}).get("truncation")
+        state_doc = manifest.get("state", {})
+        truncation = state_doc.get("truncation")
+        if truncation is None and state_doc.get("kind") == "custom":
+            # a custom state's values fix its truncation
+            with _state_errors(f"{args.record}: the manifest's custom state"):
+                truncation = declared_shape(state_doc)[1]
     if truncation is None:
         raise ConfigError("--truncation is required (not found in a manifest)")
     _io.json_number("truncation", truncation, integer=True)

@@ -9,10 +9,11 @@ class TruncationError(ClicktomoError, ValueError):
     """The photon-number cutoff is too small for the requested state."""
 
 
-class ResourceLimitError(ClicktomoError, ValueError):
+class ResourceLimitError(ClicktomoError):
     """A requested matrix or bootstrap would exceed a size cap set by a
     module constant (``detection.COLUMN_CAP``,
-    ``detection.MATRIX_BYTES_CAP`` or ``detection.REPLICATE_BYTES_CAP``)."""
+    ``detection.MATRIX_BYTES_CAP`` or ``detection.REPLICATE_BYTES_CAP``).
+    A data error, not a bad argument: it is no ``ValueError``."""
 
 
 class DegenerateSupportError(ClicktomoError, ArithmeticError):

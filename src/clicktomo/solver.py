@@ -12,7 +12,6 @@ runs one update of the same kernel.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +181,7 @@ def _frequency_noise_floor(table, runs):
 def reconstruct(
     record: ClickRecord,
     truncation: int,
-    options: StoppingConfig | None = None,
+    options: StoppingConfig = StoppingConfig(),
     on_chunk=None,
 ) -> ReconstructionTrace:
     """Run the EM iteration on a click record.
@@ -203,7 +202,7 @@ def reconstruct(
 def reconstruct_exact(
     probs,
     truncation: int,
-    options: StoppingConfig | None = None,
+    options: StoppingConfig = StoppingConfig(),
 ) -> ReconstructionTrace:
     """Reconstruct from exact click probabilities (infinite statistics).
 
@@ -221,7 +220,7 @@ def bootstrap_uncertainty(
     truncation: int,
     reps: int = 100,
     seed: int = 0,
-    options: StoppingConfig | None = None,
+    options: StoppingConfig = StoppingConfig(),
 ) -> BootstrapResult:
     """Nonparametric bootstrap: resample counts from the empirical pattern
     frequencies, rerun the reconstruction, take entrywise standard
@@ -259,23 +258,18 @@ def bootstrap_uncertainty(
     return BootstrapResult(sigma=sigma, reps=reps, failed=failed)
 
 
-def _solve(matrix: DetectionMatrix, tables, runs,
-           options: StoppingConfig | None,
+def _solve(matrix: DetectionMatrix, tables, runs, options: StoppingConfig,
            on_chunk=None) -> _kernels.BlockResult:
     """The one EM solve: a kernel column per table of the (B, K, 2^M)
     stack ``tables``, each from the uniform start. ``min_decrease=None``
     means each table's noise floor at ``runs`` trials per efficiency, or
-    0 for exact data (``runs=None``). ``on_chunk``, if given, is the
-    kernel's per-chunk callback with the iteration budget put in front."""
-    if options is None:
-        options = StoppingConfig()
+    0 for exact data (``runs=None``). ``on_chunk``, if given, goes to
+    :func:`clicktomo._kernels.em_run` as it is."""
     min_decrease = options.min_decrease
     if min_decrease is None:
         min_decrease = 0.0 if runs is None else _frequency_noise_floor(tables, runs)
     n_cols = matrix.shape[1]
     q0 = np.full((n_cols, len(tables)), 1.0 / n_cols)
-    if on_chunk is not None:
-        on_chunk = functools.partial(on_chunk, options.max_iters)
     return _kernels.em_run(
         matrix.forward, matrix.back, explicit_rows(tables), q0, options.max_iters,
         options.patience, min_decrease, on_chunk=on_chunk,
@@ -299,15 +293,15 @@ def _final_distribution(best_q, status, modes) -> tuple[JointDistribution, float
 
 
 def _reconstruct_core(
-    matrix: DetectionMatrix, table, runs, options: StoppingConfig | None,
+    matrix: DetectionMatrix, table, runs, options: StoppingConfig,
     on_chunk=None,
 ) -> ReconstructionTrace:
-    rows = []  # the trace's ε and log-likelihood; each chunk's go on to on_chunk
+    """The point solve of one table and its trace, whose rows for the whole
+    budget are allocated before the solve; each chunk's go on to ``on_chunk``."""
+    rows = np.empty((2, options.max_iters))  # ε and log-likelihood
 
-    def collect(max_iters, t0, cols, eps, ll):
-        if not rows:
-            rows.append(np.empty((2, max_iters)))
-        rows[0][:, t0:t0 + len(eps)] = eps[:, 0], ll[:, 0]
+    def collect(t0, cols, eps, ll):
+        rows[:, t0:t0 + len(eps)] = eps[:, 0], ll[:, 0]
         if on_chunk is not None:
             on_chunk(eps, ll)
 
@@ -317,8 +311,8 @@ def _reconstruct_core(
         result.best_q[:, 0], result.status[0], matrix.modes
     )
     return ReconstructionTrace(
-        epsilon=rows[0][0, :n_done],
-        loglik=rows[0][1, :n_done],
+        epsilon=rows[0, :n_done],
+        loglik=rows[1, :n_done],
         stop_reason=_STOP_REASONS[int(result.status[0])],
         best_iteration=int(result.best_iteration[0]),
         n_iterations=n_done,

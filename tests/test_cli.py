@@ -1111,6 +1111,55 @@ def test_custom_state_with_modes_below_one_is_config_error(
     assert not (tmp_path / "x").exists()
 
 
+def simulate_custom(tmp_path, modes, values):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"kind": "custom", "modes": modes,
+                                 "values": values}))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--state", str(state), "--grid-k", "5",
+                "--eta-min", "0.1", "--eta-max", "0.5", "--runs", "2000",
+                "--out-dir", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("modes, values, truncation", [
+    (1, [0.5, 0.3, 0.2], 2), (3, [0.125] * 8, 1)], ids=["1 mode", "3 modes"])
+def test_custom_state_record_reconstructs_without_truncation(
+        tmp_path, modes, values, truncation):
+    # a custom state's values fix its truncation, which its document omits
+    sim = simulate_custom(tmp_path, modes, values)
+    assert "truncation" not in json.loads(
+        (sim / "manifest.json").read_text())["state"]
+    out = tmp_path / "out"
+    assert run(["reconstruct", str(sim), "--max-iters", "50",
+                "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["truncation"] \
+        == truncation
+    dist = json.loads((out / "distribution.json").read_text())
+    assert (dist["modes"], dist["truncation"]) == (modes, truncation)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("values"), "missing 'values'"),
+    (lambda doc: doc.update(values=[0.5, "0.3", 0.2]), "values[1]"),
+    (lambda doc: doc.update(values=[0.5, 0.5], modes=2), "perfect 2-th power"),
+], ids=["missing values", "string value", "wrong length"])
+def test_malformed_custom_state_in_manifest_is_config_error(
+        tmp_path, monkeypatch, capsys, edit, message):
+    sim = simulate_custom(tmp_path, 1, [0.5, 0.3, 0.2])
+    manifest = json.loads((sim / "manifest.json").read_text())
+    edit(manifest["state"])
+    (sim / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(cli, "reconstruct", no_solve)
+    capsys.readouterr()
+    assert run(["reconstruct", str(sim), "--out-dir",
+                str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "custom state" in err and message in err, err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate config",
                                      "reconstruct", "reproduce fig2",
                                      "reproduce fig3"])

@@ -25,7 +25,7 @@ from clicktomo.detection import (
     click_patterns,
     inverse_column_sums,
 )
-from clicktomo.errors import ResourceLimitError
+from clicktomo.errors import ClicktomoError, ResourceLimitError
 
 
 def brute_force_matrix(etas, modes, truncation):
@@ -176,6 +176,11 @@ class TestBuildMatrix:
         monkeypatch.setattr(detection, "MATRIX_BYTES_CAP", 3839)
         with pytest.raises(ResourceLimitError, match="3839 bytes"):
             build_matrix(small_grid, 2, 3)
+
+    def test_cap_error_is_a_data_error_by_type(self):
+        # an ``except ValueError`` meant for bad arguments must not catch it
+        assert issubclass(ResourceLimitError, ClicktomoError)
+        assert not issubclass(ResourceLimitError, ValueError)
 
 
 def _assert_relative(got, want, rtol=1e-14):
