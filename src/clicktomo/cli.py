@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import json
 import os
 import pickle
@@ -44,6 +45,7 @@ from .solver import (
     total_error,
 )
 from .states import (
+    STATE_KEYS,
     ThermalSpec,
     declared_shape,
     heralded_split_state,
@@ -280,13 +282,12 @@ def _simulate(preset, config: dict, flags: dict) -> tuple[ClickRecord, dict]:
             f"--runs must be at most {np.iinfo(np.int64).max}, got {runs}")
     seed = _check_seed(cfg.get("seed", 0))
 
-    try:
-        # both caps, on (K, M, N), before the state or the grid is built
-        check_size(cfg["grid_k"], *declared_shape(state_doc))
-        state = state_from_json(state_doc)
-        grid = uniform_grid(cfg["grid_k"], cfg["eta_min"], cfg["eta_max"])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    state = _state(state_doc, cfg["grid_k"], "state")
+    for key in overrides:  # the state is built, so its kind is one of these
+        if key in cfg and key not in STATE_KEYS[state_doc["kind"]]:
+            raise ConfigError(f"a {state_doc['kind']} state does not read "
+                              f"{key} (--{key.replace('_', '-')})")
+    grid = uniform_grid(cfg["grid_k"], cfg["eta_min"], cfg["eta_max"])
     record = sample_clicks(forward_click_probabilities(state, grid), runs, seed)
     manifest = {
         "command": "simulate",
@@ -361,6 +362,15 @@ def _state_errors(label):
         raise ConfigError(f"{label}: {exc}") from exc
 
 
+def _state(doc, k, label):
+    """The state the document ``doc`` describes. Both size caps are
+    checked on a grid of ``k`` efficiencies before the state is built; a
+    malformed document is a configuration error that names ``label``."""
+    with _state_errors(label):
+        check_size(k, *declared_shape(doc))
+        return state_from_json(doc)
+
+
 def _reference(ref, manifest, record, truncation) -> tuple[list, dict]:
     """Each mode's marginal of the reference state, cut at the
     reconstruction's truncation, and the state document: the one read
@@ -379,9 +389,7 @@ def _reference(ref, manifest, record, truncation) -> tuple[list, dict]:
     else:
         label = ref
         doc = _load_json(Path(ref))
-    with _state_errors(label):
-        check_size(len(record.grid), *declared_shape(doc))
-        state = state_from_json(doc)
+    state = _state(doc, len(record.grid), label)
     modes = record.modes
     if state.modes != modes:
         raise ConfigError(
@@ -419,8 +427,6 @@ def _bootstrap_beside(record, truncation, options, reps, seed):
 
 
 def _parse_min_decrease(value) -> float | None:
-    if value is None:
-        return 0.0
     if value == "auto":
         return None
     try:
@@ -430,14 +436,12 @@ def _parse_min_decrease(value) -> float | None:
 
 
 def _options_doc(options: StoppingConfig) -> dict:
-    """The stopping options as a manifest records them."""
-    return {
-        "max_iters": options.max_iters,
-        "patience": options.patience,
-        "min_decrease": (
-            "auto" if options.min_decrease is None else options.min_decrease
-        ),
-    }
+    """The stopping options as a manifest records them: every field of
+    ``options``, with ``min_decrease=None`` written as ``"auto"``."""
+    doc = dataclasses.asdict(options)
+    if options.min_decrease is None:
+        doc["min_decrease"] = "auto"
+    return doc
 
 
 def _check_bootstrap_reps(reps: int, zero_allowed: bool) -> None:
@@ -449,20 +453,20 @@ def _check_bootstrap_reps(reps: int, zero_allowed: bool) -> None:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    """Solve a record, with its trace and optional bootstrap. Without
+    ``--truncation``, the truncation is the one the input manifest's
+    state declares (:func:`clicktomo.states.declared_shape`)."""
     _check_bootstrap_reps(args.bootstrap_reps, zero_allowed=True)
     _check_seed(args.seed)
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
         state_doc = manifest.get("state", {})
-        truncation = state_doc.get("truncation")
-        if truncation is None and state_doc.get("kind") == "custom":
-            # a custom state's values fix its truncation
-            with _state_errors(f"{args.record}: the manifest's custom state"):
-                truncation = declared_shape(state_doc)[1]
+        with _state_errors(f"{args.record}: no --truncation given, and the "
+                           f"manifest's {state_doc.get('kind')} state"):
+            truncation = declared_shape(state_doc)[1]
     if truncation is None:
         raise ConfigError("--truncation is required (not found in a manifest)")
-    _io.json_number("truncation", truncation, integer=True)
     options = StoppingConfig(
         max_iters=args.max_iters,
         patience=args.patience,
@@ -726,9 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="reconstruct a distribution")
     rec.add_argument("record", help="record directory, JSON or CSV file")
     rec.add_argument("--truncation", type=int)
-    rec.add_argument("--max-iters", type=int, default=100_000)
-    rec.add_argument("--patience", type=int, default=200)
-    rec.add_argument("--min-decrease",
+    rec.add_argument("--max-iters", type=int, default=StoppingConfig.max_iters)
+    rec.add_argument("--patience", type=int, default=StoppingConfig.patience)
+    rec.add_argument("--min-decrease", default=StoppingConfig.min_decrease,
                      help="significance floor for new error minima: a "
                      "number, or 'auto' to estimate from sampling noise")
     rec.add_argument("--reference",
@@ -742,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("figure", choices=["fig2", "fig3"])
     rep.add_argument("--runs", type=int)
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--max-iters", type=int, default=100_000)
+    rep.add_argument("--max-iters", type=int, default=StoppingConfig.max_iters)
     rep.add_argument("--bootstrap-reps", type=int, default=25)
     rep.add_argument("--out-dir", required=True)
     rep.set_defaults(func=cmd_reproduce)

@@ -115,10 +115,9 @@ class BootstrapResult:
         write_csv(path, header, tensor_rows(point.values, self.sigma))
 
 
-def _model(q, matrix: DetectionMatrix, h):
-    """``q``, ``h`` and the model frequencies ``g = A q`` as one-column
-    blocks; ``q`` and ``h`` must have the matrix's column and row counts,
-    each entry finite and nonnegative (NaN fails)."""
+def _blocks(q, matrix: DetectionMatrix, h):
+    """``q`` and ``h`` as one-column blocks; they must have the matrix's
+    column and row counts, each entry finite and nonnegative (NaN fails)."""
     n_rows, n_cols = matrix.shape
     q = np.asarray(q, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -127,27 +126,36 @@ def _model(q, matrix: DetectionMatrix, h):
             raise ValueError(f"{name} must have length {size}, got {v.shape}")
         if not np.all(np.isfinite(v) & (v >= 0.0)):
             raise ValueError(f"{name} entries must be finite and nonnegative")
-    return q[:, None], h[:, None], matrix.forward.dot(q[:, None])
+    return q[:, None], h[:, None]
+
+
+def _model(q, matrix: DetectionMatrix, h):
+    """``h`` and the model frequencies ``g = A q``, as :func:`_blocks`."""
+    q, h = _blocks(q, matrix, h)
+    return h, matrix.forward.dot(q)
 
 
 def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
     """One multiplicative update of the flattened distribution, as the
-    solve's kernel runs it on a one-column block."""
-    q, h, g = _model(q, matrix, h)
+    solve's kernel runs it on a one-column block. Raises, rather than
+    return the update, when the kernel's model frequencies vanish on an
+    observed pattern."""
+    q, h = _blocks(q, matrix, h)
+    g, qs = np.empty_like(h), [q, np.empty_like(q)]
+    # masked: an unobserved row adds 0, even at g = 0
+    _kernels._iterate(matrix.forward, matrix.back, h, [g], qs,
+                      np.empty_like(h), 0, 1, h > 0.0)
     if _kernels.degenerate_columns(h, g)[0]:
         raise DegenerateSupportError(
             "model probability vanished on an observed pattern; "
             "restart from a strictly positive (e.g. uniform) start"
         )
-    qs = [q, np.empty_like(q)]  # masked: an unobserved row adds 0, even at g = 0
-    _kernels._iterate(matrix.forward, matrix.back, h, [g], qs,
-                      np.empty_like(h), 0, 1, h > 0.0)
     return qs[1][:, 0]
 
 
 def total_error(q, matrix: DetectionMatrix, h) -> float:
     """Mean absolute deviation between measured and modeled frequencies."""
-    q, h, g = _model(q, matrix, h)
+    h, g = _model(q, matrix, h)
     return float(_kernels.mean_abs_deviation(h, g)[0])
 
 
@@ -162,7 +170,7 @@ def log_likelihood(q, matrix: DetectionMatrix, h) -> float:
     (it is the objective the update maximizes). Returns ``-inf`` when an
     observed pattern has zero model probability.
     """
-    q, h, g = _model(q, matrix, h)
+    h, g = _model(q, matrix, h)
     return float(_kernels.log_likelihood(h, g)[0])
 
 
@@ -238,9 +246,9 @@ def bootstrap_uncertainty(
     check_replicate_size(len(record.grid), record.modes, truncation, reps)
     freq = record.frequency_table()
     counts = np.empty((reps,) + record.counts.shape, dtype=np.int64)
-    for rep in range(reps):
-        rng = np.random.default_rng([seed, rep])
-        counts[rep] = [rng.multinomial(int(n), f) for n, f in zip(record.runs, freq)]
+    for rep in range(reps):  # per efficiency in grid order, as a loop would draw
+        counts[rep] = np.random.default_rng([seed, rep]).multinomial(
+            record.runs, freq)
     result = _solve(matrix, counts / record.runs[:, None], record.runs, options)
     finals = []
     failed = []

@@ -207,16 +207,25 @@ def multithermal_click_reference(
     return p00, p01, p10, p11
 
 
+# The keys that a state document of each kind reads, beside "kind"
+STATE_KEYS = {
+    "heralded": ("tau", "truncation"),
+    "multithermal_split": ("tau", "mean_photons", "num_modes", "truncation"),
+    "custom": ("modes", "values", "leakage"),
+}
+
+
 def state_from_json(doc: dict) -> JointDistribution:
     """Construct a state from its JSON description, a JSON object.
 
-    Supported kinds: ``heralded`` (tau), ``multithermal_split``
-    (tau, mean_photons, num_modes) and ``custom`` (modes, values,
-    optional leakage). All kinds carry ``truncation``. ``truncation``
-    and ``modes`` must be integers, ``values`` a flat list of numbers in
-    the row-major order of :class:`JointDistribution`, and the other
-    scalars numbers, a boolean being neither; a document or value of
-    another type raises ``ValueError``.
+    Supported kinds, with the keys each reads (:data:`STATE_KEYS`):
+    ``heralded`` (tau, truncation), ``multithermal_split`` (tau,
+    mean_photons, optional num_modes, truncation) and ``custom`` (modes,
+    values, optional leakage), whose values fix its truncation.
+    ``truncation`` and ``modes`` must be integers, ``values`` a flat list
+    of numbers in the row-major order of :class:`JointDistribution`, and
+    the other scalars numbers, a boolean being neither; a document or
+    value of another type raises ``ValueError``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a state must be a JSON object, not {doc!r}")

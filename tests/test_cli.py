@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import clicktomo
 import clicktomo.cli as cli
 from clicktomo.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from clicktomo.errors import ClicktomoError
+from clicktomo.solver import StoppingConfig
 
 
 def run(args):
@@ -1160,6 +1162,125 @@ def test_malformed_custom_state_in_manifest_is_config_error(
     assert not (tmp_path / "x").exists()
 
 
+NINE_VALUES = [0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1]  # truncation 2
+
+
+def test_stray_manifest_truncation_of_a_custom_state_is_not_read(tmp_path):
+    # a custom state's values fix its truncation, whatever else its
+    # document carries
+    sim = simulate_custom(tmp_path, 2, NINE_VALUES)
+    manifest = json.loads((sim / "manifest.json").read_text())
+    manifest["state"]["truncation"] = 6
+    (sim / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert run(["reconstruct", str(sim), "--max-iters", "50",
+                "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["truncation"] == 2
+    assert json.loads((out / "distribution.json").read_text())["truncation"] \
+        == 2
+
+
+def test_manifest_state_of_unknown_kind_needs_truncation(tmp_path, capsys):
+    sim = simulate_small(tmp_path)
+    manifest = json.loads((sim / "manifest.json").read_text())
+    manifest["state"] = {"kind": "other", "truncation": 3}
+    (sim / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["reconstruct", str(sim), "--max-iters", "50",
+                "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {sim}: no --truncation given, and the manifest's other "
+        "state: unknown state kind 'other'\n")
+    assert not (tmp_path / "x").exists()
+    assert run(["reconstruct", str(sim), "--max-iters", "50",
+                "--truncation", "3", "--out-dir", str(tmp_path / "x")]) \
+        == EXIT_OK
+
+
+@pytest.mark.parametrize("source, argv, kind, key", [
+    ("flags", ["--grid-k", "5", "--eta-min", "0.1", "--eta-max", "0.5",
+               "--runs", "2000", "--truncation", "6", "--tau", "0.9",
+               "--mean-photons", "3"], "custom", "tau"),
+    ("config", {"grid_k": 5, "eta_min": 0.1, "eta_max": 0.5,
+                "truncation": 6}, "custom", "truncation"),
+    ("flags", ["--preset", "heralded-balanced", "--mean-photons", "5",
+               "--num-modes", "3"], "heralded", "mean_photons"),
+    ("config", {"preset": "heralded-balanced", "num_modes": 3},
+     "heralded", "num_modes"),
+], ids=["custom flags", "custom config", "heralded flags", "heralded config"])
+def test_override_the_state_does_not_read_is_refused(
+        tmp_path, monkeypatch, capsys, source, argv, kind, key):
+    # the manifest would record a value that the simulated state never read
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"kind": "custom", "modes": 2,
+                                 "values": NINE_VALUES}))
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            argv if kind == "heralded" else dict(argv, state=str(state))))
+        argv = ["--config", str(config)]
+    elif kind == "custom":
+        argv = ["--state", str(state), *argv]
+    monkeypatch.setattr(cli, "sample_clicks", no_solve)
+    assert run(["simulate", *argv, "--out-dir", str(tmp_path / "x")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: a {kind} state does not read {key} "
+        f"(--{key.replace('_', '-')})\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_multithermal_state_reads_every_override(tmp_path):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--preset", "multithermal-split", "--grid-k", "5",
+                "--runs", "1000", "--tau", "0.4", "--mean-photons", "0.2",
+                "--num-modes", "500", "--truncation", "6",
+                "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["state"] == {
+        "kind": "multithermal_split", "tau": 0.4, "mean_photons": 0.2,
+        "num_modes": 500.0, "truncation": 6}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "reproduce fig2"])
+def test_stop_options_default_to_stopping_config(tmp_path, monkeypatch,
+                                                 command):
+    # without stop flags, the solve gets StoppingConfig() and the manifest
+    # records each of its fields; the solves here run a short budget
+    seen = []
+
+    def short(solve):
+        def run_short(record, truncation, *args, options, **kwargs):
+            seen.append(options)
+            options = dataclasses.replace(options, max_iters=50)
+            return solve(record, truncation, *args, options=options, **kwargs)
+        return run_short
+
+    for name in ("reconstruct", "bootstrap_uncertainty"):
+        monkeypatch.setattr(cli, name, short(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_forks", lambda: False)  # bootstrap inline
+    out = tmp_path / "out"
+    argv = {
+        "reconstruct": ["reconstruct", str(simulate_small(tmp_path)),
+                        "--bootstrap-reps", "2"],
+        "reproduce fig2": ["reproduce", "fig2", "--runs", "2000",
+                           "--bootstrap-reps", "2"],
+    }[command]
+    assert run(argv + ["--out-dir", str(out)]) == EXIT_OK
+    assert seen and all(options == StoppingConfig() for options in seen)
+    assert json.loads((out / "manifest.json").read_text())["options"] == \
+        dataclasses.asdict(StoppingConfig())
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    assert run(["simulate", "--config", str(config),
+                "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: config file must hold a JSON object\n")
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate config",
                                      "reconstruct", "reproduce fig2",
                                      "reproduce fig3"])
@@ -1333,6 +1454,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 5
+
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        def fails(*args):
+            raise ValueError("no probabilities")
+
+        monkeypatch.setattr(cli, "forward_click_probabilities", fails)
+        assert run(["validate"]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "[FAIL] click probabilities sum to 1: no probabilities\n" in out
+        assert out.count("[PASS]") == 4
 
 
 def test_version_flag(capsys):

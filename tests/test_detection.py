@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clicktomo import (
+    ClickProbabilities,
     EfficiencyGrid,
     JointDistribution,
     ThermalSpec,
@@ -352,3 +353,23 @@ def test_click_pattern_order():
     assert click_patterns(2) == ["00", "01", "10", "11"]
     assert click_patterns(3)[0] == "000"
     assert click_patterns(3)[-1] == "111"
+
+
+THIRDS = uniform_grid(3, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: uniform_grid(0, 0.1, 0.5), "grid needs at least one efficiency"),
+    (lambda: build_matrix(THIRDS, 0, 2), "modes must be >= 1"),
+    (lambda: build_matrix(THIRDS, 2, -1), "truncation must be >= 0"),
+    (lambda: ClickProbabilities(THIRDS, 1, np.full((3, 3), 1 / 3)),
+     r"table shape \(3, 3\), expected \(3, 2\)"),
+    (lambda: ClickProbabilities(THIRDS, 1, [[1.5, -0.5]] * 3),
+     "pattern probabilities must be nonnegative"),
+    (lambda: ClickProbabilities(THIRDS, 1, [[0.5, 0.4]] * 3),
+     "pattern probabilities must sum to 1 per efficiency"),
+], ids=["empty grid", "no mode", "negative truncation", "table shape",
+        "negative probability", "row sum"])
+def test_malformed_detection_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()

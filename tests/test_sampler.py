@@ -112,6 +112,25 @@ class TestClickRecordValidation:
             ClickRecord(small_grid, 2, counts, np.full(5, 10, dtype=np.int64))
 
 
+    @pytest.mark.parametrize("counts_shape, runs_size, message", [
+        ((5, 3), 5, r"counts shape \(5, 3\), expected \(5, 4\)"),
+        ((5, 4), 4, "runs must have one entry per efficiency"),
+    ], ids=["counts shape", "runs length"])
+    def test_shapes_must_match_the_grid(self, small_grid, counts_shape,
+                                        runs_size, message):
+        counts = np.zeros(counts_shape, dtype=np.int64)
+        counts[:, 0] = 10
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClickRecord(small_grid, 2, counts,
+                        np.full(runs_size, 10, dtype=np.int64))
+
+    def test_csv_without_rows_is_refused(self, tmp_path):
+        path = tmp_path / "record.csv"
+        path.write_text("eta,pattern,count,runs\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^empty click-record CSV$"):
+            ClickRecord.from_csv(path)
+
+
 class TestRoundTrips:
     def test_json_lossless(self, small_grid, balanced_state, tmp_path):
         probs = forward_click_probabilities(balanced_state, small_grid)

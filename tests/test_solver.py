@@ -41,7 +41,8 @@ from clicktomo.detection import (
     inverse_column_sums,
 )
 from clicktomo._io import TRACE_BLOCK_ROWS
-from clicktomo.errors import DegenerateSupportError, ResourceLimitError
+from clicktomo.errors import (DegenerateSupportError, NumericalError,
+                              ResourceLimitError)
 from clicktomo.solver import _frequency_noise_floor
 from em_reference import _em_run_loops
 
@@ -1017,6 +1018,33 @@ def test_bootstrap_sigma_is_the_block_solve_of_resampled_records(
     assert sigma.max() > 0.0
     boot = bootstrap_uncertainty(rec, 3, reps=reps, seed=seed, options=opts)
     np.testing.assert_array_equal(boot.sigma, sigma)
+
+
+def poison_column(monkeypatch, column):
+    """Make the kernel's best iterate of ``column`` non-finite."""
+    def run(*args, **kwargs):
+        result = em_run(*args, **kwargs)
+        result.best_q[0, column] = np.nan
+        return result
+    monkeypatch.setattr(_kernels, "em_run", run)
+
+
+def test_non_finite_best_iterate_is_a_numerical_error(small_grid,
+                                                      monkeypatch):
+    rec = heralded_record(small_grid, runs=5000)
+    poison_column(monkeypatch, 0)
+    with pytest.raises(NumericalError,
+                       match="^non-finite values in the EM iterate$"):
+        reconstruct(rec, 3, StoppingConfig(max_iters=20))
+
+
+def test_non_finite_replicate_is_reported_as_failed(small_grid, monkeypatch):
+    rec = heralded_record(small_grid, runs=5000)
+    poison_column(monkeypatch, 1)
+    boot = bootstrap_uncertainty(rec, 3, reps=3,
+                                 options=StoppingConfig(max_iters=20))
+    assert boot.failed == [1]
+    assert np.all(np.isfinite(boot.sigma))
 
 
 def test_bootstrap_over_the_replicate_cap_is_refused_before_resampling(

@@ -275,3 +275,34 @@ class TestStateJson:
     def test_mistyped_number(self, doc):
         with pytest.raises(ValueError, match="must be an? (integer|number)"):
             state_from_json(doc)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: JointDistribution(np.float64(1.0)), ValueError,
+     "values must have at least one axis"),
+    (lambda: JointDistribution(np.full((2, 3), 1 / 6)), ValueError,
+     "all modes must share the same truncation"),
+    (lambda: state_from_json({"kind": "custom", "modes": 1, "values": [0.0],
+                              "leakage": 1.0}),
+     ValueError, r"leakage must lie in \[0, 1\)"),
+    (lambda: JointDistribution(np.zeros(2), leakage=1 - 1e-10).normalized(),
+     ValueError, "cannot normalize an all-zero distribution"),
+    (lambda: state_from_json({"kind": "multithermal_split", "tau": 0.5,
+                              "mean_photons": 0.5, "truncation": -1}),
+     ValueError, "truncation must be >= 0"),
+    (lambda: split_on_beamsplitter(np.full((2, 2), 0.25), 0.5, 3), ValueError,
+     "marginal must be a vector"),
+    (lambda: split_on_beamsplitter([1.5, -0.5], 0.5, 3), ValueError,
+     "marginal entries must be nonnegative"),
+    (lambda: split_on_beamsplitter([0.5, 0.3, 0.2], 0.5, 1), TruncationError,
+     "marginal supports up to 2 photons but truncation is 1"),
+    (lambda: multithermal_click_reference(ThermalSpec(1.0), 0.5, 1.5),
+     ValueError, r"eta must lie in \[0, 1\], got 1.5"),
+    (lambda: multithermal_click_reference(ThermalSpec(1.0), -0.5, 0.5),
+     ValueError, r"tau must lie in \[0, 1\], got -0.5"),
+], ids=["no axis", "unequal sides", "leakage 1", "all zero",
+        "negative truncation", "matrix marginal", "negative marginal",
+        "marginal beyond truncation", "eta above 1", "negative tau"])
+def test_malformed_state_input_is_refused_by_name(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
