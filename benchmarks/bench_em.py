@@ -83,8 +83,7 @@ def main():
         probs = forward_click_probabilities(state, grid)
         matrix = build_matrix(grid, state.modes, state.truncation)
         n_rows, n_cols = matrix.shape
-        operators = {"dense": (matrix.rows, back_projector(
-            matrix.rows, matrix.rows.sum(axis=0)))}
+        operators = {"dense": (matrix.rows, back_projector(matrix.rows))}
         if matrix.forward is not matrix.rows:
             operators["factored"] = (matrix.forward, matrix.back)
         _check_against_loops(matrix, operators, np.stack(
@@ -123,9 +122,7 @@ def _check_against_loops(matrix, operators, h, iters=500):
     rows = matrix.rows
     n_cols = rows.shape[1]
     q0 = np.full(n_cols, 1.0 / n_cols)
-    rows_t, inv_colsum = np.ascontiguousarray(rows.T), 1.0 / rows.sum(axis=0)
-    refs = [_em_run_loops(rows, rows_t, inv_colsum, h[:, col], q0,
-                          iters, iters, 0.0)
+    refs = [_em_run_loops(rows, h[:, col], q0, iters, iters, 0.0)
             for col in range(h.shape[1])]
     for label, (forward, back) in operators.items():
         for block_h in (h[:, :1], h):

@@ -15,11 +15,16 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def json_number(key: str, value, integer: bool = False):
-    """``value`` if it is a JSON integer or (unless ``integer``) a JSON
-    number; raises ``ValueError`` otherwise. A boolean is neither."""
+def is_json_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a JSON integer or (unless ``integer``) a JSON
+    number. A boolean is neither."""
     kinds = int if integer else (int, float)
-    if isinstance(value, kinds) and not isinstance(value, bool):
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def json_number(key: str, value, integer: bool = False):
+    """``value`` if :func:`is_json_number`, else a ``ValueError`` naming ``key``."""
+    if is_json_number(value, integer):
         return value
     kind = "an integer" if integer else "a number"
     raise ValueError(f"{key} must be {kind}, not {value!r}")

@@ -208,11 +208,12 @@ def em_run(
 ) -> BlockResult:
     """Iterate the P×B block ``q0`` against the R×B frequencies ``h``.
 
-    ``matrix`` (R×P) and ``back`` (P×R) are the dense matrix and its
-    :func:`clicktomo.detection.back_projector`, or any pair of operators
-    with ``shape`` and ``dot(x, out=None)`` on P×B and R×B blocks, such
-    as the factored two-mode pair of
-    :class:`clicktomo.detection.DetectionMatrix`.
+    ``matrix`` (R×P) and ``back`` (P×R) are an operator pair with
+    ``shape`` and ``dot(x, out=None)`` on P×B and R×B blocks, ``back``
+    the transpose of ``matrix`` with row p scaled by one over column sum
+    p: the ``forward`` and ``back`` of a
+    :class:`clicktomo.detection.DetectionMatrix`, or a dense matrix and
+    its :func:`clicktomo.detection.back_projector`.
     ``min_decrease`` is a scalar or one value per column. The module
     docstring describes the two phases of each chunk, the three iterate
     arrays whose next iterate every chunk starts from, and the one stop

@@ -163,11 +163,11 @@ class TwoModeMatrix:
         return out
 
 
-def check_size(k: int, modes: int, truncation: int) -> None:
-    """Raise :class:`ResourceLimitError` if the detection matrix of ``k``
-    efficiencies, ``modes`` modes and truncation ``truncation`` would
-    exceed ``COLUMN_CAP`` or ``MATRIX_BYTES_CAP``. It reads the sizes
-    alone, so a state or a grid can be refused before it is built."""
+def check_size(k: int, modes: int, truncation: int) -> tuple[int, int]:
+    """The shape (R, P) of the detection matrix of ``k`` efficiencies,
+    ``modes`` modes and truncation ``truncation``, read off the sizes alone
+    so that a state or a grid can be refused before it is built: raises
+    :class:`ResourceLimitError` past ``COLUMN_CAP`` or ``MATRIX_BYTES_CAP``."""
     n_rows, n_cols = (2**modes - 1) * k, (truncation + 1) ** modes
     if n_cols > COLUMN_CAP:
         raise ResourceLimitError(
@@ -181,6 +181,7 @@ def check_size(k: int, modes: int, truncation: int) -> None:
             f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
             f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
         )
+    return n_rows, n_cols
 
 
 def check_replicate_size(k: int, modes: int, truncation: int, reps: int) -> None:
@@ -197,30 +198,31 @@ def check_replicate_size(k: int, modes: int, truncation: int, reps: int) -> None
         )
 
 
-def inverse_column_sums(colsum):
+def _inverse_column_sums(colsum):
     """``1/colsum``, and 0 where the column sum vanishes."""
     positive = colsum > 0.0
     return np.where(positive, 1.0 / np.where(positive, colsum, 1.0), 0.0)
 
 
-def back_projector(matrix, colsum):
-    """P×R back-projection: ``matrix.T`` with row p scaled by
-    ``1/colsum[p]`` (0 where the column sum vanishes), so that one EM
-    update is ``q * back.dot(h/g)``. One copy, scaled in place."""
+def back_projector(matrix):
+    """P×R back-projection of a dense matrix: ``matrix.T`` with row p
+    scaled by one over column sum p (0 where it vanishes), so that one
+    EM update is ``q * back.dot(h/g)``. One copy, scaled in place."""
     back = matrix.T.copy()
-    back *= inverse_column_sums(colsum)[:, None]
+    back *= _inverse_column_sums(matrix.sum(axis=0))[:, None]
     return back
 
 
 class ScaledTranspose:
     """P×R back-projection of a :class:`TwoModeMatrix`: its transpose with
-    row p scaled by ``inv_colsum[p]``, as :func:`back_projector` builds
-    it from a dense matrix."""
+    row p scaled by one over column sum p, as :func:`back_projector`
+    builds it from a dense matrix."""
 
-    def __init__(self, matrix: TwoModeMatrix, inv_colsum):
+    def __init__(self, matrix: TwoModeMatrix):
         self.shape = matrix.shape[::-1]
         self._matrix = matrix
-        self._inv_colsum = inv_colsum
+        self._inv_colsum = _inverse_column_sums(
+            matrix.rdot(np.ones(matrix.shape[0])))
 
     def dot(self, r, out=None):
         out = self._matrix.rdot(r, out)
@@ -255,12 +257,8 @@ class DetectionMatrix:
             raise ValueError("modes must be >= 1")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
-        check_size(len(self.grid), self.modes, self.truncation)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return ((2**self.modes - 1) * len(self.grid),
-                (self.truncation + 1) ** self.modes)
+        object.__setattr__(self, "shape", check_size(
+            len(self.grid), self.modes, self.truncation))
 
     @cached_property
     def _no_click(self) -> np.ndarray:
@@ -296,15 +294,9 @@ class DetectionMatrix:
 
     @cached_property
     def back(self):
-        colsum = self.column_sums()
         if isinstance(self.forward, TwoModeMatrix):
-            return ScaledTranspose(self.forward, inverse_column_sums(colsum))
-        return back_projector(self.rows, colsum)
-
-    def column_sums(self) -> np.ndarray:
-        if isinstance(self.forward, TwoModeMatrix):
-            return self.forward.rdot(np.ones(self.shape[0]))
-        return self.rows.sum(axis=0)
+            return ScaledTranspose(self.forward)
+        return back_projector(self.rows)
 
 
 def build_matrix(grid: EfficiencyGrid, modes: int, truncation: int) -> DetectionMatrix:
@@ -339,10 +331,6 @@ class ClickProbabilities:
             raise ValueError("pattern probabilities must sum to 1 per efficiency")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-
-    def explicit_vector(self) -> np.ndarray:
-        """Pattern-block layout over efficiencies, all-click omitted."""
-        return explicit_rows(self.table)
 
 
 def explicit_rows(table) -> np.ndarray:

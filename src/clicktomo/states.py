@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import json_number
+from ._io import is_json_number, json_number
 from .errors import TruncationError
 
 __all__ = [
@@ -247,7 +247,9 @@ def state_from_json(doc: dict) -> JointDistribution:
         values = doc["values"]
         if not isinstance(values, list):
             raise ValueError(f"values must be a number list, not {values!r}")
-        values = [json_number(f"values[{i}]", v) for i, v in enumerate(values)]
+        for i, v in enumerate(values):
+            if not is_json_number(v):
+                json_number(f"values[{i}]", v)  # raises, naming the first
         return JointDistribution.from_flat(values, number("modes", True),
                                            leakage=number("leakage", default=0.0))
     raise ValueError(f"unknown state kind {kind!r}")

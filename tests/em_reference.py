@@ -18,11 +18,10 @@ from clicktomo._kernels import (
 )
 
 
-def _em_run_loops(
-    matrix, matrix_t, inv_colsum, h,
-    q0, max_iters, patience, min_decrease,
-):
+def _em_run_loops(matrix, h, q0, max_iters, patience, min_decrease):
     n_rows = matrix.shape[0]
+    matrix_t = np.ascontiguousarray(matrix.T)
+    inv_colsum = 1.0 / matrix.sum(axis=0)
     q = q0.copy()
     eps_hist = np.empty(max_iters)
     ll_hist = np.empty(max_iters)

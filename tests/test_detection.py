@@ -24,7 +24,7 @@ from clicktomo.detection import (
     TwoModeMatrix,
     back_projector,
     click_patterns,
-    inverse_column_sums,
+    explicit_rows,
 )
 from clicktomo.errors import ClicktomoError, ResourceLimitError
 
@@ -222,13 +222,14 @@ class TestTwoModeMatrix:
                 ThermalSpec(0.15, 1000.0), truncation), 0.5, truncation).flat()
             q /= q.sum(axis=0)
             ratio = rng.random((dense.shape[0], width)) + 0.5
-            backs = [ScaledTranspose(op, inverse_column_sums(colsum))]
+            backs = [ScaledTranspose(op)]
             if truncation >= detection.FACTORED_MIN_TRUNCATION:
                 # and the pair the size rule hands out
                 assert isinstance(m.forward, TwoModeMatrix)
-                _assert_relative(m.column_sums(), dense.sum(axis=0))
+                _assert_relative(m.forward.rdot(np.ones(m.shape[0])),
+                                 dense.sum(axis=0))
                 backs.append(m.back)
-            dense_back = back_projector(dense, dense.sum(axis=0))
+            dense_back = back_projector(dense)
             for col in range(width):
                 _assert_relative(op.dot(q)[:, col], (dense @ q)[:, col])
                 _assert_relative(op.rdot(ratio)[:, col], (dense.T @ ratio)[:, col])
@@ -280,9 +281,27 @@ class TestTwoModeMatrix:
             m = build_matrix(small_grid, modes, truncation)
             assert m.forward is m.rows
             np.testing.assert_array_equal(
-                m.back, back_projector(m.rows, m.rows.sum(axis=0)))
+                m.back, back_projector(m.rows))
         m = build_matrix(EfficiencyGrid(np.array([0.5])), 3, n)
         assert m.forward is m.rows
+
+    @pytest.mark.parametrize("truncation, unreached", [(3, 9), (32, 1024)])
+    def test_columns_no_row_reaches_back_project_to_zero(self, truncation,
+                                                         unreached, rng):
+        # at eta = 1 every pattern rules out photons in both modes, so the
+        # columns with n1 > 0 and n2 > 0 sum to 0: the dense back-projector
+        # at N = 3, the factored pair at N = 32
+        m = build_matrix(EfficiencyGrid(np.array([1.0])), 2, truncation)
+        assert isinstance(m.back, ScaledTranspose) == (truncation == 32)
+        n1, n2 = np.divmod(np.arange(m.shape[1]), truncation + 1)
+        zero = (n1 > 0) & (n2 > 0)
+        assert zero.sum() == unreached
+        ones = m.back.dot(np.ones(m.shape[0]))
+        assert np.all(np.isfinite(ones))
+        np.testing.assert_array_equal(ones == 0.0, zero)
+        np.testing.assert_allclose(ones[~zero], 1.0, rtol=1e-15)
+        ratio = rng.random(m.shape[0]) + 0.5
+        _assert_relative(m.back.dot(ratio), back_projector(m.rows) @ ratio)
 
     def test_wide_forward_model_never_builds_the_dense_matrix(self):
         # N = 120 on the multithermal grid: the dense matrix would take
@@ -298,7 +317,7 @@ class TestTwoModeMatrix:
             tracemalloc.stop()
         assert peak < 2**21
         dense = build_matrix(grid, 2, 120).rows @ state.flat()
-        _assert_relative(probs.explicit_vector(), dense)
+        _assert_relative(explicit_rows(probs.table), dense)
 
 
 class TestForwardClickProbabilities:
@@ -342,7 +361,7 @@ class TestForwardClickProbabilities:
 
     def test_explicit_vector_layout(self, small_grid, balanced_state):
         probs = forward_click_probabilities(balanced_state, small_grid)
-        vec = probs.explicit_vector()
+        vec = explicit_rows(probs.table)
         k = len(small_grid)
         # pattern blocks over efficiencies: 00 block first
         np.testing.assert_array_equal(vec[:k], probs.table[:, 0])

@@ -38,7 +38,6 @@ from clicktomo.detection import (
     TwoModeMatrix,
     back_projector,
     explicit_rows,
-    inverse_column_sums,
 )
 from clicktomo._io import TRACE_BLOCK_ROWS
 from clicktomo.errors import (DegenerateSupportError, NumericalError,
@@ -328,11 +327,8 @@ def _kernel_args(grid):
     rec = heralded_record(grid)
     m = build_matrix(grid, 2, 3)
     h = frequencies(rec)
-    colsum = m.column_sums()
-    inv = 1.0 / colsum
-    mt = np.ascontiguousarray(m.rows.T)
     q0 = np.full(16, 1.0 / 16)
-    return (m.rows, mt, inv, h, q0, 500, 200, 0.0)
+    return (m.rows, h, q0, 500, 200, 0.0)
 
 
 def _assert_kernel_outputs_match(out_loop, out_np):
@@ -360,11 +356,11 @@ def _em_run_history(matrix, back, h, q0, max_iters, *stop_args):
     return SimpleNamespace(**vars(block), epsilon=epsilon, loglik=loglik)
 
 
-def _em_run_block_of_one(matrix, matrix_t, inv_colsum, h, q0, *stop_args):
+def _em_run_block_of_one(matrix, h, q0, *stop_args):
     """``em_run`` on a block of width 1, in the reference kernel's
     calling convention and output tuple (without the unused final iterate)."""
-    back = matrix_t * inv_colsum[:, None]
-    r = _em_run_history(matrix, back, h[:, None], q0[:, None], *stop_args)
+    r = _em_run_history(matrix, back_projector(matrix), h[:, None], q0[:, None],
+                        *stop_args)
     return (r.best_q[:, 0], None, r.best_iteration[0],
             r.n_iterations[0], r.epsilon[:, 0], r.loglik[:, 0], r.status[0])
 
@@ -381,8 +377,6 @@ class TestBlockKernelAgainstLoopReference:
         # three different data sets whose patience stops fall at different
         # iterations, one min_decrease per column, and a degenerate column
         m = build_matrix(small_grid, 2, 3)
-        mt = np.ascontiguousarray(m.rows.T)
-        inv = 1.0 / m.column_sums()
         hs = [
             frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
             for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.3, 20_000, 3))
@@ -398,12 +392,12 @@ class TestBlockKernelAgainstLoopReference:
         passes = []
         monkeypatch.setattr(_kernels, "log_likelihood",
                             lambda *args, **kwargs: passes.append(args))
-        block = em_run(m.rows, back_projector(m.rows, m.column_sums()), h, q0,
+        block = em_run(m.rows, back_projector(m.rows), h, q0,
                        max_iters, patience, np.append(mind, 0.0))
         assert passes == []
         stops = set()
         for col in range(3):
-            ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
+            ref = _em_run_loops(m.rows, hs[col], uniform, max_iters,
                                 patience, mind[col])
             np.testing.assert_allclose(
                 block.best_q[:, col], ref[0], rtol=0, atol=1e-13
@@ -431,9 +425,7 @@ class TestFactoredOperator:
         m = build_matrix(small_grid, 2, 3)
         op = TwoModeMatrix(no_click_coefficient(small_grid.etas[:, None],
                                                 np.arange(4)))
-        back = ScaledTranspose(op, inverse_column_sums(op.rdot(np.ones(15))))
-        mt = np.ascontiguousarray(m.rows.T)
-        inv = 1.0 / m.column_sums()
+        back = ScaledTranspose(op)
         hs = [
             frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
             for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.3, 20_000, 3))
@@ -445,7 +437,7 @@ class TestFactoredOperator:
                                 np.stack([uniform] * width, axis=1),
                                 max_iters, patience, mind)
         for col in range(width):
-            ref = _em_run_loops(m.rows, mt, inv, hs[col], uniform, max_iters,
+            ref = _em_run_loops(m.rows, hs[col], uniform, max_iters,
                                 patience, mind[col])
             bar, margin = np.inf, np.inf
             for e in ref[4][:ref[3]]:
@@ -471,7 +463,7 @@ class TestFactoredOperator:
         q /= q.sum()
         h = m.rows @ (q + rng.random(n_cols) / n_cols) / 2.0
         g = m.rows @ q
-        back = back_projector(m.rows, m.rows.sum(axis=0))
+        back = back_projector(m.rows)
         np.testing.assert_allclose(em_step(q, m, h), q * (back @ (h / g)),
                                    rtol=1e-13, atol=0)
         assert total_error(q, m, h) == pytest.approx(
@@ -531,9 +523,7 @@ class TestChunkBoundaries:
     @pytest.fixture
     def setup(self, small_grid):
         m = build_matrix(small_grid, 2, 3)
-        mt = np.ascontiguousarray(m.rows.T)
-        inv = 1.0 / m.column_sums()
-        return m.rows, mt, inv, back_projector(m.rows, m.column_sums())
+        return m.rows, back_projector(m.rows)
 
     def _runs(self, monkeypatch, matrix, back, h, q0, *stop_args):
         runs = []
@@ -550,11 +540,11 @@ class TestChunkBoundaries:
                                                monkeypatch, patience, position):
         # the stop falls on the first, a middle and the last iterate of a
         # chunk of 7 counted from iteration 0
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
         q0 = np.full(16, 1.0 / 16)
         args = (3000, patience, 1e-4)
-        ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+        ref = _em_run_loops(matrix, h, q0, *args)
         assert ref[6] == STATUS_MIN_EPSILON and (ref[3] - 1) % 7 == position
         block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
                            *args)
@@ -567,7 +557,7 @@ class TestChunkBoundaries:
     def test_max_iters_and_patience_stops(self, setup, small_grid, monkeypatch):
         # staggered patience stops beside a column that runs to max_iters,
         # with per-column min_decrease
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 2000, 3))]
         mind = np.array([0.0, 1e-4, 3e-4])
@@ -577,7 +567,7 @@ class TestChunkBoundaries:
                            np.stack([q0] * 3, axis=1), max_iters, patience, mind)
         stops = []
         for col in range(3):
-            ref = _em_run_loops(matrix, mt, inv, hs[col], q0, max_iters,
+            ref = _em_run_loops(matrix, hs[col], q0, max_iters,
                                 patience, mind[col])
             np.testing.assert_allclose(block.best_q[:, col], ref[0], rtol=0,
                                        atol=1e-13)
@@ -591,7 +581,7 @@ class TestChunkBoundaries:
     def test_snapshots_end_at_each_stop(self, setup, small_grid, monkeypatch):
         # columns leave the block at different iterations, one of them
         # (q0 = e_0 against clicking data) at the first
-        matrix, _, _, back = setup
+        matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2))]
         vacuum = np.zeros(16)
@@ -609,14 +599,14 @@ class TestChunkBoundaries:
     def test_exact_vacuum_data(self, setup, small_grid, monkeypatch, start):
         # g = 0 on the rows where h = 0 at every iterate from q0 = e_0:
         # every iterate takes the masked ratio, none is degenerate
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
-        h = forward_click_probabilities(
-            JointDistribution(vac), small_grid).explicit_vector()
+        h = explicit_rows(forward_click_probabilities(
+            JointDistribution(vac), small_grid).table)
         q0 = vac.reshape(-1) if start == "vacuum" else np.full(16, 1.0 / 16)
         args = (1500, 100, 0.0)
-        ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+        ref = _em_run_loops(matrix, h, q0, *args)
         block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
                            *args)
         _assert_kernel_outputs_match(ref, (
@@ -635,7 +625,7 @@ class TestChunkBoundaries:
         # one: at the default length the final bests lie inside the last
         # chunk, at a different iteration in each column, and are
         # recomputed from its first iterate. At length 1 nothing is.
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 5000, 3))]
         mind = np.array([2e-6, 5e-6, 1e-5])
@@ -650,7 +640,7 @@ class TestChunkBoundaries:
         assert len(set(bests)) == 3
         assert all(last_start < b < max_iters - 1 for b in bests)
         for col in range(3):
-            ref = _em_run_loops(matrix, mt, inv, hs[col], q0, max_iters,
+            ref = _em_run_loops(matrix, hs[col], q0, max_iters,
                                 max_iters, mind[col])
             _assert_kernel_outputs_match(ref, (
                 block.best_q[:, col], None, block.best_iteration[col],
@@ -666,7 +656,7 @@ class TestChunkBoundaries:
         # at length 7 and at the default length. Replaying that best must
         # leave the chunk's next iterate, which the second column goes on
         # from, alone.
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 2 * 10**5, 2))]
         mind = np.array([1e-4, 5e-6])
@@ -690,7 +680,7 @@ class TestChunkBoundaries:
                   for t0, n, bests in chunks if t0 + n == 1419]
         assert inside == [False, True, True]
         for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, mt, inv, h, q0, max_iters, patience,
+            ref = _em_run_loops(matrix, h, q0, max_iters, patience,
                                 mind[col])
             _assert_kernel_outputs_match(ref, (
                 block.best_q[:, col], None, block.best_iteration[col],
@@ -724,18 +714,18 @@ class TestChunkBoundaries:
         # after 2083 iterations, inside a chunk of 7 and of the default
         # length, and the column ends there. The heralded column goes on
         # from the iterate at that cut, which the loop had passed.
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
-        h = forward_click_probabilities(
-            JointDistribution(vac), small_grid).explicit_vector()
+        h = explicit_rows(forward_click_probabilities(
+            JointDistribution(vac), small_grid).table)
         h[5] = 5e-324
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
         args = (2500, 2500, 0.0)
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
                            np.stack([q0, q0], axis=1), *args)
-        refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
+        refs = [_em_run_loops(matrix, h, q0, *args) for h in hs]
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations[0] == 2084
         for col, ref in enumerate(refs):
@@ -755,11 +745,11 @@ class TestChunkBoundaries:
         # t0 follows on from the last chunk, cols names the columns still
         # in the block, and the rows they put back, each exactly once,
         # are the loop reference's
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
-        degenerate = forward_click_probabilities(
-            JointDistribution(vac), small_grid).explicit_vector()
+        degenerate = explicit_rows(forward_click_probabilities(
+            JointDistribution(vac), small_grid).table)
         degenerate[5] = 5e-324
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.5, 10**6, 1))]
@@ -790,7 +780,7 @@ class TestChunkBoundaries:
         assert t == max_iters
         assert len({cols.size for _, cols, _, _ in chunks}) == 4
         for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, mt, inv, h, q0, max_iters, patience,
+            ref = _em_run_loops(matrix, h, q0, max_iters, patience,
                                 mind[col])
             n_done = ref[3]
             assert not np.isnan(epsilon[:n_done, col]).any()
@@ -809,11 +799,11 @@ class TestChunkBoundaries:
         # max_iters - 1, where the budget ends too: patience comes first,
         # as in the loop reference. The second column ends on the budget
         # at the same iterate.
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 10**6, 2))]
         q0 = np.full(16, 1.0 / 16)
-        free = _em_run_loops(matrix, mt, inv, hs[0], q0, 3000, 99, 1e-4)
+        free = _em_run_loops(matrix, hs[0], q0, 3000, 99, 1e-4)
         assert free[6] == STATUS_MIN_EPSILON
         max_iters, mind = free[3], np.array([1e-4, 0.0])
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
@@ -821,7 +811,7 @@ class TestChunkBoundaries:
         assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [max_iters] * 2
         for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, mt, inv, h, q0, max_iters, 99, mind[col])
+            ref = _em_run_loops(matrix, h, q0, max_iters, 99, mind[col])
             _assert_kernel_outputs_match(ref, (
                 block.best_q[:, col], None, block.best_iteration[col],
                 block.n_iterations[col], block.epsilon[:, col],
@@ -834,18 +824,18 @@ class TestChunkBoundaries:
         # that ends on the iterate where the first column's click row
         # underflows: that column ends degenerate, the heralded one on the
         # budget, at the same iterate
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
-        h = forward_click_probabilities(
-            JointDistribution(vac), small_grid).explicit_vector()
+        h = explicit_rows(forward_click_probabilities(
+            JointDistribution(vac), small_grid).table)
         h[5] = 5e-324
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
         args = (2084, 2500, 0.0)
         block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
                            np.stack([q0, q0], axis=1), *args)
-        refs = [_em_run_loops(matrix, mt, inv, h, q0, *args) for h in hs]
+        refs = [_em_run_loops(matrix, h, q0, *args) for h in hs]
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [2084, 2084]
         for col, ref in enumerate(refs):
@@ -861,11 +851,11 @@ class TestChunkBoundaries:
         # the last chunk fails its check and is replayed masked, and the
         # degenerate iterate is its last, so the replay has already written
         # the update from there; the chunk does not run a third time
-        matrix, _, _, back = setup
+        matrix, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
-        h = forward_click_probabilities(
-            JointDistribution(vac), small_grid).explicit_vector()
+        h = explicit_rows(forward_click_probabilities(
+            JointDistribution(vac), small_grid).table)
         h[5] = 5e-324
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
@@ -902,12 +892,12 @@ class TestChunkBoundaries:
             self, setup, small_grid):
         # g/h overflows on a row whose frequency is the smallest subnormal;
         # both log-likelihoods stay finite and agree, with no warning
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
         h[0] = 5e-324
         q0 = np.full(16, 1.0 / 16)
         args = (300, 300, 0.0)
-        ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+        ref = _em_run_loops(matrix, h, q0, *args)
         block = _em_run_history(matrix, back, h[:, None], q0[:, None], *args)
         _assert_kernel_outputs_match(ref, (
             block.best_q[:, 0], None, block.best_iteration[0],
@@ -928,11 +918,11 @@ class TestChunkBoundaries:
         # length; the optimistic chunk then fails its check and is
         # replayed masked from its first iterate. The heralded column
         # stays positive.
-        matrix, mt, inv, back = setup
+        matrix, back = setup
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
-        hs = [forward_click_probabilities(
-                  JointDistribution(vac), small_grid).explicit_vector(),
+        hs = [explicit_rows(forward_click_probabilities(
+                  JointDistribution(vac), small_grid).table),
               frequencies(heralded_record(small_grid, runs=2000, seed=1))]
         q0 = np.full(16, 1.0 / 16)
         args = (2500, 2500, 0.0)
@@ -961,7 +951,7 @@ class TestChunkBoundaries:
             _assert_same_block(runs[0], other)
         block = runs[0]
         for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, mt, inv, h, q0, *args)
+            ref = _em_run_loops(matrix, h, q0, *args)
             _assert_kernel_outputs_match(ref, (
                 block.best_q[:, col], None, block.best_iteration[col],
                 block.n_iterations[col], block.epsilon[:, col],
