@@ -25,7 +25,6 @@ from . import __version__, _io
 from ._io import fmt
 from .detection import (
     build_matrix,
-    check_replicate_size,
     check_size,
     forward_click_probabilities,
     uniform_grid,
@@ -421,7 +420,7 @@ def _bootstrap_beside(record, truncation, options, reps, seed):
     refused here, before the fork and before the block writes anything."""
     if not reps:
         return contextlib.nullcontext(lambda: None)
-    check_replicate_size(len(record.grid), record.modes, truncation, reps)
+    check_size(len(record.grid), record.modes, truncation, reps)
     return _in_background(bootstrap_uncertainty, record, truncation,
                           reps=reps, seed=seed, options=options)
 

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceLimitError
-from .states import JointDistribution
+from .states import JointDistribution, check_modes
 
 __all__ = [
     "EfficiencyGrid",
@@ -163,12 +163,17 @@ class TwoModeMatrix:
         return out
 
 
-def check_size(k: int, modes: int, truncation: int) -> tuple[int, int]:
+def check_size(k: int, modes: int, truncation: int,
+               reps: int = 0) -> tuple[int, int]:
     """The shape (R, P) of the detection matrix of ``k`` efficiencies,
     ``modes`` modes and truncation ``truncation``, read off the sizes alone
-    so that a state or a grid can be refused before it is built: raises
-    :class:`ResourceLimitError` past ``COLUMN_CAP`` or ``MATRIX_BYTES_CAP``."""
-    n_rows, n_cols = (2**modes - 1) * k, (truncation + 1) ** modes
+    so that a state, a grid or a bootstrap of ``reps`` replicates can be
+    refused before it is built: raises :class:`ResourceLimitError` past
+    ``COLUMN_CAP``, ``MATRIX_BYTES_CAP`` or ``REPLICATE_BYTES_CAP``, and a
+    ``ValueError`` from :func:`~clicktomo.states.check_modes` first."""
+    check_modes(modes)
+    n_patterns, n_cols = 2**modes, (truncation + 1) ** modes
+    n_rows = (n_patterns - 1) * k
     if n_cols > COLUMN_CAP:
         raise ResourceLimitError(
             f"(1+N)^M = {n_cols} columns exceeds the cap of {COLUMN_CAP}"
@@ -181,21 +186,14 @@ def check_size(k: int, modes: int, truncation: int) -> tuple[int, int]:
             f"{matrix_bytes} bytes, more than the cap of {MATRIX_BYTES_CAP} "
             f"bytes ({MATRIX_BYTES_CAP / 2**30:g} GiB)"
         )
-    return n_rows, n_cols
-
-
-def check_replicate_size(k: int, modes: int, truncation: int, reps: int) -> None:
-    """Raise :class:`ResourceLimitError` if a bootstrap of ``reps``
-    replicates of a record of ``k`` efficiencies and ``modes`` modes, at
-    truncation ``truncation``, would exceed ``REPLICATE_BYTES_CAP``. It
-    reads the sizes alone, so a run can be refused before it resamples."""
-    replicate_bytes = 8 * reps * (k * 2**modes + (truncation + 1) ** modes)
+    replicate_bytes = 8 * reps * (k * n_patterns + n_cols)
     if replicate_bytes > REPLICATE_BYTES_CAP:
         raise ResourceLimitError(
             f"Unable to allocate {replicate_bytes} bytes of frequency tables "
             f"and iterates for {reps} bootstrap replicates, more than the cap "
             f"of {REPLICATE_BYTES_CAP} bytes ({REPLICATE_BYTES_CAP / 2**30:g} GiB)"
         )
+    return n_rows, n_cols
 
 
 def _inverse_column_sums(colsum):
@@ -253,8 +251,6 @@ class DetectionMatrix:
     truncation: int
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("modes must be >= 1")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
         object.__setattr__(self, "shape", check_size(

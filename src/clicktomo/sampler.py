@@ -18,9 +18,11 @@ from ._io import fmt, json_number, write_csv, write_json
 from .detection import (
     ClickProbabilities,
     EfficiencyGrid,
+    check_size,
     click_patterns,
     explicit_rows,
 )
+from .states import check_modes
 
 __all__ = ["ClickRecord", "sample_clicks", "frequencies"]
 
@@ -50,8 +52,7 @@ class ClickRecord:
             dtype = np.asarray(value).dtype
             if not np.issubdtype(dtype, np.integer):
                 raise TypeError(f"{name} must be integers, got {dtype}")
-        if self.modes < 1:
-            raise ValueError("modes must be >= 1")
+        check_modes(self.modes)
         counts = counts.astype(np.int64, copy=False)
         runs = runs.astype(np.int64, copy=False)
         expected = (len(self.grid), 2**self.modes)
@@ -123,27 +124,29 @@ class ClickRecord:
 
     @staticmethod
     def from_csv(path) -> "ClickRecord":
-        rows = []
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append(row)
+            rows = list(csv.DictReader(fh))
         if not rows:
             raise ValueError("empty click-record CSV")
         modes = len(rows[0]["pattern"])
-        patterns = click_patterns(modes)
         etas = sorted({float(r["eta"]) for r in rows})
+        # the (K, 2^M) table is refused by size before it is allocated
+        check_size(len(etas), modes, 0)
         index = {repr(e): i for i, e in enumerate(etas)}
-        counts = np.zeros((len(etas), len(patterns)), dtype=np.int64)
+        counts = np.zeros((len(etas), 2**modes), dtype=np.int64)
         seen, runs = set(), {}
         for r in rows:
             eta, pattern, n_runs = repr(float(r["eta"])), r["pattern"], int(r["runs"])
+            # int(pattern, 2) alone would also read "+1" or "0_1"
+            if len(pattern) != modes or pattern.strip("01"):
+                raise ValueError(
+                    f"pattern {pattern!r} is not {modes} characters of 0 and 1")
             if (eta, pattern) in seen:
                 raise ValueError(f"two rows for eta {eta}, pattern {pattern}")
             seen.add((eta, pattern))
             if runs.setdefault(eta, n_runs) != n_runs:
                 raise ValueError(f"the rows of eta {eta} give different runs")
-            counts[index[eta], patterns.index(pattern)] = int(r["count"])
+            counts[index[eta], int(pattern, 2)] = int(r["count"])
         return ClickRecord(
             grid=EfficiencyGrid(np.array(etas)), modes=modes,
             counts=counts, runs=[runs[eta] for eta in index],

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._io import fmt, tensor_rows, write_csv, write_json, write_trace_csv
-from .detection import (DetectionMatrix, build_matrix, check_replicate_size,
+from .detection import (DetectionMatrix, build_matrix, check_size,
                         explicit_rows)
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
 from .sampler import ClickRecord
@@ -241,9 +241,9 @@ def bootstrap_uncertainty(
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    # first: they check the size caps and allocate nothing
+    # first: it checks the size caps and allocates nothing
+    check_size(len(record.grid), record.modes, truncation, reps)
     matrix = build_matrix(record.grid, record.modes, truncation)
-    check_replicate_size(len(record.grid), record.modes, truncation, reps)
     freq = record.frequency_table()
     counts = np.empty((reps,) + record.counts.shape, dtype=np.int64)
     for rep in range(reps):  # per efficiency in grid order, as a loop would draw

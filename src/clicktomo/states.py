@@ -28,6 +28,17 @@ __all__ = [
 ]
 
 
+def check_modes(modes: int) -> None:
+    """Refuse a mode count below 1 or above 64 with a ``ValueError`` that
+    names ``modes``, before anything of its size is made. A state holds one
+    array axis per mode, and numpy allows at most 64 axes."""
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    if modes > 64:
+        raise ValueError(f"modes must be <= 64, numpy's limit on the axes "
+                         f"of an array, got {modes}")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Nonnegative tensor of joint photon-number probabilities.
@@ -87,8 +98,7 @@ class JointDistribution:
 
     @staticmethod
     def from_flat(flat, modes: int, leakage: float = 0.0) -> "JointDistribution":
-        if modes < 1:
-            raise ValueError(f"modes must be >= 1, got {modes}")
+        check_modes(modes)
         flat = np.asarray(flat, dtype=np.float64)
         per_mode = round(flat.size ** (1.0 / modes))
         if per_mode**modes != flat.size:

@@ -9,6 +9,8 @@ iterations (a handful of seconds); see the companion rate test.
 """
 
 import itertools
+import json
+import math
 import time
 
 import numpy as np
@@ -298,3 +300,47 @@ def test_criterion_pipeline_determinism(tmp_path):
         ok &= (outputs[0][1] / name).read_bytes() == (outputs[1][1] / name).read_bytes()
     report("pipeline outputs byte-identical across reruns", ok)
     assert ok
+
+
+def test_criterion_three_mode_custom_state_recovery(tmp_path):
+    # the paper's "two or more modes": a thermal beam (nbar = 0.3) split
+    # equally three ways, cut at N = 3 and renormalised, simulated and
+    # reconstructed through the command line as a custom state
+    from clicktomo import cli
+
+    thermal = multithermal_marginal(ThermalSpec(0.3, 1.0), 9)
+    values = np.zeros((4, 4, 4))
+    for n in itertools.product(range(4), repeat=3):
+        total = sum(n)
+        values[n] = (thermal[total] * math.factorial(total)
+                     / math.prod(map(math.factorial, n)) / 3**total)
+    values /= values.sum()
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"kind": "custom", "modes": 3,
+                                 "values": values.ravel().tolist()}))
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    assert cli.main([
+        "simulate", "--state", str(state), "--grid-k", "30",
+        "--eta-min", "0.05", "--eta-max", "0.5", "--runs", "100000",
+        "--seed", str(SEED), "--out-dir", str(sim),
+    ]) == 0
+    start = time.perf_counter()
+    assert cli.main([
+        "reconstruct", str(sim), "--reference", str(state),
+        "--out-dir", str(rec),
+    ]) == 0
+    elapsed = time.perf_counter() - start
+    dist = json.loads((rec / "distribution.json").read_text())
+    assert (dist["modes"], dist["truncation"]) == (3, 3)
+    error = np.max(np.abs(np.array(dist["values"], dtype=float) - values.ravel()))
+    fids = [float(f) for f in json.loads(
+        (rec / "summary.json").read_text())["reference_fidelities"]]
+    ok = error <= 0.01 and min(fids) >= 0.999 and elapsed < 60.0
+    report(
+        "three-mode split: joint error and marginal fidelities", ok,
+        f"max |rho - rho_true|={error:.4f}, "
+        f"F={'/'.join(f'{f:.5f}' for f in fids)}, {elapsed:.1f}s",
+    )
+    assert error <= 0.01
+    assert min(fids) >= 0.999
+    assert elapsed < 60.0

@@ -484,6 +484,55 @@ class TestReconstruct:
         assert "malformed click record" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("patterns", [
+        ["00", "0x"], ["00", "011"], ["00", "+1"]],
+        ids=["not binary", "too long", "signed"])
+    def test_csv_pattern_must_be_a_run_of_binary_digits(self, tmp_path,
+                                                        capsys, patterns):
+        # int(pattern, 2) alone would read "+1" as pattern 01
+        path = tmp_path / "record.csv"
+        path.write_text("eta,pattern,count,runs\n" + "".join(
+            f"0.5,{pattern},5,10\n" for pattern in patterns))
+        assert run([
+            "reconstruct", str(path), "--truncation", "1",
+            "--out-dir", str(tmp_path / "x"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "malformed click record" in err and repr(patterns[1]) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind", ["csv pattern", "json modes"])
+    def test_huge_mode_count_is_refused_before_allocation(self, tmp_path,
+                                                          capsys, kind):
+        # a 40-character pattern declares a (1, 2^40) count table, and
+        # "modes": 10^8 a 2^(10^8) pattern count: each is refused by size
+        # or by its mode bound, in one line, before anything is allocated
+        if kind == "csv pattern":
+            path = tmp_path / "record.csv"
+            path.write_text(f"eta,pattern,count,runs\n0.5,{'0' * 40},10,10\n")
+            message = "more than the cap of"
+        else:
+            path = tmp_path / "record.json"
+            path.write_text(json.dumps({
+                "modes": 10**8, "etas": ["0.5"], "runs": [10],
+                "counts": [[10]]}))
+            message = "modes must be <= 64"
+        tracemalloc.start()
+        try:
+            code = run([
+                "reconstruct", str(path), "--truncation", "1",
+                "--out-dir", str(tmp_path / "x"),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert peak < 2**20
+        assert not (tmp_path / "x").exists()
+
     def test_csv_record_matches_json_record(self, tmp_path):
         sim = simulate_small(tmp_path)
         outs = {}
@@ -1110,6 +1159,28 @@ def test_custom_state_with_modes_below_one_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"modes must be >= 1, got {modes}" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_custom_state_with_huge_mode_count_is_config_error(tmp_path, capsys):
+    # a shape of 10^7 axes would take 80 MB before numpy refused it: the
+    # mode bound refuses the count first
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"kind": "custom", "modes": 10**7,
+                                 "values": [1.0]}))
+    tracemalloc.start()
+    try:
+        code = run(["simulate", "--state", str(state), "--grid-k", "5",
+                    "--eta-min", "0.1", "--eta-max", "0.3",
+                    "--out-dir", str(tmp_path / "x")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "modes must be <= 64" in err
+    assert peak < 2**20
     assert not (tmp_path / "x").exists()
 
 

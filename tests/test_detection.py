@@ -23,6 +23,7 @@ from clicktomo.detection import (
     ScaledTranspose,
     TwoModeMatrix,
     back_projector,
+    check_size,
     click_patterns,
     explicit_rows,
 )
@@ -177,6 +178,24 @@ class TestBuildMatrix:
         monkeypatch.setattr(detection, "MATRIX_BYTES_CAP", 3839)
         with pytest.raises(ResourceLimitError, match="3839 bytes"):
             build_matrix(small_grid, 2, 3)
+
+    def test_replicate_cap_counts_tables_and_iterates(self, monkeypatch):
+        # 10 replicates of one 5 x 4 frequency table and one 16-entry
+        # iterate, 8 B each
+        monkeypatch.setattr(detection, "REPLICATE_BYTES_CAP", 2880)
+        assert check_size(5, 2, 3, reps=10) == (15, 16)
+        monkeypatch.setattr(detection, "REPLICATE_BYTES_CAP", 2879)
+        with pytest.raises(ResourceLimitError, match="2879 bytes"):
+            check_size(5, 2, 3, reps=10)
+
+    def test_mode_count_is_bounded_before_any_size(self):
+        # 65 modes at K = 1 and N = 0 would fail the byte cap as well; the
+        # bound refuses the count itself, naming it
+        assert check_size(1, 26, 0) == (2**26 - 1, 1)
+        with pytest.raises(ValueError, match="^modes must be <= 64, .* got 65$"):
+            check_size(1, 65, 0)
+        with pytest.raises(ValueError, match="^modes must be <= 64"):
+            build_matrix(THIRDS, 10**10, 0)
 
     def test_cap_error_is_a_data_error_by_type(self):
         # an ``except ValueError`` meant for bad arguments must not catch it
