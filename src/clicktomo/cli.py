@@ -33,6 +33,7 @@ from .errors import (
     ClicktomoError,
     DegenerateSupportError,
     NumericalError,
+    ResourceLimitError,
 )
 from .metrics import fidelity, marginal
 from .sampler import RNG_ALGORITHM, ClickRecord, frequencies, sample_clicks
@@ -348,6 +349,8 @@ def _load_record(path: Path) -> tuple[ClickRecord, dict | None]:
         raise ClicktomoError(
             f"{path}: malformed click record ({type(exc).__name__}: {exc})"
         ) from exc
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -362,12 +365,16 @@ def _state_errors(label):
 
 
 def _state(doc, k, label):
-    """The state the document ``doc`` describes. Both size caps are
-    checked on a grid of ``k`` efficiencies before the state is built; a
-    malformed document is a configuration error that names ``label``."""
+    """The state ``doc`` describes, built once and sized on ``k`` efficiencies
+    by both caps: before the build for a declared shape, after it for a
+    listed one. A malformed ``doc`` is a ConfigError that names ``label``."""
     with _state_errors(label):
-        check_size(k, *declared_shape(doc))
-        return state_from_json(doc)
+        if shape := declared_shape(doc):
+            check_size(k, *shape)
+        state = state_from_json(doc)
+        if not shape:
+            check_size(k, state.modes, state.truncation)
+        return state
 
 
 def _reference(ref, manifest, record, truncation) -> tuple[list, dict]:
@@ -452,18 +459,21 @@ def _check_bootstrap_reps(reps: int, zero_allowed: bool) -> None:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    """Solve a record, with its trace and optional bootstrap. Without
-    ``--truncation``, the truncation is the one the input manifest's
-    state declares (:func:`clicktomo.states.declared_shape`)."""
+    """Solve a record, with its trace and optional bootstrap. The truncation
+    without ``--truncation`` is the one the manifest's state declares
+    (:func:`clicktomo.states.declared_shape`), or else its built state's."""
     _check_bootstrap_reps(args.bootstrap_reps, zero_allowed=True)
     _check_seed(args.seed)
     record, manifest = _load_record(Path(args.record))
     truncation = args.truncation
     if truncation is None and manifest:
         state_doc = manifest.get("state", {})
-        with _state_errors(f"{args.record}: no --truncation given, and the "
-                           f"manifest's {state_doc.get('kind')} state"):
-            truncation = declared_shape(state_doc)[1]
+        label = (f"{args.record}: no --truncation given, and the "
+                 f"manifest's {state_doc.get('kind')} state")
+        with _state_errors(label):
+            shape = declared_shape(state_doc)
+        truncation = (shape[1] if shape else
+                      _state(state_doc, len(record.grid), label).truncation)
     if truncation is None:
         raise ConfigError("--truncation is required (not found in a manifest)")
     options = StoppingConfig(

@@ -265,14 +265,13 @@ def state_from_json(doc: dict) -> JointDistribution:
     raise ValueError(f"unknown state kind {kind!r}")
 
 
-def declared_shape(doc) -> tuple[int, int]:
-    """The mode count and truncation of the state ``doc`` describes. The
-    two split kinds are read off the document, so that a size cap can
-    refuse one before its (N+1)^2 tensor is built; any other document is
-    built by :func:`state_from_json`, as a custom one already lists
-    every entry. Raises as that function does on a bad truncation."""
+def declared_shape(doc) -> tuple[int, int] | None:
+    """The mode count and truncation that a ``heralded`` or
+    ``multithermal_split`` document declares, read off it so that a size
+    cap can refuse the state before its (N+1)^2 tensor is built; raises as
+    :func:`state_from_json` does on a bad truncation. None for any other
+    document: a custom one lists every entry, and only its build sizes it."""
     if isinstance(doc, dict) and doc.get("kind") in ("heralded",
                                                       "multithermal_split"):
         return 2, json_number("truncation", doc["truncation"], True)
-    state = state_from_json(doc)
-    return state.modes, state.truncation
+    return None

@@ -533,6 +533,18 @@ class TestReconstruct:
         assert peak < 2**20
         assert not (tmp_path / "x").exists()
 
+    def test_size_cap_refusal_of_a_record_names_its_file(self, tmp_path,
+                                                         capsys):
+        # a well-formed 40-character pattern, refused by its size alone:
+        # the message names the file, as a malformed record's does
+        path = tmp_path / "record.csv"
+        path.write_text(f"eta,pattern,count,runs\n0.5,{'0' * 40},10,10\n")
+        assert run(["reconstruct", str(path), "--truncation", "1",
+                    "--out-dir", str(tmp_path / "x")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: the 1099511627775 x 1 matrix")
+        assert err.count("\n") == 1, err
+
     def test_csv_record_matches_json_record(self, tmp_path):
         sim = simulate_small(tmp_path)
         outs = {}
@@ -1195,6 +1207,47 @@ def simulate_custom(tmp_path, modes, values):
     return out
 
 
+def spy_builds(monkeypatch, values):
+    """A list that gains one entry per tensor built from the number list
+    ``values``, as :func:`clicktomo.state_from_json` builds a custom state;
+    a solve's final distribution, built from an array, is not counted."""
+    builds = []
+    from_flat = clicktomo.JointDistribution.from_flat
+
+    def spy(flat, *args, **kwargs):
+        if isinstance(flat, list) and flat == values:
+            builds.append(flat)
+        return from_flat(flat, *args, **kwargs)
+
+    monkeypatch.setattr(clicktomo.JointDistribution, "from_flat",
+                        staticmethod(spy))
+    return builds
+
+
+def test_custom_state_is_built_once(monkeypatch):
+    builds = spy_builds(monkeypatch, NINE_VALUES)
+    state = cli._state({"kind": "custom", "modes": 2, "values": NINE_VALUES},
+                       5, "state")
+    assert (state.modes, state.truncation) == (2, 2)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "reference", "manifest"])
+def test_cli_builds_a_custom_state_once(tmp_path, monkeypatch, command):
+    # simulate --state, reconstruct --reference FILE, and reconstruct
+    # reading the truncation off a custom manifest state
+    sim = simulate_custom(tmp_path, 2, NINE_VALUES)
+    builds = spy_builds(monkeypatch, NINE_VALUES)
+    if command == "simulate":
+        simulate_custom(tmp_path, 2, NINE_VALUES)
+    else:
+        flags = (["--reference", str(tmp_path / "state.json"),
+                  "--truncation", "2"] if command == "reference" else [])
+        assert run(["reconstruct", str(sim), "--max-iters", "50", *flags,
+                    "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("modes, values, truncation", [
     (1, [0.5, 0.3, 0.2], 2), (3, [0.125] * 8, 1)], ids=["1 mode", "3 modes"])
 def test_custom_state_record_reconstructs_without_truncation(
@@ -1459,6 +1512,19 @@ class TestOversizedInputs:
             "simulate", "--preset", "heralded-unbalanced",
             "--grid-k", "1000000000"],
             "the 3000000000 x 16 matrix and its back-projector need")
+
+    def test_custom_state_grid_over_the_byte_cap(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # a custom state lists its entries, so it is sized once built, and
+        # still before its grid is
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"kind": "custom", "modes": 2,
+                                     "values": NINE_VALUES}))
+        monkeypatch.setattr(cli, "uniform_grid", no_solve)
+        self.refused(capsys, tmp_path, [
+            "simulate", "--state", str(state), "--grid-k", "1000000000",
+            "--eta-min", "0.1", "--eta-max", "0.5"],
+            "the 3000000000 x 9 matrix and its back-projector need")
 
     @pytest.mark.parametrize("reference", ["multithermal", "file"])
     def test_reference_state_over_the_column_cap(self, tmp_path, monkeypatch,

@@ -15,6 +15,7 @@ from clicktomo import (
     state_from_json,
     uniform_grid,
 )
+from clicktomo import states
 from clicktomo.errors import TruncationError
 
 
@@ -275,6 +276,17 @@ class TestStateJson:
     def test_mistyped_number(self, doc):
         with pytest.raises(ValueError, match="must be an? (integer|number)"):
             state_from_json(doc)
+
+
+def test_declared_shape_of_a_custom_document_builds_nothing(monkeypatch):
+    def no_build(doc):
+        raise AssertionError("declared_shape built the state")
+
+    monkeypatch.setattr(states, "state_from_json", no_build)
+    assert states.declared_shape(
+        {"kind": "custom", "modes": 2, "values": [0.0, 0.6, 0.4, 0.0]}) is None
+    assert states.declared_shape(
+        {"kind": "heralded", "tau": 0.5, "truncation": 3}) == (2, 3)
 
 
 @pytest.mark.parametrize("build, error, message", [
