@@ -46,7 +46,12 @@ from clicktomo.detection import back_projector
 
 # the loop reference is kept beside the tests, not in the package
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from em_reference import _em_run_loops  # noqa: E402
+from em_reference import (  # noqa: E402
+    CLOSE,
+    _em_run_history,
+    _em_run_loops,
+    first_difference,
+)
 
 
 def _preset(name, **state):
@@ -117,54 +122,28 @@ def main():
 
 def _check_against_loops(matrix, operators, h, iters=500):
     """Check ``em_run`` on each operator pair, on a block of the first
-    column of ``h`` and on a block of all its columns, each column
-    against its own loop reference run on the dense matrix."""
-    rows = matrix.rows
-    n_cols = rows.shape[1]
-    q0 = np.full(n_cols, 1.0 / n_cols)
-    refs = [_em_run_loops(rows, h[:, col], q0, iters, iters, 0.0)
-            for col in range(h.shape[1])]
-    for label, (forward, back) in operators.items():
-        for block_h in (h[:, :1], h):
-            width = block_h.shape[1]
-            collect, epsilon, loglik = _collector(iters, width)
-            got = em_run(forward, back, block_h,
-                         np.tile(q0[:, None], (1, width)),
-                         iters, iters, 0.0, on_chunk=collect)
-            for col, ref in enumerate(refs[:width]):
-                agree = (
-                    np.allclose(got.best_q[:, col], ref[0], rtol=0, atol=1e-13)
-                    and got.best_iteration[col] == ref[2]
-                    and got.n_iterations[col] == ref[3]
-                    and got.status[col] == ref[6]
-                    and np.allclose(epsilon[:, col], ref[4], rtol=0,
-                                    atol=1e-14)
-                    and np.allclose(loglik[:, col], ref[5], rtol=0,
-                                    atol=1e-12)
-                )
-                if not agree:
-                    raise SystemExit(
-                        f"em_run on the {label} operator disagrees with "
-                        f"_em_run_loops in column {col} of a block of "
-                        f"{width}; nothing timed")
-
-
-def _collector(iters, width):
-    """A chunk callback that puts the ε and log-likelihood rows of each
-    column into two iters×width arrays, and the two arrays."""
-    epsilon, loglik = np.empty((iters, width)), np.empty((iters, width))
-
-    def collect(t0, cols, eps, ll):
-        epsilon[t0:t0 + len(eps), cols] = eps
-        loglik[t0:t0 + len(ll), cols] = ll
-
-    return collect, epsilon, loglik
+    column of ``h`` and on a block of all its columns, each against the
+    loop reference run on the dense matrix."""
+    n_cols = matrix.shape[1]
+    for block_h in (h[:, :1], h):
+        width = block_h.shape[1]
+        args = (block_h, np.full((n_cols, width), 1.0 / n_cols), iters, iters,
+                0.0)
+        ref = _em_run_loops(matrix.rows, *args)
+        for label, (forward, back) in operators.items():
+            diff = first_difference(_em_run_history(forward, back, *args), ref,
+                                    CLOSE)
+            if diff is not None:
+                raise SystemExit(
+                    f"em_run on the {label} operator disagrees with "
+                    f"_em_run_loops in column {diff[0]} of a block of "
+                    f"{width}; nothing timed")
 
 
 def _timed(matrix, back, h, q0, iters, history):
     start = time.perf_counter()
-    collect = _collector(iters, q0.shape[1])[0] if history else None
-    em_run(matrix, back, h, q0, iters, iters, 0.0, on_chunk=collect)
+    run = _em_run_history if history else em_run
+    run(matrix, back, h, q0, iters, iters, 0.0)
     return time.perf_counter() - start
 
 

@@ -548,10 +548,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if "ratio_01_10" in summary:
         line = f"rho01/rho10 = {rho01 / rho10:.4f}"
         if boot is not None:
-            sigma_ratio = abs(rho01 / rho10) * np.hypot(
-                boot.sigma[0, 1] / rho01 if rho01 else 0.0,
-                boot.sigma[1, 0] / rho10,
-            )
+            sigma_ratio = np.hypot(boot.sigma[0, 1],
+                                   rho01 / rho10 * boot.sigma[1, 0]) / abs(rho10)
             line += f" +- {sigma_ratio:.4f}"
         print(line)
     if references is not None:

@@ -98,12 +98,21 @@ class ClickRecord:
         grid = EfficiencyGrid(np.array([
             float(e) if isinstance(e, str) else json_number("etas", e)
             for e in doc["etas"]]))
-        return ClickRecord(
+        record = ClickRecord(
             grid=grid,
             modes=doc["modes"],
             counts=doc["counts"],
             runs=doc["runs"],
         )
+        # the counts are always read in click_patterns order, so a patterns
+        # list that names another is refused; checked after the record's
+        # own checks, so that no 2^M list is built for an oversized record
+        if "patterns" in doc and doc["patterns"] != record.patterns:
+            raise ValueError(
+                f"patterns must be the {2**record.modes} click patterns of "
+                f"{record.modes} modes in binary order, as click_patterns "
+                "gives them")
+        return record
 
     def to_json(self, path) -> None:
         write_json(path, self.to_json_dict())

@@ -147,8 +147,7 @@ def em_step(q, matrix: DetectionMatrix, h) -> np.ndarray:
                       np.empty_like(h), 0, 1, h > 0.0)
     if _kernels.degenerate_columns(h, g)[0]:
         raise DegenerateSupportError(
-            "model probability vanished on an observed pattern; "
-            "restart from a strictly positive (e.g. uniform) start"
+            "the given q gives an observed click pattern no model probability"
         )
     return qs[1][:, 0]
 

@@ -412,7 +412,8 @@ class TestReconstruct:
                                         "zero runs", "zero modes",
                                         "fractional counts", "string count",
                                         "float modes", "boolean eta",
-                                        "null eta"])
+                                        "null eta", "reversed patterns",
+                                        "other patterns"])
     def test_malformed_record_is_data_error(self, tmp_path, capsys, damage):
         sim = simulate_small(tmp_path)
         path = sim / "record.json"
@@ -442,13 +443,21 @@ class TestReconstruct:
             doc["etas"][-1] = True
         elif damage == "null eta":
             doc["etas"][0] = None
+        elif damage == "reversed patterns":
+            # the counts are read in click_patterns order whatever the list
+            # says, so a list in another order is refused
+            doc["patterns"].reverse()
+        elif damage == "other patterns":
+            doc["patterns"] = ["zz"]
         text = json.dumps(doc)
         path.write_text(text[:-10] if damage == "invalid JSON" else text)
         assert run([
             "reconstruct", str(sim), "--max-iters", "50",
             "--out-dir", str(tmp_path / "x"),
         ]) == EXIT_DATA
-        assert "malformed click record" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed click record")
+        assert err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
     def test_matrix_over_byte_cap_is_data_error(self, tmp_path, capsys):

@@ -141,6 +141,11 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.counts, rec.counts)
         np.testing.assert_array_equal(back.runs, rec.runs)
         np.testing.assert_array_equal(back.grid.etas, rec.grid.etas)
+        # a record without its patterns list reads the same
+        doc = rec.to_json_dict()
+        del doc["patterns"]
+        np.testing.assert_array_equal(ClickRecord.from_json_dict(doc).counts,
+                                      rec.counts)
 
     def test_json_number_etas_read_like_their_strings(self, small_grid,
                                                      balanced_state):

@@ -43,7 +43,8 @@ from clicktomo._io import TRACE_BLOCK_ROWS
 from clicktomo.errors import (DegenerateSupportError, NumericalError,
                               ResourceLimitError)
 from clicktomo.solver import _frequency_noise_floor
-from em_reference import _em_run_loops
+from em_reference import (CLOSE, _em_run_history, _em_run_loops,
+                          first_difference)
 
 
 def heralded_record(grid, tau=0.5, truncation=3, runs=100_000, seed=5):
@@ -104,7 +105,8 @@ class TestEmStep:
         h = np.zeros(m.rows.shape[0])
         h[len(small_grid)] = 0.1  # observed 01 clicks
         h[0] = 0.9
-        with pytest.raises(DegenerateSupportError):
+        with pytest.raises(DegenerateSupportError,
+                           match="^the given q gives an observed click pattern "):
             em_step(q0, m, h)
 
     @pytest.mark.parametrize("truncation", [3, detection.FACTORED_MIN_TRUNCATION])
@@ -323,55 +325,15 @@ class TestReconstruct:
             reconstruct(rec, 0)
 
 
-def _kernel_args(grid):
-    rec = heralded_record(grid)
-    m = build_matrix(grid, 2, 3)
-    h = frequencies(rec)
-    q0 = np.full(16, 1.0 / 16)
-    return (m.rows, h, q0, 500, 200, 0.0)
-
-
-def _assert_kernel_outputs_match(out_loop, out_np):
-    np.testing.assert_allclose(out_loop[0], out_np[0], atol=1e-13)
-    assert out_loop[2] == out_np[2]  # best iteration
-    assert out_loop[3] == out_np[3]  # iterations done
-    np.testing.assert_allclose(
-        out_loop[4][: out_loop[3]], out_np[4][: out_np[3]], atol=1e-14
-    )
-    assert out_loop[6] == out_np[6]  # status
-
-
-def _em_run_history(matrix, back, h, q0, max_iters, *stop_args):
-    """``em_run`` with a chunk callback that puts every column's ε and
-    log-likelihood rows into max_iters×B arrays: the block's fields plus
-    ``epsilon`` and ``loglik``, NaN past a column's last iteration."""
-    epsilon = np.full((max_iters, q0.shape[1]), np.nan)
-    loglik = np.full_like(epsilon, np.nan)
-
-    def collect(t0, cols, eps, ll):
-        epsilon[t0:t0 + len(eps), cols] = eps
-        loglik[t0:t0 + len(ll), cols] = ll
-
-    block = em_run(matrix, back, h, q0, max_iters, *stop_args, on_chunk=collect)
-    return SimpleNamespace(**vars(block), epsilon=epsilon, loglik=loglik)
-
-
-def _em_run_block_of_one(matrix, h, q0, *stop_args):
-    """``em_run`` on a block of width 1, in the reference kernel's
-    calling convention and output tuple (without the unused final iterate)."""
-    r = _em_run_history(matrix, back_projector(matrix), h[:, None], q0[:, None],
-                        *stop_args)
-    return (r.best_q[:, 0], None, r.best_iteration[0],
-            r.n_iterations[0], r.epsilon[:, 0], r.loglik[:, 0], r.status[0])
-
-
 class TestBlockKernelAgainstLoopReference:
     def test_block_of_one_matches_loop_reference(self, small_grid):
         # the block kernel at width 1 against the scalar loop reference
-        args = _kernel_args(small_grid)
-        _assert_kernel_outputs_match(
-            _em_run_loops(*args), _em_run_block_of_one(*args)
-        )
+        m = build_matrix(small_grid, 2, 3)
+        args = (frequencies(heralded_record(small_grid))[:, None],
+                np.full((16, 1), 1.0 / 16), 500, 200, 0.0)
+        assert first_difference(
+            _em_run_history(m.rows, back_projector(m.rows), *args),
+            _em_run_loops(m.rows, *args), CLOSE) is None
 
     def test_block_columns_match_serial_runs(self, small_grid, monkeypatch):
         # three different data sets whose patience stops fall at different
@@ -381,33 +343,23 @@ class TestBlockKernelAgainstLoopReference:
             frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
             for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.3, 20_000, 3))
         ]
-        mind = np.array([1e-4, 3e-4, 1e-3])
+        mind = np.array([1e-4, 3e-4, 1e-3, 0.0])
         uniform = np.full(16, 1.0 / 16)
         vacuum = np.zeros(16)
         vacuum[0] = 1.0  # q0 = e_0: the model never clicks, the data do
-        h = np.stack(hs + [hs[0]], axis=1)
-        q0 = np.stack([uniform] * 3 + [vacuum], axis=1)
-        max_iters, patience = 3000, 100
+        args = (np.stack(hs + [hs[0]], axis=1),
+                np.stack([uniform] * 3 + [vacuum], axis=1), 3000, 100, mind)
         # without a chunk callback no log-likelihood is computed
         passes = []
         monkeypatch.setattr(_kernels, "log_likelihood",
-                            lambda *args, **kwargs: passes.append(args))
-        block = em_run(m.rows, back_projector(m.rows), h, q0,
-                       max_iters, patience, np.append(mind, 0.0))
+                            lambda *pass_args, **kwargs: passes.append(pass_args))
+        block = em_run(m.rows, back_projector(m.rows), *args)
         assert passes == []
-        stops = set()
-        for col in range(3):
-            ref = _em_run_loops(m.rows, hs[col], uniform, max_iters,
-                                patience, mind[col])
-            np.testing.assert_allclose(
-                block.best_q[:, col], ref[0], rtol=0, atol=1e-13
-            )
-            assert block.best_iteration[col] == ref[2]
-            assert block.n_iterations[col] == ref[3]
-            assert block.status[col] == ref[6] == STATUS_MIN_EPSILON
-            stops.add(ref[3])
-        assert len(stops) == 3  # the columns left the block at different times
-        assert block.status[3] == STATUS_DEGENERATE
+        ref = _em_run_loops(m.rows, *args)
+        assert first_difference(block, ref, CLOSE) is None
+        assert ref.status.tolist() == [STATUS_MIN_EPSILON] * 3 + [STATUS_DEGENERATE]
+        # the columns left the block at different times
+        assert len(set(ref.n_iterations[:3])) == 3
         assert block.n_iterations[3] == 1
         np.testing.assert_array_equal(block.best_q[:, 3], vacuum)
 
@@ -431,26 +383,19 @@ class TestFactoredOperator:
             for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.3, 20_000, 3))
         ][:width]
         mind = np.array([1e-4, 3e-4, 1e-4])[:width]
-        uniform = np.full(16, 1.0 / 16)
-        max_iters, patience = 3000, 100
-        block = _em_run_history(op, back, np.stack(hs, axis=1),
-                                np.stack([uniform] * width, axis=1),
-                                max_iters, patience, mind)
+        args = (np.stack(hs, axis=1), np.full((16, width), 1.0 / 16), 3000,
+                100, mind)
+        ref = _em_run_loops(m.rows, *args)
         for col in range(width):
-            ref = _em_run_loops(m.rows, hs[col], uniform, max_iters,
-                                patience, mind[col])
             bar, margin = np.inf, np.inf
-            for e in ref[4][:ref[3]]:
+            for e in ref.epsilon[:ref.n_iterations[col], col]:
                 margin = min(margin, abs(e - bar))
                 if e < bar:
                     bar = e - mind[col]
             assert margin > 1e-10
-            assert ref[6] == STATUS_MIN_EPSILON
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
+        assert ref.status.tolist() == [STATUS_MIN_EPSILON] * width
+        assert first_difference(_em_run_history(op, back, *args), ref,
+                                CLOSE) is None
 
     def test_one_step_functions(self, rng):
         # at the size rule's truncation em_step, total_error and
@@ -502,16 +447,6 @@ def _force_chunk(monkeypatch, length, matrix, width):
     assert chunk_length(n_rows, width) == length
 
 
-def _assert_same_block(a, b):
-    for field in ("best_q", "best_iteration", "n_iterations", "status"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-    for col, n_done in enumerate(a.n_iterations):
-        np.testing.assert_array_equal(a.epsilon[:n_done, col],
-                                      b.epsilon[:n_done, col])
-        np.testing.assert_array_equal(a.loglik[:n_done, col],
-                                      b.loglik[:n_done, col])
-
-
 CHUNKS = (1, 7, None)
 
 
@@ -532,7 +467,7 @@ class TestChunkBoundaries:
                 _force_chunk(patch, length, matrix, q0.shape[1])
                 runs.append(_em_run_history(matrix, back, h, q0, *stop_args))
         for other in runs[1:]:
-            _assert_same_block(runs[0], other)
+            assert first_difference(runs[0], other) is None
         return runs[0]
 
     @pytest.mark.parametrize("patience, position", [(96, 0), (99, 3), (95, 6)])
@@ -541,18 +476,13 @@ class TestChunkBoundaries:
         # the stop falls on the first, a middle and the last iterate of a
         # chunk of 7 counted from iteration 0
         matrix, back = setup
-        h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
-        q0 = np.full(16, 1.0 / 16)
-        args = (3000, patience, 1e-4)
-        ref = _em_run_loops(matrix, h, q0, *args)
-        assert ref[6] == STATUS_MIN_EPSILON and (ref[3] - 1) % 7 == position
-        block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
-                           *args)
-        _assert_kernel_outputs_match(ref, (
-            block.best_q[:, 0], None, block.best_iteration[0],
-            block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
-            block.status[0],
-        ))
+        args = (frequencies(heralded_record(small_grid, runs=2000, seed=1))[:, None],
+                np.full((16, 1), 1.0 / 16), 3000, patience, 1e-4)
+        ref = _em_run_loops(matrix, *args)
+        assert ref.status[0] == STATUS_MIN_EPSILON
+        assert (ref.n_iterations[0] - 1) % 7 == position
+        block = self._runs(monkeypatch, matrix, back, *args)
+        assert first_difference(block, ref, CLOSE) is None
 
     def test_max_iters_and_patience_stops(self, setup, small_grid, monkeypatch):
         # staggered patience stops beside a column that runs to max_iters,
@@ -560,23 +490,13 @@ class TestChunkBoundaries:
         matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 2000, 3))]
-        mind = np.array([0.0, 1e-4, 3e-4])
-        q0 = np.full(16, 1.0 / 16)
-        max_iters, patience = 2001, 50
-        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0] * 3, axis=1), max_iters, patience, mind)
-        stops = []
-        for col in range(3):
-            ref = _em_run_loops(matrix, hs[col], q0, max_iters,
-                                patience, mind[col])
-            np.testing.assert_allclose(block.best_q[:, col], ref[0], rtol=0,
-                                       atol=1e-13)
-            assert block.best_iteration[col] == ref[2]
-            assert block.n_iterations[col] == ref[3]
-            assert block.status[col] == ref[6]
-            stops.append((ref[6], ref[3]))
-        assert stops == [(STATUS_MAX_ITERS, max_iters),
-                         (STATUS_MIN_EPSILON, 1272), (STATUS_MIN_EPSILON, 613)]
+        args = (np.stack(hs, axis=1), np.full((16, 3), 1.0 / 16), 2001, 50,
+                np.array([0.0, 1e-4, 3e-4]))
+        block = self._runs(monkeypatch, matrix, back, *args)
+        ref = _em_run_loops(matrix, *args)
+        assert first_difference(block, ref, CLOSE) is None
+        assert ref.status.tolist() == [STATUS_MAX_ITERS] + [STATUS_MIN_EPSILON] * 2
+        assert ref.n_iterations.tolist() == [2001, 1272, 613]
 
     def test_snapshots_end_at_each_stop(self, setup, small_grid, monkeypatch):
         # columns leave the block at different iterations, one of them
@@ -605,19 +525,13 @@ class TestChunkBoundaries:
         h = explicit_rows(forward_click_probabilities(
             JointDistribution(vac), small_grid).table)
         q0 = vac.reshape(-1) if start == "vacuum" else np.full(16, 1.0 / 16)
-        args = (1500, 100, 0.0)
-        ref = _em_run_loops(matrix, h, q0, *args)
-        block = self._runs(monkeypatch, matrix, back, h[:, None], q0[:, None],
-                           *args)
-        _assert_kernel_outputs_match(ref, (
-            block.best_q[:, 0], None, block.best_iteration[0],
-            block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
-            block.status[0],
-        ))
-        np.testing.assert_allclose(block.loglik[:block.n_iterations[0], 0],
-                                   ref[5][:ref[3]], rtol=0, atol=1e-14)
+        args = (h[:, None], q0[:, None], 1500, 100, 0.0)
+        ref = _em_run_loops(matrix, *args)
+        block = self._runs(monkeypatch, matrix, back, *args)
+        assert first_difference(block, ref, dict(CLOSE, loglik=1e-14)) is None
         if start == "vacuum":
-            assert ref[6] == STATUS_MIN_EPSILON and ref[2] == 0
+            assert ref.status[0] == STATUS_MIN_EPSILON
+            assert ref.best_iteration[0] == 0
 
     def test_bests_inside_a_chunk(self, setup, small_grid, monkeypatch):
         # a min_decrease above the per-iteration fall of ε moves each
@@ -628,25 +542,17 @@ class TestChunkBoundaries:
         matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 10**6, 1), (0.4, 2 * 10**5, 2), (0.3, 5000, 3))]
-        mind = np.array([2e-6, 5e-6, 1e-5])
-        q0 = np.full(16, 1.0 / 16)
         max_iters = 3000
-        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0] * 3, axis=1), max_iters, max_iters,
-                           mind)
+        args = (np.stack(hs, axis=1), np.full((16, 3), 1.0 / 16), max_iters,
+                max_iters, np.array([2e-6, 5e-6, 1e-5]))
+        block = self._runs(monkeypatch, matrix, back, *args)
         span = chunk_length(matrix.shape[0], 3)
         last_start = (max_iters - 1) // span * span
         bests = block.best_iteration.tolist()
         assert len(set(bests)) == 3
         assert all(last_start < b < max_iters - 1 for b in bests)
-        for col in range(3):
-            ref = _em_run_loops(matrix, hs[col], q0, max_iters,
-                                max_iters, mind[col])
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
+        assert first_difference(block, _em_run_loops(matrix, *args),
+                                CLOSE) is None
 
     def test_best_inside_the_chunk_a_column_stops_on(self, setup, small_grid,
                                                       monkeypatch):
@@ -659,9 +565,8 @@ class TestChunkBoundaries:
         matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 2 * 10**5, 2))]
-        mind = np.array([1e-4, 5e-6])
-        q0 = np.full(16, 1.0 / 16)
-        max_iters, patience = 3000, 100
+        args = (np.stack(hs, axis=1), np.full((16, 2), 1.0 / 16), 3000, 100,
+                np.array([1e-4, 5e-6]))
         scan = _kernels._scan_best
         chunks = []  # (first iteration, length, bests) of every chunk
 
@@ -670,23 +575,15 @@ class TestChunkBoundaries:
             chunks.append((t0, eps.shape[0], best.tolist()))
 
         monkeypatch.setattr(_kernels, "_scan_best", spy)
-        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), max_iters, patience,
-                           mind)
+        block = self._runs(monkeypatch, matrix, back, *args)
         assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
-        assert block.n_iterations.tolist() == [1419, max_iters]
+        assert block.n_iterations.tolist() == [1419, 3000]
         # one chunk per length ends on the stop: at 1, at 7, at the default
         inside = [t0 < bests[1] < t0 + n - 1
                   for t0, n, bests in chunks if t0 + n == 1419]
         assert inside == [False, True, True]
-        for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, h, q0, max_iters, patience,
-                                mind[col])
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
+        assert first_difference(block, _em_run_loops(matrix, *args),
+                                CLOSE) is None
 
     def test_chunk_length_ignores_the_iterate_length(self, monkeypatch):
         # 105 rows at 81 columns (N = 8) and at 14,641 (N = 120, the
@@ -721,19 +618,13 @@ class TestChunkBoundaries:
             JointDistribution(vac), small_grid).table)
         h[5] = 5e-324
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
-        q0 = np.full(16, 1.0 / 16)
-        args = (2500, 2500, 0.0)
-        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), *args)
-        refs = [_em_run_loops(matrix, h, q0, *args) for h in hs]
+        args = (np.stack(hs, axis=1), np.full((16, 2), 1.0 / 16), 2500, 2500,
+                0.0)
+        block = self._runs(monkeypatch, matrix, back, *args)
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations[0] == 2084
-        for col, ref in enumerate(refs):
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
+        assert first_difference(block, _em_run_loops(matrix, *args),
+                                CLOSE) is None
 
     @pytest.mark.parametrize("length", CHUNKS)
     def test_chunk_callback_streams_the_history(self, setup, small_grid,
@@ -754,15 +645,13 @@ class TestChunkBoundaries:
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 5000, 2), (0.5, 10**6, 1))]
         hs.insert(2, degenerate)
-        mind = np.array([1e-4, 3e-4, 0.0, 0.0])
-        q0 = np.full(16, 1.0 / 16)
-        max_iters, patience = 2500, 100
+        max_iters = 2500
+        args = (np.stack(hs, axis=1), np.full((16, 4), 1.0 / 16), max_iters,
+                100, np.array([1e-4, 3e-4, 0.0, 0.0]))
         chunks = []
         _force_chunk(monkeypatch, length, matrix, 4)
-        block = em_run(matrix, back, np.stack(hs, axis=1),
-                       np.stack([q0] * 4, axis=1), max_iters, patience, mind,
-                       on_chunk=lambda *args: chunks.append(
-                           [np.copy(a) for a in args]))
+        block = em_run(matrix, back, *args, on_chunk=lambda *rows: chunks.append(
+            [np.copy(a) for a in rows]))
         assert block.status.tolist() == [STATUS_MIN_EPSILON] * 2 + [
             STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [1419, 919, 2084, max_iters]
@@ -779,19 +668,13 @@ class TestChunkBoundaries:
             t = t0 + eps.shape[0]
         assert t == max_iters
         assert len({cols.size for _, cols, _, _ in chunks}) == 4
-        for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, h, q0, max_iters, patience,
-                                mind[col])
-            n_done = ref[3]
+        ref = _em_run_loops(matrix, *args)
+        for col, n_done in enumerate(ref.n_iterations):
             assert not np.isnan(epsilon[:n_done, col]).any()
             assert np.isnan(epsilon[n_done:, col]).all()
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], epsilon[:, col], loglik[:, col],
-                block.status[col],
-            ))
-            np.testing.assert_allclose(loglik[:n_done, col], ref[5][:n_done],
-                                       rtol=1e-12, atol=1e-14)
+        assert first_difference(SimpleNamespace(**vars(block), epsilon=epsilon,
+                                                loglik=loglik),
+                                ref, dict(CLOSE, loglik=1e-14)) is None
 
     def test_patience_stop_on_the_last_iteration_of_the_budget(
             self, setup, small_grid, monkeypatch):
@@ -802,21 +685,15 @@ class TestChunkBoundaries:
         matrix, back = setup
         hs = [frequencies(heralded_record(small_grid, tau=tau, runs=runs, seed=seed))
               for tau, runs, seed in ((0.5, 2000, 1), (0.4, 10**6, 2))]
-        q0 = np.full(16, 1.0 / 16)
-        free = _em_run_loops(matrix, hs[0], q0, 3000, 99, 1e-4)
-        assert free[6] == STATUS_MIN_EPSILON
-        max_iters, mind = free[3], np.array([1e-4, 0.0])
-        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), max_iters, 99, mind)
+        h, q0 = np.stack(hs, axis=1), np.full((16, 2), 1.0 / 16)
+        free = _em_run_loops(matrix, h[:, :1], q0[:, :1], 3000, 99, 1e-4)
+        assert free.status[0] == STATUS_MIN_EPSILON
+        args = (h, q0, int(free.n_iterations[0]), 99, np.array([1e-4, 0.0]))
+        block = self._runs(monkeypatch, matrix, back, *args)
         assert block.status.tolist() == [STATUS_MIN_EPSILON, STATUS_MAX_ITERS]
-        assert block.n_iterations.tolist() == [max_iters] * 2
-        for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, h, q0, max_iters, 99, mind[col])
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
+        assert block.n_iterations.tolist() == [free.n_iterations[0]] * 2
+        assert first_difference(block, _em_run_loops(matrix, *args),
+                                CLOSE) is None
 
     def test_degenerate_stop_on_the_last_iteration_of_the_budget(
             self, setup, small_grid, monkeypatch):
@@ -831,19 +708,13 @@ class TestChunkBoundaries:
             JointDistribution(vac), small_grid).table)
         h[5] = 5e-324
         hs = [h, frequencies(heralded_record(small_grid, runs=2000, seed=1))]
-        q0 = np.full(16, 1.0 / 16)
-        args = (2084, 2500, 0.0)
-        block = self._runs(monkeypatch, matrix, back, np.stack(hs, axis=1),
-                           np.stack([q0, q0], axis=1), *args)
-        refs = [_em_run_loops(matrix, h, q0, *args) for h in hs]
+        args = (np.stack(hs, axis=1), np.full((16, 2), 1.0 / 16), 2084, 2500,
+                0.0)
+        block = self._runs(monkeypatch, matrix, back, *args)
         assert block.status.tolist() == [STATUS_DEGENERATE, STATUS_MAX_ITERS]
         assert block.n_iterations.tolist() == [2084, 2084]
-        for col, ref in enumerate(refs):
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
+        assert first_difference(block, _em_run_loops(matrix, *args),
+                                CLOSE) is None
 
     def test_degenerate_cut_on_the_last_iterate_runs_the_chunk_twice(
             self, setup, small_grid, monkeypatch):
@@ -895,19 +766,11 @@ class TestChunkBoundaries:
         matrix, back = setup
         h = frequencies(heralded_record(small_grid, runs=2000, seed=1))
         h[0] = 5e-324
-        q0 = np.full(16, 1.0 / 16)
-        args = (300, 300, 0.0)
-        ref = _em_run_loops(matrix, h, q0, *args)
-        block = _em_run_history(matrix, back, h[:, None], q0[:, None], *args)
-        _assert_kernel_outputs_match(ref, (
-            block.best_q[:, 0], None, block.best_iteration[0],
-            block.n_iterations[0], block.epsilon[:, 0], block.loglik[:, 0],
-            block.status[0],
-        ))
-        n_done = ref[3]
-        assert np.all(np.isfinite(ref[5][:n_done]))
-        np.testing.assert_allclose(block.loglik[:n_done, 0], ref[5][:n_done],
-                                   rtol=1e-12, atol=0)
+        args = (h[:, None], np.full((16, 1), 1.0 / 16), 300, 300, 0.0)
+        ref = _em_run_loops(matrix, *args)
+        block = _em_run_history(matrix, back, *args)
+        assert first_difference(block, ref, dict(CLOSE, loglik=1e-14)) is None
+        assert np.all(np.isfinite(ref.loglik[:ref.n_iterations[0]]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_replay_from_a_non_positive_iterate_inside_a_chunk(
@@ -924,8 +787,8 @@ class TestChunkBoundaries:
         hs = [explicit_rows(forward_click_probabilities(
                   JointDistribution(vac), small_grid).table),
               frequencies(heralded_record(small_grid, runs=2000, seed=1))]
-        q0 = np.full(16, 1.0 / 16)
-        args = (2500, 2500, 0.0)
+        args = (np.stack(hs, axis=1), np.full((16, 2), 1.0 / 16), 2500, 2500,
+                0.0)
         iterate = _kernels._iterate
         runs = []
         for length in CHUNKS:
@@ -938,8 +801,7 @@ class TestChunkBoundaries:
             with monkeypatch.context() as patch:
                 _force_chunk(patch, length, matrix, 2)
                 patch.setattr(_kernels, "_iterate", spy)
-                runs.append(_em_run_history(matrix, back, np.stack(hs, axis=1),
-                                            np.stack([q0, q0], axis=1), *args))
+                runs.append(_em_run_history(matrix, back, *args))
             starts = [start for masked, start in calls if masked]
             assert starts, "no chunk took the masked path"
             # an unmasked run followed by a masked one: the one chunk that
@@ -948,18 +810,10 @@ class TestChunkBoundaries:
                        in zip(calls, calls[1:]) if masked and not was_masked]
             assert replays == [0]
         for other in runs[1:]:
-            _assert_same_block(runs[0], other)
+            assert first_difference(runs[0], other) is None
         block = runs[0]
-        for col, h in enumerate(hs):
-            ref = _em_run_loops(matrix, h, q0, *args)
-            _assert_kernel_outputs_match(ref, (
-                block.best_q[:, col], None, block.best_iteration[col],
-                block.n_iterations[col], block.epsilon[:, col],
-                block.loglik[:, col], block.status[col],
-            ))
-            if col == 0:
-                np.testing.assert_allclose(block.loglik[:, 0], ref[5],
-                                           rtol=0, atol=1e-14)
+        assert first_difference(block, _em_run_loops(matrix, *args),
+                                dict(CLOSE, loglik=1e-14)) is None
         assert block.status.tolist() == [STATUS_MAX_ITERS] * 2
 
 
