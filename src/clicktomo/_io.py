@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -68,9 +69,31 @@ def write_trace_csv(fh, pairs) -> None:
         start += len(eps)
 
 
+def reprs(tensor) -> list[str]:
+    """The entries of ``tensor``, row-major, each as :func:`fmt` writes it."""
+    return list(map(repr, np.ravel(tensor).tolist()))
+
+
 def tensor_rows(*tensors):
     """One row per photon-number index of equally shaped tensors, mode 1
     slowest: the index, then each tensor's entry."""
-    columns = [map(repr, np.ravel(t).tolist()) for t in tensors]
+    columns = [reprs(t) for t in tensors]
     for idx, *entries in zip(np.ndindex(np.shape(tensors[0])), *columns):
         yield [*idx, *entries]
+
+
+def write_tensor_csv(path, header, shape, *columns) -> None:
+    """The bytes :func:`write_csv` writes for ``header`` and the
+    :func:`tensor_rows` of tensors of ``shape``, given each tensor's
+    :func:`reprs` in ``columns``. Indices and floats never need quoting,
+    so each block of ``TRACE_BLOCK_ROWS`` rows is joined and written with
+    one call."""
+    prefixes = [""]
+    for size in shape:
+        prefixes = [f"{p}{i}," for p in prefixes for i in range(size)]
+    lines = (f"{p}{','.join(entries)}\r\n"
+             for p, *entries in zip(prefixes, *columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while block := "".join(itertools.islice(lines, TRACE_BLOCK_ROWS)):
+            fh.write(block)

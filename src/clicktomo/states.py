@@ -31,7 +31,7 @@ __all__ = [
 def check_modes(modes: int) -> None:
     """Refuse a mode count below 1 or above 64 with a ``ValueError`` that
     names ``modes``, before anything of its size is made. A state holds one
-    array axis per mode, and numpy allows at most 64 axes."""
+    array axis per mode, and numpy (from 2.0 on) allows at most 64 axes."""
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
     if modes > 64:

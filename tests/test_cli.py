@@ -42,6 +42,49 @@ def no_solve(*args, **kwargs):
     raise AssertionError("solved before the flags were checked")
 
 
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = "is still running" if pid == 0 else f"{pid} was left unreaped"
+    raise AssertionError(f"a child process {left}")
+
+
+def refused(capsys, argv, code, *fragments):
+    """Run ``main`` on ``argv`` and check that it refuses as the CLI
+    promises: exit ``code``, a single stderr line that starts ``error: ``
+    (``numerical error: `` for a numerical failure) and holds each of
+    ``fragments``, no ``--out-dir`` left behind and no child process
+    left. Returns the line."""
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    prefix = "numerical error: " if code == EXIT_NUMERICAL else "error: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert err.endswith("\n"), err
+    for fragment in fragments:
+        assert fragment in err, err
+    assert not Path(argv[argv.index("--out-dir") + 1]).exists()
+    assert_no_child_process()
+    return err[:-1]
+
+
+def same_bytes(a, b, names):
+    """Each file of ``names`` holds the same bytes in directories ``a`` and
+    ``b``."""
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# what reconstruct writes; all but the manifest, which names the inputs,
+# are the same for one record read from two places
+RESULTS = ("trace.csv", "distribution.json", "distribution.csv",
+           "summary.json", "uncertainty.csv")
+OUTPUTS = RESULTS + ("manifest.json",)
+
+
 class TestSimulate:
     def test_outputs_and_manifest(self, tmp_path):
         out = simulate_small(tmp_path)
@@ -97,44 +140,42 @@ class TestSimulate:
         assert manifest["runs"] == 800  # flag beats config
         assert manifest["grid"]["k"] == 5
 
-    def test_missing_state_is_config_error(self, tmp_path):
-        assert run([
+    def test_missing_state_is_config_error(self, tmp_path, capsys):
+        refused(capsys, [
             "simulate", "--grid-k", "4", "--eta-min", "0.1",
             "--eta-max", "0.4", "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
+        ], EXIT_CONFIG)
 
     def test_state_file_without_grid_is_config_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"kind": "heralded", "tau": 0.5,
                                      "truncation": 3}))
-        assert run([
+        refused(capsys, [
             "simulate", "--state", str(state), "--eta-min", "0.1",
             "--eta-max", "0.4", "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
-        assert "missing --grid-k" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        ], EXIT_CONFIG, "missing --grid-k")
 
-    def test_missing_config_is_data_error(self, tmp_path):
-        assert run([
+    def test_missing_config_is_data_error(self, tmp_path, capsys):
+        refused(capsys, [
             "simulate", "--preset", "heralded-balanced",
             "--config", str(tmp_path / "nope.json"),
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_DATA
+        ], EXIT_DATA)
 
-    def test_bad_config_json_is_config_error(self, tmp_path):
+    def test_bad_config_json_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
-        assert run([
+        refused(capsys, [
             "simulate", "--preset", "heralded-balanced",
             "--config", str(config), "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
+        ], EXIT_CONFIG)
 
-    def test_bad_grid_is_config_error(self, tmp_path):
-        assert run([
+    def test_bad_grid_is_config_error(self, tmp_path, capsys):
+        refused(capsys, [
             "simulate", "--preset", "heralded-balanced",
             "--grid-k", "4", "--eta-min", "0.4", "--eta-max", "0.1",
             "--runs", "100", "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
+        ], EXIT_CONFIG)
 
 
 class TestReconstruct:
@@ -209,8 +250,7 @@ class TestReconstruct:
         reference.write_text(json.dumps(resolved))
         assert run(base + ["--reference", str(reference),
                            "--out-dir", str(again)]) == EXIT_OK
-        assert ((again / "summary.json").read_bytes()
-                == (first / "summary.json").read_bytes())
+        same_bytes(again, first, ["summary.json"])
 
     @pytest.mark.parametrize("flag", ["--mean-photons", "--num-modes"])
     def test_reference_override_flags_are_gone(self, tmp_path, capsys, flag):
@@ -287,25 +327,22 @@ class TestReconstruct:
         # a heralded record has no multithermal split to take tau from
         sim = simulate_small(tmp_path)
         monkeypatch.setattr(cli, "reconstruct", no_solve)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--reference", "multithermal",
             "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert "multithermal split" in capsys.readouterr().err
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG, "multithermal split")
 
     def test_reference_with_other_modes_is_config_error(self, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, capsys):
         sim = simulate_small(tmp_path)
         reference = tmp_path / "reference.json"
         reference.write_text(json.dumps(
             {"kind": "custom", "modes": 1, "values": [0.5, 0.5, 0.0, 0.0]}))
         monkeypatch.setattr(cli, "reconstruct", no_solve)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--reference", str(reference),
             "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG)
 
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "heralded", "tau": 0.5, "truncation": 2},
@@ -320,17 +357,15 @@ class TestReconstruct:
         reference = tmp_path / "reference.json"
         reference.write_text(json.dumps(doc))
         monkeypatch.setattr(cli, "reconstruct", no_solve)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--reference", str(reference),
             "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert f"{reference}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG, f"{reference}: {message}")
 
     @pytest.mark.parametrize("key, value", [("mean_photons", "0.15"),
                                             ("num_modes", True)])
     def test_mistyped_manifest_reference_is_config_error(self, tmp_path,
-                                                          key, value):
+                                                          capsys, key, value):
         # refused before the solve, so no output file is written
         out = tmp_path / "sim"
         assert run([
@@ -340,11 +375,10 @@ class TestReconstruct:
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["state"][key] = value
         (out / "manifest.json").write_text(json.dumps(manifest))
-        assert run([
+        refused(capsys, [
             "reconstruct", str(out), "--max-iters", "50",
             "--reference", "multithermal", "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG)
 
     @pytest.mark.parametrize("manifest, flags", [
         ({"state": [1]}, []),
@@ -354,22 +388,20 @@ class TestReconstruct:
                                                     manifest, flags):
         sim = simulate_small(tmp_path)
         (sim / "manifest.json").write_text(json.dumps(manifest))
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--max-iters", "50", *flags,
             "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert "must be JSON objects" in capsys.readouterr().err
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG, "must be JSON objects")
 
-    def test_reference_state_without_tau_is_config_error(self, tmp_path):
+    def test_reference_state_without_tau_is_config_error(self, tmp_path,
+                                                         capsys):
         sim = simulate_small(tmp_path)
         reference = tmp_path / "reference.json"
         reference.write_text(json.dumps({"kind": "heralded", "truncation": 3}))
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--max-iters", "50",
             "--reference", str(reference), "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG)
 
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], "a state must be a JSON object, not [1, 2]"),
@@ -384,29 +416,25 @@ class TestReconstruct:
         reference = tmp_path / "reference.json"
         reference.write_text(json.dumps(doc))
         monkeypatch.setattr(cli, "reconstruct", no_solve)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--max-iters", "50",
             "--reference", str(reference), "--out-dir", str(tmp_path / "rec"),
-        ]) == EXIT_CONFIG
-        assert f"{reference}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "rec").exists()
+        ], EXIT_CONFIG, f"{reference}: {message}")
 
     def test_zero_truncation_is_numerical_error(self, tmp_path, capsys):
         # at N = 0 the model holds only the vacuum and never clicks, while
         # the heralded data do
         sim = simulate_small(tmp_path)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--truncation", "0",
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_NUMERICAL
-        assert "truncation may be too small" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        ], EXIT_NUMERICAL, "truncation may be too small")
 
-    def test_missing_record_is_data_error(self, tmp_path):
-        assert run([
+    def test_missing_record_is_data_error(self, tmp_path, capsys):
+        refused(capsys, [
             "reconstruct", str(tmp_path / "absent.json"),
             "--truncation", "2", "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_DATA
+        ], EXIT_DATA)
 
     @pytest.mark.parametrize("damage", ["no counts", "invalid JSON", "NaN eta",
                                         "zero runs", "zero modes",
@@ -451,14 +479,10 @@ class TestReconstruct:
             doc["patterns"] = ["zz"]
         text = json.dumps(doc)
         path.write_text(text[:-10] if damage == "invalid JSON" else text)
-        assert run([
+        assert refused(capsys, [
             "reconstruct", str(sim), "--max-iters", "50",
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: malformed click record")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "x").exists()
+        ], EXIT_DATA).startswith(f"error: {path}: malformed click record")
 
     def test_matrix_over_byte_cap_is_data_error(self, tmp_path, capsys):
         # 2 modes at 34 efficiencies and N = 999: 102 x 10^6 matrix, which
@@ -466,15 +490,13 @@ class TestReconstruct:
         sim = simulate_small(tmp_path, **{"--grid-k": 34})
         tracemalloc.start()
         try:
-            code = run([
+            refused(capsys, [
                 "reconstruct", str(sim), "--truncation", "999",
                 "--out-dir", str(tmp_path / "x"),
-            ])
+            ], EXIT_DATA, "1632000000 bytes")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == EXIT_DATA
-        assert "1632000000 bytes" in capsys.readouterr().err
         assert peak < 16 * 2**20
 
     def test_duplicate_csv_row_is_data_error(self, tmp_path, capsys):
@@ -486,12 +508,10 @@ class TestReconstruct:
         eta, pattern, count, runs = first.split(",")
         copy = ",".join([eta, pattern, str(int(count) + 1), runs])
         path.write_text("\n".join([header, copy, first, *rest]) + "\n")
-        assert run([
+        refused(capsys, [
             "reconstruct", str(path), "--truncation", "3", "--max-iters", "50",
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_DATA
-        assert "malformed click record" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        ], EXIT_DATA, "malformed click record")
 
     @pytest.mark.parametrize("patterns", [
         ["00", "0x"], ["00", "011"], ["00", "+1"]],
@@ -502,13 +522,10 @@ class TestReconstruct:
         path = tmp_path / "record.csv"
         path.write_text("eta,pattern,count,runs\n" + "".join(
             f"0.5,{pattern},5,10\n" for pattern in patterns))
-        assert run([
+        refused(capsys, [
             "reconstruct", str(path), "--truncation", "1",
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "malformed click record" in err and repr(patterns[1]) in err
-        assert not (tmp_path / "x").exists()
+        ], EXIT_DATA, "malformed click record", repr(patterns[1]))
 
     @pytest.mark.parametrize("kind", ["csv pattern", "json modes"])
     def test_huge_mode_count_is_refused_before_allocation(self, tmp_path,
@@ -528,19 +545,14 @@ class TestReconstruct:
             message = "modes must be <= 64"
         tracemalloc.start()
         try:
-            code = run([
+            refused(capsys, [
                 "reconstruct", str(path), "--truncation", "1",
                 "--out-dir", str(tmp_path / "x"),
-            ])
+            ], EXIT_DATA, message)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert message in err
         assert peak < 2**20
-        assert not (tmp_path / "x").exists()
 
     def test_size_cap_refusal_of_a_record_names_its_file(self, tmp_path,
                                                          capsys):
@@ -548,11 +560,11 @@ class TestReconstruct:
         # the message names the file, as a malformed record's does
         path = tmp_path / "record.csv"
         path.write_text(f"eta,pattern,count,runs\n0.5,{'0' * 40},10,10\n")
-        assert run(["reconstruct", str(path), "--truncation", "1",
-                    "--out-dir", str(tmp_path / "x")]) == EXIT_DATA
-        err = capsys.readouterr().err
+        err = refused(capsys, [
+            "reconstruct", str(path), "--truncation", "1",
+            "--out-dir", str(tmp_path / "x"),
+        ], EXIT_DATA)
         assert err.startswith(f"error: {path}: the 1099511627775 x 1 matrix")
-        assert err.count("\n") == 1, err
 
     def test_csv_record_matches_json_record(self, tmp_path):
         sim = simulate_small(tmp_path)
@@ -564,10 +576,7 @@ class TestReconstruct:
                 "--max-iters", "300", "--bootstrap-reps", "2", "--seed", "0",
                 "--out-dir", str(outs[name]),
             ]) == EXIT_OK
-        for name in ("trace.csv", "distribution.json", "distribution.csv",
-                     "summary.json", "uncertainty.csv"):
-            assert ((outs["csv"] / name).read_bytes()
-                    == (outs["json"] / name).read_bytes()), name
+        same_bytes(outs["csv"], outs["json"], RESULTS)
         manifests = [json.loads((outs[name] / "manifest.json").read_text())
                      for name in ("json", "csv")]
         # a directory brings its simulate manifest along, a CSV file does not
@@ -582,12 +591,10 @@ class TestReconstruct:
         sim = simulate_small(tmp_path)
         monkeypatch.setattr(cli, "reconstruct", no_solve)
         monkeypatch.setattr(cli, "bootstrap_uncertainty", no_solve)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--bootstrap-reps", str(reps),
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
-        assert "--bootstrap-reps must be 0 or at least 2" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        ], EXIT_CONFIG, "--bootstrap-reps must be 0 or at least 2")
 
     def test_zero_bootstrap_reps_means_no_bootstrap(self, tmp_path):
         sim = simulate_small(tmp_path)
@@ -600,21 +607,20 @@ class TestReconstruct:
         assert "bootstrap_reps" not in json.loads(
             (out / "summary.json").read_text())
 
-    def test_missing_truncation_is_config_error(self, tmp_path):
+    def test_missing_truncation_is_config_error(self, tmp_path, capsys):
         sim = simulate_small(tmp_path)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim / "record.json"),
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
+        ], EXIT_CONFIG)
 
     @pytest.mark.parametrize("value", ["lots", "nan", "inf"])
-    def test_bad_min_decrease_is_config_error(self, tmp_path, value):
+    def test_bad_min_decrease_is_config_error(self, tmp_path, capsys, value):
         sim = simulate_small(tmp_path)
-        assert run([
+        refused(capsys, [
             "reconstruct", str(sim), "--min-decrease", value,
             "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
-        assert not (tmp_path / "x").exists()
+        ], EXIT_CONFIG)
 
     def test_deterministic_bytes(self, tmp_path):
         sim1 = simulate_small(tmp_path / "a")
@@ -627,9 +633,7 @@ class TestReconstruct:
                 "--bootstrap-reps", "2", "--seed", "0", "--out-dir", str(out),
             ]) == EXIT_OK
             outs.append(out)
-        for name in ("trace.csv", "distribution.json", "distribution.csv",
-                     "summary.json", "uncertainty.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        same_bytes(*outs, RESULTS)
 
     def test_rerun_from_manifest_options(self, tmp_path):
         # no --seed: the manifest records the seed the bootstrap used
@@ -653,8 +657,7 @@ class TestReconstruct:
             argv += [f"--{key.replace('_', '-')}", str(value)]
         second = tmp_path / "r2"
         assert run(argv + ["--out-dir", str(second)]) == EXIT_OK
-        assert ((second / "summary.json").read_bytes()
-                == (first / "summary.json").read_bytes())
+        same_bytes(second, first, ["summary.json"])
 
 
 class TestReproduce:
@@ -704,8 +707,7 @@ class TestReproduce:
             "--bootstrap-reps", str(manifest["bootstrap_reps"]),
             "--out-dir", str(second),
         ]) == EXIT_OK
-        for name in tables:
-            assert (second / name).read_bytes() == (first / name).read_bytes()
+        same_bytes(second, first, tables)
         # each table's record is the one simulate writes for its tau and seed
         for name, record in manifest["records"].items():
             tau, offset = name[len("joint_tau"):-len(".csv")].split("_set")
@@ -737,29 +739,21 @@ class TestReproduce:
         }
 
     @pytest.mark.parametrize("figure", ["fig2", "fig3"])
-    def test_zero_runs_is_config_error(self, tmp_path, figure):
-        assert run([
+    def test_zero_runs_is_config_error(self, tmp_path, capsys, figure):
+        refused(capsys, [
             "reproduce", figure, "--runs", "0", "--max-iters", "50",
             "--bootstrap-reps", "2", "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
-        assert not (tmp_path / "x").exists()
-
+        ], EXIT_CONFIG)
 
     @pytest.mark.parametrize("reps", [0, 1, -2])
     def test_fig2_bad_bootstrap_reps_refused_before_the_solve(
             self, tmp_path, monkeypatch, capsys, reps):
         monkeypatch.setattr(cli, "reconstruct", no_solve)
         monkeypatch.setattr(cli, "bootstrap_uncertainty", no_solve)
-        assert run([
+        refused(capsys, [
             "reproduce", "fig2", "--runs", "2000", "--max-iters", "50",
             "--bootstrap-reps", str(reps), "--out-dir", str(tmp_path / "x"),
-        ]) == EXIT_CONFIG
-        assert "--bootstrap-reps must be at least 2" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-
-OUTPUTS = ("trace.csv", "distribution.json", "distribution.csv",
-           "summary.json", "uncertainty.csv", "manifest.json")
+        ], EXIT_CONFIG, "--bootstrap-reps must be at least 2")
 
 
 @pytest.fixture(params=["background", "inline"])
@@ -817,24 +811,14 @@ def process_state(pid: int) -> str | None:
     return stat.rsplit(")", 1)[1].split()[0]
 
 
-def assert_no_child_process():
-    """This process has no child left, running or unreaped."""
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    left = "is still running" if pid == 0 else f"{pid} was left unreaped"
-    raise AssertionError(f"a child process {left}")
-
-
 class TestBootstrapBeside:
     """``reconstruct`` and ``reproduce fig2`` run the bootstrap beside the
     point solve; where it runs must change no output and no exit code."""
 
-    def reconstruct(self, sim, out, *flags):
-        return run(["reconstruct", str(sim), "--max-iters", "300",
-                    "--bootstrap-reps", "3", "--seed", "5",
-                    "--out-dir", str(out), *flags])
+    def argv(self, sim, out, *flags):
+        return ["reconstruct", str(sim), "--max-iters", "300",
+                "--bootstrap-reps", "3", "--seed", "5",
+                "--out-dir", str(out), *flags]
 
     def test_paths_write_identical_bytes(self, tmp_path, monkeypatch):
         sim = simulate_small(tmp_path)
@@ -842,10 +826,8 @@ class TestBootstrapBeside:
         for path, cpus in (("background", {0, 1}), ("inline", {0})):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             outs[path] = tmp_path / path
-            assert self.reconstruct(sim, outs[path]) == EXIT_OK
-        for name in OUTPUTS:
-            assert ((outs["background"] / name).read_bytes()
-                    == (outs["inline"] / name).read_bytes()), name
+            assert run(self.argv(sim, outs[path])) == EXIT_OK
+        same_bytes(outs["background"], outs["inline"], OUTPUTS)
         # and the same bytes as the library calls made in this process
         record = clicktomo.ClickRecord.from_json(sim / "record.json")
         options = clicktomo.StoppingConfig(max_iters=300, min_decrease=0.0)
@@ -854,21 +836,19 @@ class TestBootstrapBeside:
                                                options=options)
         trace.final_to_json(tmp_path / "distribution.json")
         boot.to_csv(tmp_path / "uncertainty.csv", point=trace.final)
-        for name in ("distribution.json", "uncertainty.csv"):
-            assert ((tmp_path / name).read_bytes()
-                    == (outs["inline"] / name).read_bytes()), name
+        same_bytes(tmp_path, outs["inline"],
+                   ["distribution.json", "uncertainty.csv"])
 
     def test_wrapped_bootstrap_runs_in_a_child(self, tmp_path, monkeypatch,
                                                bootstrap_path):
         sim = simulate_small(tmp_path)
         plain = tmp_path / "plain"
-        assert self.reconstruct(sim, plain) == EXIT_OK
+        assert run(self.argv(sim, plain)) == EXIT_OK
         pid_file = tmp_path / "pid"
         wrap_bootstrap(monkeypatch, pid_file)
         wrapped = tmp_path / "wrapped"
-        assert self.reconstruct(sim, wrapped) == EXIT_OK
-        for name in OUTPUTS:
-            assert (wrapped / name).read_bytes() == (plain / name).read_bytes()
+        assert run(self.argv(sim, wrapped)) == EXIT_OK
+        same_bytes(wrapped, plain, OUTPUTS)
         in_child = int(pid_file.read_text()) != os.getpid()
         assert in_child == (bootstrap_path == "background")
         assert_no_child_process()
@@ -881,17 +861,16 @@ class TestBootstrapBeside:
             self, tmp_path, capsys, bootstrap_path, failure, code):
         sim = simulate_small(tmp_path)
         out = tmp_path / "x"
-        flags = []
         if failure == "output directory is a file":
             out.write_text("")
+            assert run(self.argv(sim, out)) == code
+            err = capsys.readouterr().err
+            assert_no_child_process()
         else:
-            flags = ["--truncation", "0"]
-        assert self.reconstruct(sim, out, *flags) == code
+            err = refused(capsys, self.argv(sim, out, "--truncation", "0"),
+                          code)
         # the point-solve error wins over the bootstrap's own failure
-        assert "bootstrap" not in capsys.readouterr().err
-        assert_no_child_process()
-        if failure == "degenerate point solve":
-            assert not out.exists()
+        assert "bootstrap" not in err
 
     def test_interrupt_leaves_no_process(self, tmp_path, monkeypatch,
                                          bootstrap_path):
@@ -901,7 +880,7 @@ class TestBootstrapBeside:
         monkeypatch.setattr(cli, "reconstruct", interrupted)
         sim = simulate_small(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            self.reconstruct(sim, tmp_path / "x")
+            run(self.argv(sim, tmp_path / "x"))
         assert_no_child_process()
 
     def test_bootstrap_error_comes_after_the_point_outputs(
@@ -909,7 +888,7 @@ class TestBootstrapBeside:
         sim = simulate_small(tmp_path)
         wrap_bootstrap(monkeypatch, tmp_path / "pid", fail=True)
         out = tmp_path / "rec"
-        assert self.reconstruct(sim, out) == EXIT_DATA
+        assert run(self.argv(sim, out)) == EXIT_DATA
         assert "only 1 of 2 bootstrap replicates" in capsys.readouterr().err
         written = sorted(p.name for p in out.iterdir())
         assert written == ["distribution.csv", "distribution.json", "trace.csv"]
@@ -935,7 +914,7 @@ class TestBootstrapBeside:
         sim = simulate_small(tmp_path)
         for bootstrap, code in ((dies, 9), (unpicklable, 1)):
             monkeypatch.setattr(cli, "bootstrap_uncertainty", bootstrap)
-            assert self.reconstruct(sim, tmp_path / f"rec{code}") == EXIT_DATA
+            assert run(self.argv(sim, tmp_path / f"rec{code}")) == EXIT_DATA
             assert (f"exited with code {code} and no result"
                     in capsys.readouterr().err)
             assert_no_child_process()
@@ -985,9 +964,7 @@ class TestBootstrapBeside:
             ]) == EXIT_OK
         names = sorted(p.name for p in outs["inline"].iterdir())
         assert len(names) == 5
-        for name in names:
-            assert ((outs["background"] / name).read_bytes()
-                    == (outs["inline"] / name).read_bytes()), name
+        same_bytes(outs["background"], outs["inline"], names)
         assert_no_child_process()
 
 
@@ -996,11 +973,11 @@ class TestTraceBeside:
     point solve runs; where it is formatted must change no byte and no
     exit code, and leave no process."""
 
-    def reconstruct(self, sim, out, reps, *flags):
+    def argv(self, sim, out, reps, *flags):
         # 5000 iterations: more rows than one block of the formatter
-        return run(["reconstruct", str(sim), "--max-iters", "5000",
-                    "--patience", "5000", "--bootstrap-reps", str(reps),
-                    "--seed", "5", "--out-dir", str(out), *flags])
+        return ["reconstruct", str(sim), "--max-iters", "5000",
+                "--patience", "5000", "--bootstrap-reps", str(reps),
+                "--seed", "5", "--out-dir", str(out), *flags]
 
     @pytest.mark.parametrize("reps", [0, 2])
     def test_paths_write_the_bytes_of_to_csv(self, tmp_path, monkeypatch,
@@ -1011,15 +988,14 @@ class TestTraceBeside:
         monkeypatch.setattr(clicktomo.ReconstructionTrace, "to_csv",
                             lambda *args: calls.append(args) or to_csv(*args))
         out = tmp_path / "rec"
-        assert self.reconstruct(sim, out, reps) == EXIT_OK
+        assert run(self.argv(sim, out, reps)) == EXIT_OK
         assert bool(calls) == (bootstrap_path == "inline")
         record = clicktomo.ClickRecord.from_json(sim / "record.json")
         options = clicktomo.StoppingConfig(max_iters=5000, patience=5000)
         to_csv(clicktomo.reconstruct(record, 3, options=options),
                tmp_path / "trace.csv")
-        expected = (tmp_path / "trace.csv").read_bytes()
-        assert expected.count(b"\n") == 5001
-        assert (out / "trace.csv").read_bytes() == expected
+        assert (tmp_path / "trace.csv").read_bytes().count(b"\n") == 5001
+        same_bytes(out, tmp_path, ["trace.csv"])
         assert_no_child_process()
 
     def test_a_trace_of_one_block_is_formatted_inline(self, tmp_path,
@@ -1038,17 +1014,13 @@ class TestTraceBeside:
         options = clicktomo.StoppingConfig(max_iters=4096, patience=4096)
         clicktomo.reconstruct(record, 3, options=options).to_csv(
             tmp_path / "trace.csv")
-        assert ((out / "trace.csv").read_bytes()
-                == (tmp_path / "trace.csv").read_bytes())
+        same_bytes(out, tmp_path, ["trace.csv"])
 
     def test_degenerate_point_solve_leaves_nothing(self, tmp_path, capsys,
                                                    bootstrap_path):
         sim = simulate_small(tmp_path)
-        out = tmp_path / "x"
-        assert self.reconstruct(sim, out, 0, "--truncation", "0") == EXIT_NUMERICAL
-        assert "truncation may be too small" in capsys.readouterr().err
-        assert not out.exists()
-        assert_no_child_process()
+        refused(capsys, self.argv(sim, tmp_path / "x", 0, "--truncation", "0"),
+                EXIT_NUMERICAL, "truncation may be too small")
 
     def test_interrupt_during_the_solve_leaves_no_process(
             self, tmp_path, monkeypatch, bootstrap_path):
@@ -1065,7 +1037,7 @@ class TestTraceBeside:
         monkeypatch.setattr(cli, "reconstruct", interrupted)
         sim = simulate_small(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            self.reconstruct(sim, tmp_path / "x", 0)
+            run(self.argv(sim, tmp_path / "x", 0))
         assert not (tmp_path / "x").exists()
         assert_no_child_process()
 
@@ -1090,7 +1062,7 @@ class TestTraceBeside:
         monkeypatch.setattr(cli._io, "write_trace_csv", fails)
         sim = simulate_small(tmp_path)
         out = tmp_path / "rec"
-        assert self.reconstruct(sim, out, 0) == EXIT_DATA
+        assert run(self.argv(sim, out, 0)) == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
         assert_no_child_process()
@@ -1116,7 +1088,7 @@ class TestTraceBeside:
 
         monkeypatch.setattr(cli, "bootstrap_uncertainty", waits_for_the_trace)
         sim = simulate_small(tmp_path)
-        assert self.reconstruct(sim, out, 2) == EXIT_OK
+        assert run(self.argv(sim, out, 2)) == EXIT_OK
         assert_no_child_process()
 
 
@@ -1139,7 +1111,7 @@ class TestTraceBeside:
         "fractional state truncation", "string state tau",
         "boolean state value", "object state values",
         "fractional manifest truncation"])
-def test_mistyped_value_is_config_error(tmp_path, command, values):
+def test_mistyped_value_is_config_error(tmp_path, capsys, command, values):
     # config-file and manifest values must have the JSON type their flags imply
     if command == "simulate":
         config = tmp_path / "config.json"
@@ -1154,8 +1126,7 @@ def test_mistyped_value_is_config_error(tmp_path, command, values):
         manifest["state"].update(values)
         (sim / "manifest.json").write_text(json.dumps(manifest))
         argv = ["reconstruct", str(sim), "--max-iters", "50"]
-    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert not (tmp_path / "x").exists()
+    refused(capsys, argv + ["--out-dir", str(tmp_path / "x")], EXIT_CONFIG)
 
 
 @pytest.mark.parametrize("modes, values", [(0, [1.0]), (-2, [0.25] * 4)],
@@ -1175,12 +1146,8 @@ def test_custom_state_with_modes_below_one_is_config_error(
         argv = ["reconstruct", str(simulate_small(tmp_path)),
                 "--reference", str(state)]
         monkeypatch.setattr(cli, "reconstruct", no_solve)
-    capsys.readouterr()
-    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert f"modes must be >= 1, got {modes}" in err
-    assert not (tmp_path / "x").exists()
+    refused(capsys, argv + ["--out-dir", str(tmp_path / "x")], EXIT_CONFIG,
+            f"modes must be >= 1, got {modes}")
 
 
 def test_custom_state_with_huge_mode_count_is_config_error(tmp_path, capsys):
@@ -1191,18 +1158,14 @@ def test_custom_state_with_huge_mode_count_is_config_error(tmp_path, capsys):
                                  "values": [1.0]}))
     tracemalloc.start()
     try:
-        code = run(["simulate", "--state", str(state), "--grid-k", "5",
-                    "--eta-min", "0.1", "--eta-max", "0.3",
-                    "--out-dir", str(tmp_path / "x")])
+        refused(capsys, ["simulate", "--state", str(state), "--grid-k", "5",
+                         "--eta-min", "0.1", "--eta-max", "0.3",
+                         "--out-dir", str(tmp_path / "x")],
+                EXIT_CONFIG, "modes must be <= 64")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "modes must be <= 64" in err
     assert peak < 2**20
-    assert not (tmp_path / "x").exists()
 
 
 def simulate_custom(tmp_path, modes, values):
@@ -1286,13 +1249,8 @@ def test_malformed_custom_state_in_manifest_is_config_error(
     edit(manifest["state"])
     (sim / "manifest.json").write_text(json.dumps(manifest))
     monkeypatch.setattr(cli, "reconstruct", no_solve)
-    capsys.readouterr()
-    assert run(["reconstruct", str(sim), "--out-dir",
-                str(tmp_path / "x")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "custom state" in err and message in err, err
-    assert not (tmp_path / "x").exists()
+    refused(capsys, ["reconstruct", str(sim), "--out-dir", str(tmp_path / "x")],
+            EXIT_CONFIG, "custom state", message)
 
 
 NINE_VALUES = [0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1]  # truncation 2
@@ -1318,13 +1276,10 @@ def test_manifest_state_of_unknown_kind_needs_truncation(tmp_path, capsys):
     manifest = json.loads((sim / "manifest.json").read_text())
     manifest["state"] = {"kind": "other", "truncation": 3}
     (sim / "manifest.json").write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert run(["reconstruct", str(sim), "--max-iters", "50",
-                "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: {sim}: no --truncation given, and the manifest's other "
-        "state: unknown state kind 'other'\n")
-    assert not (tmp_path / "x").exists()
+    err = refused(capsys, ["reconstruct", str(sim), "--max-iters", "50",
+                           "--out-dir", str(tmp_path / "x")], EXIT_CONFIG)
+    assert err == (f"error: {sim}: no --truncation given, and the manifest's "
+                   "other state: unknown state kind 'other'")
     assert run(["reconstruct", str(sim), "--max-iters", "50",
                 "--truncation", "3", "--out-dir", str(tmp_path / "x")]) \
         == EXIT_OK
@@ -1355,12 +1310,10 @@ def test_override_the_state_does_not_read_is_refused(
     elif kind == "custom":
         argv = ["--state", str(state), *argv]
     monkeypatch.setattr(cli, "sample_clicks", no_solve)
-    assert run(["simulate", *argv, "--out-dir", str(tmp_path / "x")]) \
-        == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: a {kind} state does not read {key} "
-        f"(--{key.replace('_', '-')})\n")
-    assert not (tmp_path / "x").exists()
+    err = refused(capsys, ["simulate", *argv, "--out-dir",
+                           str(tmp_path / "x")], EXIT_CONFIG)
+    assert err == (f"error: a {kind} state does not read {key} "
+                   f"(--{key.replace('_', '-')})")
 
 
 def test_multithermal_state_reads_every_override(tmp_path):
@@ -1407,11 +1360,9 @@ def test_stop_options_default_to_stopping_config(tmp_path, monkeypatch,
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text("[1]")
-    assert run(["simulate", "--config", str(config),
-                "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: config file must hold a JSON object\n")
-    assert not (tmp_path / "x").exists()
+    err = refused(capsys, ["simulate", "--config", str(config),
+                           "--out-dir", str(tmp_path / "x")], EXIT_CONFIG)
+    assert err == "error: config file must hold a JSON object"
 
 
 @pytest.mark.parametrize("command", ["simulate", "simulate config",
@@ -1434,9 +1385,8 @@ def test_negative_seed_is_refused_before_any_solve(tmp_path, monkeypatch,
         "reproduce fig2": ["reproduce", "fig2", "--seed", "-1"],
         "reproduce fig3": ["reproduce", "fig3", "--seed", "-1"],
     }[command]
-    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    refused(capsys, argv + ["--out-dir", str(tmp_path / "x")], EXIT_CONFIG,
+            "--seed must be a non-negative integer, got -1")
 
 
 @pytest.mark.parametrize("command, runs", [("simulate", 0),
@@ -1456,9 +1406,8 @@ def test_runs_below_one_are_refused_before_the_state_is_built(
         "simulate config": ["simulate", "--config", str(config)],
         "reproduce fig2": ["reproduce", "fig2", "--runs", "0"],
     }[command]
-    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert f"--runs must be a positive integer, got {runs}" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    refused(capsys, argv + ["--out-dir", str(tmp_path / "x")], EXIT_CONFIG,
+            f"--runs must be a positive integer, got {runs}")
 
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -1481,10 +1430,9 @@ def test_runs_beyond_int64_are_refused_before_the_state_is_built(
         "simulate config": ["simulate", "--config", str(config)],
         "reproduce fig2": ["reproduce", "fig2", "--runs", str(runs)],
     }[command]
-    assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: --runs must be at most {INT64_MAX}, got {runs}\n")
-    assert not (tmp_path / "x").exists()
+    err = refused(capsys, argv + ["--out-dir", str(tmp_path / "x")],
+                  EXIT_CONFIG)
+    assert err == f"error: --runs must be at most {INT64_MAX}, got {runs}"
 
 
 class TestOversizedInputs:
@@ -1495,32 +1443,26 @@ class TestOversizedInputs:
     for here, hundreds of PiB, exceeds any 64-bit address space, so it
     fails at once."""
 
-    def refused(self, capsys, tmp_path, argv, message):
-        assert run(argv + ["--out-dir", str(tmp_path / "x")]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert message in err
-        assert not (tmp_path / "x").exists()
-        assert_no_child_process()
-
     @pytest.mark.parametrize("preset", ["heralded-unbalanced",
                                         "multithermal-split"])
     def test_simulate_state_over_the_column_cap(self, tmp_path, monkeypatch,
                                                 capsys, preset):
         for name in ("state_from_json", "uniform_grid"):
             monkeypatch.setattr(cli, name, no_solve)
-        self.refused(capsys, tmp_path, [
-            "simulate", "--preset", preset, "--truncation", "100000"],
-            "10000200001 columns exceeds the cap")
+        refused(capsys, [
+            "simulate", "--preset", preset, "--truncation", "100000",
+            "--out-dir", str(tmp_path / "x")],
+            EXIT_DATA, "10000200001 columns exceeds the cap")
 
     def test_simulate_grid_over_the_byte_cap(self, tmp_path, monkeypatch,
                                              capsys):
         for name in ("state_from_json", "uniform_grid"):
             monkeypatch.setattr(cli, name, no_solve)
-        self.refused(capsys, tmp_path, [
+        refused(capsys, [
             "simulate", "--preset", "heralded-unbalanced",
-            "--grid-k", "1000000000"],
-            "the 3000000000 x 16 matrix and its back-projector need")
+            "--grid-k", "1000000000", "--out-dir", str(tmp_path / "x")],
+            EXIT_DATA, "the 3000000000 x 16 matrix and its back-projector "
+            "need")
 
     def test_custom_state_grid_over_the_byte_cap(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -1530,10 +1472,11 @@ class TestOversizedInputs:
         state.write_text(json.dumps({"kind": "custom", "modes": 2,
                                      "values": NINE_VALUES}))
         monkeypatch.setattr(cli, "uniform_grid", no_solve)
-        self.refused(capsys, tmp_path, [
+        refused(capsys, [
             "simulate", "--state", str(state), "--grid-k", "1000000000",
-            "--eta-min", "0.1", "--eta-max", "0.5"],
-            "the 3000000000 x 9 matrix and its back-projector need")
+            "--eta-min", "0.1", "--eta-max", "0.5",
+            "--out-dir", str(tmp_path / "x")],
+            EXIT_DATA, "the 3000000000 x 9 matrix and its back-projector need")
 
     @pytest.mark.parametrize("reference", ["multithermal", "file"])
     def test_reference_state_over_the_column_cap(self, tmp_path, monkeypatch,
@@ -1551,18 +1494,20 @@ class TestOversizedInputs:
             reference, flags = str(ref), []
         for name in ("state_from_json", "reconstruct", "bootstrap_uncertainty"):
             monkeypatch.setattr(cli, name, no_solve)
-        self.refused(capsys, tmp_path, [
-            "reconstruct", str(sim), "--reference", reference, *flags],
-            "10000200001 columns exceeds the cap")
+        refused(capsys, [
+            "reconstruct", str(sim), "--reference", reference, *flags,
+            "--out-dir", str(tmp_path / "x")],
+            EXIT_DATA, "10000200001 columns exceeds the cap")
 
     def test_trace_that_cannot_be_allocated(self, tmp_path, monkeypatch,
                                             capsys):
         # two usable CPUs: the trace formatter is forked before the solve
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         sim = simulate_small(tmp_path)
-        self.refused(capsys, tmp_path, [
-            "reconstruct", str(sim), "--max-iters", str(10**17)],
-            "error: Unable to allocate")
+        refused(capsys, [
+            "reconstruct", str(sim), "--max-iters", str(10**17),
+            "--out-dir", str(tmp_path / "x")],
+            EXIT_DATA, "error: Unable to allocate")
 
     def test_bootstrap_that_cannot_be_allocated(self, tmp_path, capsys,
                                                 bootstrap_path):
@@ -1584,14 +1529,13 @@ class TestOversizedInputs:
         sim = tmp_path / "sim"
         assert run(["simulate", "--preset", "heralded-unbalanced", "--seed",
                     "2", "--out-dir", str(sim)]) == EXIT_OK
-        capsys.readouterr()
         for name in ("reconstruct", "bootstrap_uncertainty"):
             monkeypatch.setattr(cli, name, no_solve)
-        self.refused(capsys, tmp_path, [
+        refused(capsys, [
             "reconstruct", str(sim), "--max-iters", "50",
-            "--bootstrap-reps", str(10**9)],
-            "for 1000000000 bootstrap replicates, more than the cap of "
-            "1073741824 bytes")
+            "--bootstrap-reps", str(10**9), "--out-dir", str(tmp_path / "x")],
+            EXIT_DATA, "for 1000000000 bootstrap replicates, more than the "
+            "cap of 1073741824 bytes")
 
 
 class TestValidate:

@@ -19,6 +19,7 @@ from clicktomo import (
     sample_clicks,
     uniform_grid,
 )
+from clicktomo._io import TRACE_BLOCK_ROWS, fmt, write_json
 from clicktomo.errors import ClicktomoError, NumericalError
 from clicktomo.solver import BootstrapResult
 
@@ -213,28 +214,62 @@ class TestBootstrap:
         assert len(lines) == 1 + 4
 
 
-def test_photon_number_tables_at_three_modes(tmp_path, rng):
-    # distribution.csv and uncertainty.csv against a csv.writer reference:
-    # one row per index in np.ndindex order, full-precision repr entries
-    values = rng.random((3, 3, 3))
-    point = JointDistribution(values / values.sum())
-    sigma = rng.random((3, 3, 3))
-    trace = ReconstructionTrace(
-        epsilon=np.zeros(1), loglik=np.zeros(1), stop_reason="max-iters",
-        best_iteration=0, n_iterations=1, final=point, renorm_correction=0.0,
-    )
-    trace.final_to_csv(tmp_path / "distribution.csv")
-    BootstrapResult(sigma=sigma, reps=2, failed=[]).to_csv(
-        tmp_path / "uncertainty.csv", point
-    )
+def write_reference_tables(directory, trace, sigma):
+    """distribution.json, distribution.csv and uncertainty.csv of ``trace``
+    and ``sigma`` as a per-entry formatter writes them: ``fmt`` on each
+    numpy scalar, and a csv.writer row per index in np.ndindex order."""
+    point = trace.final
+    write_json(directory / "distribution.json", {
+        "modes": point.modes,
+        "truncation": point.truncation,
+        "values": [fmt(v) for v in point.flat()],
+        "renorm_correction": fmt(trace.renorm_correction),
+        "stop_reason": trace.stop_reason,
+        "best_iteration": trace.best_iteration,
+        "n_iterations": trace.n_iterations,
+    })
+    header = [f"n{j + 1}" for j in range(point.modes)]
     for name, columns, tensors in (
         ("distribution.csv", ["rho"], [point.values]),
         ("uncertainty.csv", ["rho", "sigma"], [point.values, sigma]),
     ):
-        reference = tmp_path / f"reference_{name}"
-        with open(reference, "w", newline="", encoding="utf-8") as fh:
+        with open(directory / name, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n1", "n2", "n3"] + columns)
-            for idx in np.ndindex(3, 3, 3):
+            writer.writerow(header + columns)
+            for idx in np.ndindex(point.values.shape):
                 writer.writerow(list(idx) + [repr(float(t[idx])) for t in tensors])
-        assert (tmp_path / name).read_bytes() == reference.read_bytes()
+
+
+def assert_tables_match_reference(tmp_path, point, sigma):
+    trace = ReconstructionTrace(
+        epsilon=np.zeros(1), loglik=np.zeros(1), stop_reason="max-iters",
+        best_iteration=0, n_iterations=1, final=point, renorm_correction=0.0,
+    )
+    trace.final_to_json(tmp_path / "distribution.json")
+    trace.final_to_csv(tmp_path / "distribution.csv")
+    BootstrapResult(sigma=sigma, reps=2, failed=[]).to_csv(
+        tmp_path / "uncertainty.csv", point
+    )
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    write_reference_tables(reference, trace, sigma)
+    for name in ("distribution.json", "distribution.csv", "uncertainty.csv"):
+        assert (tmp_path / name).read_bytes() == (reference / name).read_bytes()
+
+
+def test_photon_number_tables_at_three_modes(tmp_path, rng):
+    values = rng.random((3, 3, 3))
+    assert_tables_match_reference(tmp_path, JointDistribution(values / values.sum()),
+                                  rng.random((3, 3, 3)))
+
+
+def test_photon_number_tables_of_more_than_one_block(tmp_path, rng):
+    # N = 70, a factored pair: 5041 rows, more than one block of the
+    # table writer; entries of every exponent, zeros and subnormals
+    values = rng.random((71, 71)) * 10.0 ** -rng.integers(0, 300, (71, 71))
+    values[0, :3] = [0.0, 5e-324, 1e-310]
+    sigma = rng.random((71, 71)) * 10.0 ** rng.integers(-320, 20, (71, 71))
+    sigma[-1, -3:] = [0.0, 1e16, 1e-07]
+    assert 5041 > TRACE_BLOCK_ROWS
+    assert_tables_match_reference(tmp_path, JointDistribution(values / values.sum()),
+                                  sigma)
