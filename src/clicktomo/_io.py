@@ -6,7 +6,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 
 import numpy as np
@@ -74,26 +73,21 @@ def reprs(tensor) -> list[str]:
     return list(map(repr, np.ravel(tensor).tolist()))
 
 
-def tensor_rows(*tensors):
-    """One row per photon-number index of equally shaped tensors, mode 1
-    slowest: the index, then each tensor's entry."""
-    columns = [reprs(t) for t in tensors]
-    for idx, *entries in zip(np.ndindex(np.shape(tensors[0])), *columns):
-        yield [*idx, *entries]
-
-
-def write_tensor_csv(path, header, shape, *columns) -> None:
-    """The bytes :func:`write_csv` writes for ``header`` and the
-    :func:`tensor_rows` of tensors of ``shape``, given each tensor's
-    :func:`reprs` in ``columns``. Indices and floats never need quoting,
-    so each block of ``TRACE_BLOCK_ROWS`` rows is joined and written with
-    one call."""
-    prefixes = [""]
-    for size in shape:
-        prefixes = [f"{p}{i}," for p in prefixes for i in range(size)]
-    lines = (f"{p}{','.join(entries)}\r\n"
-             for p, *entries in zip(prefixes, *columns))
+def write_tensor_csv(path, header, *tensors) -> None:
+    """The bytes :func:`write_csv` writes for ``header`` and one row per
+    photon-number index of the equally shaped ``tensors``, mode 1
+    slowest: the index, then each tensor's entry as :func:`fmt` writes
+    it. Indices and floats never need quoting, so each block of
+    ``TRACE_BLOCK_ROWS`` rows is formatted and written with one call."""
+    shape = np.shape(tensors[0])
+    size = int(np.prod(shape))
+    flat = [np.ravel(t) for t in tensors]
+    # %r writes an int as str does and a float as fmt does
+    row = ",".join(["%r"] * (len(shape) + len(flat))) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        while block := "".join(itertools.islice(lines, TRACE_BLOCK_ROWS)):
-            fh.write(block)
+        for i in range(0, size, TRACE_BLOCK_ROWS):
+            block = np.arange(i, min(i + TRACE_BLOCK_ROWS, size))
+            index = np.unravel_index(block, shape)
+            columns = [c.tolist() for c in (*index, *(f[block] for f in flat))]
+            fh.write("".join(map(row.__mod__, zip(*columns))))

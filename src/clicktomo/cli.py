@@ -565,9 +565,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     fig2 = args.figure == "fig2"
     runs = (100_000 if fig2 else 200_000) if args.runs is None else args.runs
-    # each table's header and rows, and its record, as the simulate
-    # manifest that regenerates it; nothing is written before all exist
-    tables, records = {}, {}
+    # each table's header and rows (fig2's: its rho and sigma tensors),
+    # and its record, as the simulate manifest that regenerates it;
+    # nothing is written before all exist
+    tables, tensors, records = {}, {}, {}
     if fig2:
         _check_bootstrap_reps(args.bootstrap_reps, zero_allowed=False)
         # two seeds stand in for the two spectral-filter variants
@@ -584,8 +585,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                     trace = reconstruct(record, truncation, options=options)
                     boot = wait_for_bootstrap()
                 name = f"joint_tau{tau:.1f}_set{offset}.csv"
-                tables[name] = (["n", "k", "rho", "sigma"],
-                                _io.tensor_rows(trace.final.values, boot.sigma))
+                tensors[name] = (trace.final.values, boot.sigma)
                 records[name] = sim
         message = f"wrote 4 joint-distribution tables to {out_dir}"
     else:
@@ -637,6 +637,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out_dir / name, header, rows)
+    for name, (values, sigma) in tensors.items():
+        _io.write_tensor_csv(out_dir / name, ["n", "k", "rho", "sigma"],
+                             values, sigma)
     manifest = {"command": "reproduce", "figure": args.figure,
                 "version": __version__, "runs": runs, "seed": args.seed,
                 "options": _options_doc(options), "records": records}

@@ -13,13 +13,11 @@ runs one update of the same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from ._io import (fmt, reprs, write_json, write_tensor_csv,
-                  write_trace_csv)
+from ._io import fmt, reprs, write_json, write_tensor_csv, write_trace_csv
 from .detection import (DetectionMatrix, build_matrix, check_size,
                         explicit_rows)
 from .errors import ClicktomoError, DegenerateSupportError, NumericalError
@@ -87,16 +85,11 @@ class ReconstructionTrace:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             write_trace_csv(fh, [(self.epsilon, self.loglik)])
 
-    @cached_property
-    def _final_entries(self) -> list[str]:
-        # formatted once for distribution.json and distribution.csv
-        return reprs(self.final.values)
-
     def final_to_json(self, path) -> None:
         write_json(path, {
             "modes": self.final.modes,
             "truncation": self.final.truncation,
-            "values": self._final_entries,
+            "values": reprs(self.final.values),
             "renorm_correction": fmt(self.renorm_correction),
             "stop_reason": self.stop_reason,
             "best_iteration": self.best_iteration,
@@ -105,8 +98,7 @@ class ReconstructionTrace:
 
     def final_to_csv(self, path) -> None:
         header = [f"n{j + 1}" for j in range(self.final.modes)] + ["rho"]
-        write_tensor_csv(path, header, self.final.values.shape,
-                         self._final_entries)
+        write_tensor_csv(path, header, self.final.values)
 
 
 @dataclass
@@ -120,8 +112,7 @@ class BootstrapResult:
     def to_csv(self, path, point: JointDistribution) -> None:
         """The point estimate and its sigma per photon-number index."""
         header = [f"n{j + 1}" for j in range(self.sigma.ndim)] + ["rho", "sigma"]
-        write_tensor_csv(path, header, self.sigma.shape, reprs(point.values),
-                         reprs(self.sigma))
+        write_tensor_csv(path, header, point.values, self.sigma)
 
 
 def _blocks(q, matrix: DetectionMatrix, h):
